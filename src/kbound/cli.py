@@ -48,8 +48,6 @@ class RunConfig:
     steps: int | None = None
     tol_halt: float = lanczos.DEFAULT_HALT_TOL
     tol_closure: float = algebras.CLOSURE_TOL
-    reorth: str | None = None
-    threshold: float | None = None
     seed: int = 0
     workers: int = 1
     model_spec: str | None = None
@@ -87,14 +85,6 @@ def _time_grid(config: RunConfig) -> np.ndarray:
     if steps < 2:
         raise ValidationError(f"--steps must be >= 2, got {steps}")
     return np.linspace(0.0, tmax, steps)
-
-
-def _policy(config: RunConfig) -> lanczos.ReorthPolicy | None:
-    if config.reorth is None:
-        return None
-    if config.threshold is not None:
-        return lanczos.ReorthPolicy(config.reorth, config.threshold)
-    return lanczos.ReorthPolicy(config.reorth)
 
 
 def _resolve_format(config: RunConfig, default: str) -> str:
@@ -271,7 +261,6 @@ def _cmd_lanczos(config: RunConfig) -> int:
         H,
         obs,
         spec=spec,
-        policy=_policy(config),
         halt_tol=config.tol_halt,
         max_steps=config.max_steps,
         store_basis=config.store_basis,
@@ -385,7 +374,6 @@ def _cmd_goe(config: RunConfig) -> int:
         sigma=config.sigma,
         count=config.count,
         seed=config.seed,
-        policy=_policy(config),
         halt_tol=config.tol_halt,
     )
     profile_times = None
@@ -446,11 +434,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--steps", type=int, default=None,
                        help="number of grid points (default 301)")
 
-    def add_reorth(p):
-        p.add_argument("--reorth", choices=("none", "full", "partial"), default=None,
-                       help="reorthogonalization mode (default: by dimension)")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="overlap trigger for --reorth partial")
+    def add_halt(p):
         p.add_argument("--tol-halt", dest="tol_halt", type=float,
                        default=lanczos.DEFAULT_HALT_TOL,
                        help="halting tolerance relative to b_1")
@@ -484,7 +468,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--store-basis", dest="store_basis", action="store_true",
                    help="keep the Krylov basis in the JSON output")
-    add_reorth(p)
+    add_halt(p)
     add_out(p)
 
     p = sub.add_parser("evolve", help="amplitudes phi_n(t) of a chain")
@@ -517,7 +501,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    add_reorth(p)
+    add_halt(p)
     add_grid(p)
     add_out(p)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from ._util import open_write
 from .operators import InnerProductSpec, OperatorVector, as_hermitian
-from .lanczos import DEFAULT_HALT_TOL, ReorthPolicy, default_policy, run_lanczos
+from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import ComplexityProfile, complexity_profile, evolve_amplitudes
 
 __all__ = [
@@ -46,15 +46,13 @@ __all__ = [
 class GoeSpec:
     """Parameters of one ensemble run.
 
-    policy = None defers to :func:`kbound.lanczos.default_policy` for the
-    dimension; seed feeds the per-realization SeedSequence scheme above.
+    seed feeds the per-realization SeedSequence scheme above.
     """
 
     dim: int
     sigma: float = 1.0
     count: int = 1
     seed: int = 0
-    policy: ReorthPolicy | None = None
     halt_tol: float = DEFAULT_HALT_TOL
 
     def __post_init__(self):
@@ -69,8 +67,6 @@ class GoeSpec:
             raise ValidationError(f"count must be >= 1, got {self.count}")
         object.__setattr__(self, "count", int(self.count))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.policy is not None and not isinstance(self.policy, ReorthPolicy):
-            raise ValidationError("policy must be a ReorthPolicy or None")
 
 
 def goe_sample(dim: int, sigma: float = 1.0, seed=None) -> np.ndarray:
@@ -139,12 +135,12 @@ class EnsembleResult:
 
 
 def _one_realization(args):
-    dim, sigma, seed, index, policy, halt_tol, times = args
+    dim, sigma, seed, index, halt_tol, times = args
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     try:
         H = goe_sample(dim, sigma, ss)
         obs = uniform_observable(H)
-        res = run_lanczos(H, obs, policy=policy, halt_tol=halt_tol, store_basis=False)
+        res = run_lanczos(H, obs, halt_tol=halt_tol, store_basis=False)
         out = {"index": index, "b": res.b, "D": res.D, "truncated": res.truncated}
         if times is not None:
             prof = complexity_profile(evolve_amplitudes(res.b, times))
@@ -171,7 +167,6 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
     workers = int(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    policy = spec.policy if spec.policy is not None else default_policy(spec.dim)
     times = None
     if profile_times is not None:
         times = np.asarray(profile_times, dtype=np.float64).ravel()
@@ -179,7 +174,7 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
             raise ValidationError("profile_times must be a non-empty finite array")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise ValidationError("profile_times must be strictly increasing")
-    tasks = [(spec.dim, spec.sigma, spec.seed, i, policy, spec.halt_tol, times)
+    tasks = [(spec.dim, spec.sigma, spec.seed, i, spec.halt_tol, times)
              for i in range(spec.count)]
     if workers == 1:
         raw = [_one_realization(t) for t in tasks]
@@ -259,15 +254,12 @@ def _nan_to_none(arr) -> list:
 def ensemble_to_dict(result: EnsembleResult) -> dict:
     """JSON-ready dict; undefined values are null, never NaN."""
     spec = result.spec
-    policy = spec.policy
     out = {
         "dim": spec.dim,
         "sigma": spec.sigma,
         "count": spec.count,
         "seed": spec.seed,
         "halt_tol": spec.halt_tol,
-        "policy": None if policy is None else {"mode": policy.mode,
-                                               "threshold": policy.threshold},
         "D_histogram": {str(k): v for k, v in sorted(result.D_histogram.items())},
         "mean_b_sq": [float(x) for x in result.mean_b_sq],
         "std_b_sq": [float(x) for x in result.std_b_sq],

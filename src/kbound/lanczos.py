@@ -1,27 +1,42 @@
-"""Lanczos recursion for the Liouvillian in operator space.
+"""Lanczos chain of the Liouvillian L = [H, .], built on the seed's spectral measure.
 
-Given a Hamiltonian H and a seed operator O, the recursion
+The recursion
 
     A_{n+1} = L O_n - b_n O_{n-1},      b_{n+1} = ||A_{n+1}||,
 
-with L = [H, .] builds the Krylov chain O_0, O_1, ... and its coefficients
-b_1, b_2, ...  The inner products used here make L self-adjoint and kill the
-diagonal coefficients <O_n|L O_n>, which is what keeps the recursion
-two-term; that property is checked at every step rather than assumed.
+builds the Krylov chain O_0, O_1, ... of a seed operator and its
+coefficients b_1, b_2, ...  In the eigenbasis of H, with the inner-product
+weights folded into the components (an exact unitary change of frame), the
+normalized seed is a vector x, the inner product the plain dot product, and
+L the elementwise multiply by omega_ij = E_i - E_j.  So O_n = p_n(omega) * x
+with p_n the orthonormal polynomials of the spectral measure
+mu = sum_ij |x_ij|^2 delta(omega - omega_ij): the chain depends on mu alone.
+The diagonal coefficients <O_n|L O_n>, which must vanish to keep the
+recursion two-term, all do exactly when mu is symmetric; that is tested
+once, up front.
 
-The iteration runs in the eigenbasis of H with the inner-product weights
-folded into the components (an exact unitary change of frame).  There the
-Liouvillian acts elementwise, L -> (E_j - E_i) *, so one step costs O(d^2)
-instead of the O(d^3) of two matrix products, and the inner product reduces
-to the plain dot product.  The chain terminates at D <= d^2 - d + 1 basis
-vectors: d^2 - d off-diagonal frequency slots plus a single direction out of
-the d-dimensional commutant block.
+A symmetric mu folds onto s = |omega|: node 0 carries sum_i |x_ii|^2, and
+each pair i < j is one node at |omega_ij| (IEEE subtraction is exactly
+antisymmetric) with weight m = |x_ij|^2 + |x_ji|^2.  Frequencies equal up to
+rounding (degenerate levels) share a node, and frame entries at the
+rounding level of the change of frame are taken as the zeros they are in
+exact arithmetic; otherwise the chain would go on to resolve rounding noise.  Even p_n are even and
+odd p_n odd, so the vectors sqrt(m) p_n(s), named u_n for even n and v_n for
+odd n, are the Golub-Kahan bidiagonalization of A = diag(s) from
+u_0 = sqrt(m) (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965):
 
-In finite precision the computed vectors lose orthogonality, so a
-reorthogonalization policy is part of the run: "full" re-projects every new
-vector on the whole stored basis (two classical Gram-Schmidt passes, safe,
-O(D d^2) per step); "partial" propagates an orthogonality-loss estimate and
-sweeps only when it crosses a threshold; "none" is the bare recursion.
+    b_{n+1} v_{n+1} = A u_n - b_n v_{n-1}   (n even),
+    b_{n+1} u_{n+1} = A v_n - b_n u_{n-1}   (n odd).
+
+That is real arithmetic on about d^2 / 2 nodes for any H and product.  Each
+family is fully reorthogonalized against itself, by two classical
+Gram-Schmidt passes per step (as for long Krylov chains in Rabinovici et
+al., arXiv:2009.01862).  A stored basis is rebuilt as
+O_n[ij] = sign(omega_ij)^n (u_n or v_n)[k] x_ij / sqrt(m_k), k the node of ij.
+
+The chain terminates at D <= d^2 - d + 1 basis vectors: d^2 - d off-diagonal
+frequency slots plus a single direction out of the d-dimensional commutant
+block.
 """
 
 from __future__ import annotations
@@ -38,19 +53,14 @@ from .operators import (
     InnerProductSpec,
     OperatorVector,
     as_hermitian,
-    inner_product,
 )
 
 DEFAULT_HALT_TOL = 1e-10
-FULL_REORTH_MAX_DIM = 4096  # d^2 at or below this defaults to mode "full"
 DIAGONAL_TOL = 1e-8
-_EPS = float(np.finfo(np.float64).eps)
-DEFAULT_PRO_THRESHOLD = float(np.sqrt(_EPS))
+_ROUNDING = 64 * float(np.finfo(np.float64).eps)  # per Hilbert-space dimension
 
 __all__ = [
     "DEFAULT_HALT_TOL",
-    "FULL_REORTH_MAX_DIM",
-    "DEFAULT_PRO_THRESHOLD",
     "ReorthPolicy",
     "default_policy",
     "LanczosResult",
@@ -74,30 +84,19 @@ def max_chain_length(dim: int) -> int:
 
 @dataclass(frozen=True)
 class ReorthPolicy:
-    """How to fight loss of orthogonality in the computed basis.
-
-    mode is one of "full", "partial", "none" (see module docstring);
-    threshold is the trigger level for "partial" overlap estimates and is
-    ignored by the other modes.
-    """
+    """Reorthogonalization of the chain; "full" (see module docstring) is the
+    only mode, kept so that callers passing ``default_policy(dim)`` work."""
 
     mode: str = "full"
-    threshold: float = DEFAULT_PRO_THRESHOLD
 
     def __post_init__(self):
-        if self.mode not in ("full", "partial", "none"):
-            raise ValidationError(
-                f"mode must be one of 'full', 'partial', 'none', got {self.mode!r}"
-            )
-        t = float(self.threshold)
-        if not (0.0 < t < 1.0):
-            raise ValidationError(f"threshold must lie in (0, 1), got {self.threshold}")
-        object.__setattr__(self, "threshold", t)
+        if self.mode != "full":
+            raise ValidationError(f"mode must be 'full', got {self.mode!r}")
 
 
 def default_policy(dim: int) -> ReorthPolicy:
-    """Full reorthogonalization up to d^2 = FULL_REORTH_MAX_DIM, else partial."""
-    return ReorthPolicy("full" if dim * dim <= FULL_REORTH_MAX_DIM else "partial")
+    """The policy of every run, whatever the dimension: full reorthogonalization."""
+    return ReorthPolicy()
 
 
 @dataclass(eq=False)
@@ -130,73 +129,79 @@ class LanczosResult:
 
 
 class _Frame:
-    """H-eigenbasis representation with the inner-product weights folded in.
+    """H eigenbasis representation with the inner-product weights folded in.
 
     Frame vectors satisfy <A|B>_spec = vdot(x_A, x_B), and the Liouvillian
-    is the elementwise multiply by omega[j, i] = E_j - E_i.
+    is the elementwise multiply by omega[i, j] = E_i - E_j.  The maps take
+    one column-major vector or a stack of them as rows.  Without H the
+    frame serves a beta = 0 product only (identity basis, no frequencies).
     """
 
-    def __init__(self, H: HermitianMatrix, spec: InnerProductSpec):
-        d = H.dim
-        energies, vectors = np.linalg.eigh(H.entries)
-        omega = energies[:, None] - energies[None, :]
+    def __init__(self, spec: InnerProductSpec, dim: int,
+                 H: HermitianMatrix | None = None):
         if spec.beta == 0.0:
-            weights = np.full((d, d), spec.norm_factor(d))
+            if H is None:
+                energies, vectors = np.zeros(dim), np.eye(dim)
+            else:
+                energies, vectors = np.linalg.eigh(H.entries)
+            weights = np.full((dim, dim), spec.norm_factor(dim))
         else:
+            spec.require_hamiltonian()
+            energies, vectors = spec._energies, spec._vectors
             w = spec._weights
             weights = np.outer(w, w) / spec._partition
             if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
                 raise NumericalError(
                     "thermal weights underflowed; beta * spectral width too large"
                 )
-        self.dim = d
+        self.dim = dim
         self.vectors = vectors
         self.sqrt_weights = np.sqrt(weights)
-        self.omega_flat = omega.ravel(order="F")
-        self.omega_scale = float(np.max(np.abs(omega)))
-        self.real_hamiltonian = bool(np.all(H.entries.imag == 0.0))
+        self.omega = energies[:, None] - energies[None, :]
+
+    # A column-major vector read row-major is the transpose A^T, and the
+    # frame change V^dag A V transposes to V^T A^T conj(V).
 
     def to_frame(self, components: np.ndarray) -> np.ndarray:
-        A = components.reshape((self.dim, self.dim), order="F")
-        At = self.vectors.conj().T @ A @ self.vectors
-        return (self.sqrt_weights * At).ravel(order="F")
+        At = components.reshape(-1, self.dim, self.dim)
+        x = (self.vectors.T @ At @ self.vectors.conj()) * self.sqrt_weights
+        return x.reshape(components.shape)
 
     def from_frame(self, x: np.ndarray) -> np.ndarray:
-        At = x.reshape((self.dim, self.dim), order="F") / self.sqrt_weights
-        A = self.vectors @ At @ self.vectors.conj().T
-        return A.ravel(order="F")
+        At = x.reshape(-1, self.dim, self.dim) / self.sqrt_weights
+        return (self.vectors.conj() @ At @ self.vectors.T).reshape(x.shape)
+
+
+def _check_symmetric(s: np.ndarray, below: np.ndarray, above: np.ndarray,
+                     scale: float) -> None:
+    """Raise unless the seed measure is symmetric under omega -> -omega.
+
+    Pair p weighs below[p] at -s[p] and above[p] at +s[p].  Pairs with s
+    equal within DIAGONAL_TOL * scale form a group that need only be
+    symmetric in aggregate; the group at s ~ 0 always is.  The sides are
+    compared as amplitudes (square roots), so that rounding in a nearly
+    empty group cannot fail the test.
+    """
+    order = np.argsort(s, kind="stable")
+    group = np.cumsum(np.diff(s[order], prepend=0.0) > DIAGONAL_TOL * scale)
+    lo = np.sqrt(np.bincount(group, below[order]))
+    hi = np.sqrt(np.bincount(group, above[order]))
+    bad = np.flatnonzero(np.abs(lo - hi)[1:] > DIAGONAL_TOL) + 1
+    if bad.size:
+        raise NumericalError(
+            "inner-product property 2 violated: the seed's spectral measure is not "
+            f"symmetric at |omega| = {s[order][group == bad[0]][0]:.6g}, so "
+            "<O_n|L O_n> cannot vanish; the seed operator is incompatible with "
+            "the two-term recursion under this inner product"
+        )
 
 
 def _cgs2(w: np.ndarray, B: np.ndarray) -> np.ndarray:
     # Two classical Gram-Schmidt passes; the second mops up the rounding of
-    # the first. Both are BLAS-2 on the stacked basis.
+    # the first. Both are BLAS-2 on the stacked family.
     for _ in range(2):
-        w = w - B.T @ (B.conj() @ w)
+        w = w - B.T @ (B @ w)
     return w
-
-
-def _propagate_overlaps(b: list[float], bnew: float, prev: np.ndarray,
-                        cur: np.ndarray) -> np.ndarray:
-    """Overlap estimates of the incoming vector q_{n+1} with q_0 .. q_n.
-
-    The exact overlaps obey the same zero-diagonal three-term recurrence as
-    the basis itself; rounding feeds in at machine-epsilon scale.  prev and
-    cur are the estimate rows for q_{n-1} (length n) and q_n (length n + 1,
-    last entry 1), b holds b_1 .. b_n and bnew the provisional b_{n+1}.
-    """
-    n = len(b)
-    bnew = max(bnew, 1e-300)
-    bmax = max(max(b), bnew)
-    noise = _EPS * (bmax + bnew) / bnew
-    out = np.empty(n + 1)
-    for j in range(n):
-        acc = b[j] * cur[j + 1]
-        if j >= 1:
-            acc += b[j - 1] * cur[j - 1]
-        acc -= b[-1] * prev[j]
-        out[j] = acc / bnew + noise
-    out[n] = noise
-    return out
 
 
 def run_lanczos(
@@ -208,7 +213,7 @@ def run_lanczos(
     max_steps: int | None = None,
     store_basis: bool = True,
 ) -> LanczosResult:
-    """Run the operator-space Lanczos recursion for L = [H, .].
+    """Run the Lanczos recursion for L = [H, .] (see module docstring).
 
     Parameters
     ----------
@@ -220,7 +225,7 @@ def run_lanczos(
         normalization 1/d for a bare array).  A beta > 0 spec without a
         bound Hamiltonian is bound to ``hamiltonian``.
     policy : ReorthPolicy, optional
-        Defaults to :func:`default_policy` for the operand dimension.
+        Accepted for compatibility; every run reorthogonalizes fully.
     halt_tol : float
         Stop when ||A_{n+1}|| <= halt_tol * b_1 (at the very first step the
         Liouvillian's spectral width stands in for b_1).
@@ -231,18 +236,19 @@ def run_lanczos(
         Krylov directions, so any further "coefficient" is a rounding
         artifact (near-degenerate Liouvillian frequencies can keep the
         residual above the halting threshold right at exhaustion).  Hitting
-        that structural bound is exhaustion, not truncation.
+        that structural bound, or a family spanning all its nodes, is
+        exhaustion, not truncation.
     store_basis : bool
-        Keep the Krylov operators (and their Gram diagnostics) in the
-        result.  The run itself stores frame vectors whenever the policy
-        needs them, regardless of this flag.
+        Rebuild the Krylov operators (and their Gram diagnostics) in the
+        result.
 
     Raises
     ------
     NumericalError
-        If some diagonal coefficient <O_n|L O_n> fails to vanish
-        ("inner-product property 2 violated"): the seed operator is not
-        compatible with the two-term recursion under this inner product.
+        If the seed's spectral measure is not symmetric, so that some
+        diagonal coefficient <O_n|L O_n> cannot vanish ("inner-product
+        property 2 violated"): the seed operator is not compatible with the
+        two-term recursion under this inner product.
     """
     H = as_hermitian(hamiltonian)
     if isinstance(operator, OperatorVector):
@@ -264,8 +270,6 @@ def run_lanczos(
             raise ValidationError(
                 "inner-product hamiltonian differs from the evolution hamiltonian"
             )
-    if policy is None:
-        policy = default_policy(H.dim)
     halt_tol = float(halt_tol)
     if not (0.0 < halt_tol < 1.0):
         raise ValidationError(f"halt_tol must lie in (0, 1), got {halt_tol}")
@@ -278,93 +282,91 @@ def run_lanczos(
         max_steps = min(int(max_steps), structural_cap)
     user_capped = max_steps < structural_cap
 
-    frame = _Frame(H, spec)
-    q0 = frame.to_frame(op.components)
-    norm0 = float(np.linalg.norm(q0))
+    d = H.dim
+    frame = _Frame(spec, d, H)
+    x = frame.to_frame(op.components)
+    # The change of frame rounds each entry by about d eps of the seed's
+    # norm, before the inner-product weights scale it.
+    rounding = _ROUNDING * d
+    unweighted = np.abs(x) / frame.sqrt_weights.ravel(order="F")
+    x[unweighted <= rounding * np.linalg.norm(unweighted)] = 0.0
+    norm0 = float(np.linalg.norm(x))
     if norm0 == 0.0:
         raise ValidationError("operator has zero norm")
-    q0 = q0 / norm0
-    # A real H with a real-framed seed keeps every iterate real; this halves
-    # memory and arithmetic for symmetric-matrix ensembles.
-    if frame.real_hamiltonian and np.all(q0.imag == 0.0):
-        q0 = q0.real.copy()
+    x = x / norm0
 
-    keep_rows = store_basis or policy.mode in ("full", "partial")
-    buf = None
-    nrows = 0
-    if keep_rows:
-        buf = np.empty((min(64, max_steps + 1), q0.size), dtype=q0.dtype)
-        buf[0] = q0
-        nrows = 1
+    # Fold the measure: pair p is (iu[p], ju[p]) with iu < ju.
+    weight = np.abs(x.reshape((d, d), order="F")) ** 2
+    iu, ju = np.triu_indices(d, 1)
+    s = np.abs(frame.omega[iu, ju])
+    omega_scale = float(s.max(initial=0.0))
+    _check_symmetric(s, weight[iu, ju], weight[ju, iu], omega_scale)
+    # Node 0 takes the diagonal; pair frequencies equal up to rounding, as
+    # degenerate levels give, share a node at the smallest of them, and
+    # those near 0 join node 0.
+    s = np.concatenate([[0.0], s])
+    m = np.concatenate([[np.trace(weight)], weight[iu, ju] + weight[ju, iu]])
+    order = np.argsort(s, kind="stable")
+    starts = np.diff(s[order], prepend=0.0) > rounding * omega_scale
+    node = np.empty(s.size, dtype=np.intp)
+    node[order] = np.cumsum(starts)
+    m = np.bincount(node, m)
+    keep = m > 0.0
+    s = np.concatenate([[0.0], s[order][starts]])
+    s, sqrt_m = s[keep], np.sqrt(m[keep])
+
+    # Row capacity of each family: the u family holds the even O_n, the v
+    # family the odd ones, and neither can outgrow its nodes.
+    rows = min(s.size, max_steps // 2 + 1)
+    families = (np.empty((rows, s.size)), np.empty((rows, s.size)))
+    counts = [1, 0]
+    families[0][0] = sqrt_m / np.linalg.norm(sqrt_m)
 
     b: list[float] = []
     truncated = False
-    est_prev = np.empty(0)
-    est_cur = np.empty(0)
-    force_sweep = False
-    q_prev: np.ndarray | None = None
-    q_cur = q0
-
+    prev: np.ndarray | None = None
+    cur = families[0][0]
     while True:
         n = len(b)
-        w = frame.omega_flat * q_cur
-        diag = complex(np.vdot(q_cur, w))
-        diag_scale = max(float(np.linalg.norm(w)), frame.omega_scale, 1e-300)
-        if abs(diag) > DIAGONAL_TOL * diag_scale:
-            raise NumericalError(
-                "inner-product property 2 violated: <O_n|L O_n> = "
-                f"{diag:.3e} at step {n}, expected 0; the seed operator is "
-                "incompatible with the two-term recursion under this inner product"
-            )
-        if q_prev is not None:
-            w = w - b[-1] * q_prev
-
-        if policy.mode == "full":
-            w = _cgs2(w, buf[:nrows])
-        elif policy.mode == "partial" and n >= 1:
-            new_est = _propagate_overlaps(b, float(np.linalg.norm(w)), est_prev, est_cur)
-            trigger = bool(np.max(np.abs(new_est[:n])) > policy.threshold)
-            if trigger or force_sweep:
-                w = _cgs2(w, buf[:nrows])
-                new_est[:] = _EPS
-                force_sweep = trigger  # a triggered sweep also cleans the next step
-            est_prev, est_cur = est_cur, np.append(new_est, 1.0)
-
+        fam = (n + 1) % 2
+        if counts[fam] == s.size:
+            break
+        w = s * cur
+        if prev is not None:
+            w -= b[-1] * prev
+        w = _cgs2(w, families[fam][:counts[fam]])
         bnew = float(np.linalg.norm(w))
-        halt_scale = b[0] if b else max(frame.omega_scale, 1.0)
+        halt_scale = b[0] if b else max(omega_scale, 1.0)
         if bnew <= halt_tol * halt_scale:
             break
-        if len(b) >= max_steps:
+        if n >= max_steps:
             truncated = user_capped
             break
         b.append(bnew)
-        q_prev, q_cur = q_cur, w / bnew
-        if keep_rows:
-            if nrows == buf.shape[0]:
-                grown = np.empty((min(2 * nrows, max_steps + 1), buf.shape[1]),
-                                 dtype=buf.dtype)
-                grown[:nrows] = buf[:nrows]
-                buf = grown
-            buf[nrows] = q_cur
-            nrows += 1
-        if policy.mode == "partial" and n == 0:
-            est_prev = np.array([1.0])
-            est_cur = np.array([_EPS, 1.0])
+        prev, cur = cur, families[fam][counts[fam]]
+        cur[:] = w / bnew
+        counts[fam] += 1
 
     D = len(b) + 1
     basis_out = None
     ortho_error = None
     if store_basis:
-        rows = buf[:nrows]
-        gram = rows @ rows.conj().T
+        # Slot ij reads p_n at its node; slots of weightless (dropped) nodes
+        # hold x = 0, so whichever kept node they map to gives O_n = 0 there.
+        pair = np.zeros((d, d), dtype=np.intp)
+        pair[iu, ju] = pair[ju, iu] = np.arange(1, iu.size + 1)
+        slot = (np.cumsum(keep) - 1)[node[pair.ravel(order="F")]]
+        odd_x = np.sign(frame.omega).ravel(order="F") * x
+        frame_rows = np.empty((D, d * d), dtype=np.complex128)
+        frame_rows[0::2] = (families[0][:counts[0]] / sqrt_m)[:, slot] * x
+        frame_rows[1::2] = (families[1][:counts[1]] / sqrt_m)[:, slot] * odd_x
+        gram = frame_rows @ frame_rows.conj().T
         ortho_error = float(np.max(np.abs(gram - np.eye(D))))
-        basis_out = np.asarray(
-            [frame.from_frame(np.asarray(rows[i], dtype=np.complex128)) for i in range(D)]
-        )
+        basis_out = frame.from_frame(frame_rows)
     return LanczosResult(
         b=np.asarray(b, dtype=np.float64),
         D=D,
-        dim=H.dim,
+        dim=d,
         spec=spec,
         basis=basis_out,
         ortho_error=ortho_error,
@@ -391,26 +393,21 @@ class OrthogonalityReport:
 
 
 def orthogonality_report(result: LanczosResult) -> OrthogonalityReport:
-    """Gram-matrix diagnostics of a stored basis under the result's product."""
+    """Gram-matrix diagnostics of a stored basis under the result's product.
+
+    A beta > 0 result reloaded by :func:`load_result_json` lacks the
+    weighting Hamiltonian and raises ValidationError.
+    """
     if result.basis is None:
         raise ValidationError("orthogonality report needs a stored basis")
-    D = result.D
-    ops = [result.basis_operator(i) for i in range(D)]
-    gram = np.empty((D, D), dtype=np.complex128)
-    for i in range(D):
-        for j in range(i, D):
-            val = inner_product(ops[i], ops[j], result.spec)
-            gram[i, j] = val
-            gram[j, i] = np.conj(val)
+    X = _Frame(result.spec, result.dim).to_frame(result.basis)
+    gram = X.conj() @ X.T
     off = np.abs(gram - np.diag(np.diag(gram)))
-    drift = np.zeros(D)
-    for k in range(1, D):
-        drift[k] = float(np.max(off[k, :k]))
     return OrthogonalityReport(
         gram=gram,
-        max_offdiagonal=float(np.max(off)) if D > 1 else 0.0,
+        max_offdiagonal=float(np.max(off)),
         max_diagonal_deviation=float(np.max(np.abs(np.diag(gram).real - 1.0))),
-        drift=drift,
+        drift=np.max(np.tril(off, -1), axis=1),
     )
 
 
@@ -457,11 +454,7 @@ def load_result_json(path) -> LanczosResult:
             raise ValidationError(f"{path}: missing field {key!r}")
     beta = float(payload.get("beta", 0.0))
     if beta > 0.0:
-        spec = InnerProductSpec.__new__(InnerProductSpec)
-        spec.beta = beta
-        spec.normalization = payload.get("normalization")
-        spec.hamiltonian = None
-        spec._energies = spec._vectors = spec._weights = spec._partition = None
+        spec = InnerProductSpec.unbound(beta, payload.get("normalization"))
     else:
         spec = InnerProductSpec(0.0, payload.get("normalization"))
     basis = None

@@ -144,6 +144,26 @@ class InnerProductSpec:
         elif hamiltonian is not None:
             self.hamiltonian = as_hermitian(hamiltonian)
 
+    @classmethod
+    def unbound(cls, beta: float, normalization: float | None = None) -> "InnerProductSpec":
+        """A beta > 0 spec without its Hamiltonian, as results reloaded from
+        JSON carry it: bookkeeping only, inner products raise ValidationError."""
+        beta = float(beta)
+        if not np.isfinite(beta) or beta <= 0.0:
+            raise ValidationError(f"an unbound spec needs a finite beta > 0, got {beta}")
+        spec = cls(0.0, normalization)
+        spec.beta = beta
+        return spec
+
+    def require_hamiltonian(self) -> None:
+        """Raise ValidationError if a beta > 0 spec lacks its Hamiltonian."""
+        if self.beta > 0.0 and self.hamiltonian is None:
+            raise ValidationError(
+                f"the beta = {self.beta:g} inner product is missing its weighting "
+                "Hamiltonian (a result reloaded from JSON does not carry it); "
+                "rebuild the spec with InnerProductSpec(beta, normalization, H)"
+            )
+
     def norm_factor(self, dim: int) -> float:
         """Scale applied to Tr(A^dag B) when beta = 0."""
         if self.normalization is not None:
@@ -230,7 +250,8 @@ def inner_product(a: OperatorVector, b: OperatorVector,
         spec = a.spec
     if spec.beta == 0.0:
         return complex(spec.norm_factor(a.dim) * np.vdot(a.components, b.components))
-    if spec.hamiltonian is not None and spec.hamiltonian.dim != a.dim:
+    spec.require_hamiltonian()
+    if spec.hamiltonian.dim != a.dim:
         raise ValidationError(
             f"inner-product hamiltonian dim {spec.hamiltonian.dim} "
             f"does not match operand dim {a.dim}"

@@ -64,6 +64,83 @@ def gram_schmidt_lanczos(H, O, product, max_steps=200, halt_tol=1e-10):
     return np.asarray(b), ops
 
 
+def liouvillian_measure(H, O, beta=0.0, merge_tol=0.0, floor=0.0):
+    """Spectral measure of the seed O under L = [H, .].
+
+    Nodes are the frequencies E_i - E_j, weights w_i w_j |(V^dag O V)_ij|^2
+    with w_i = e^{-beta E_i / 2} (1 at beta = 0), normalized to total 1.
+    Frequencies closer than merge_tol * max|omega|
+    to their sorted neighbour merge into one node at their mean (with the
+    default 0 only exactly equal ones, such as the d diagonal slots), and
+    weights at or below floor drop out.  Returns (nodes ascending, weights,
+    max |E_i - E_j|).
+    """
+    E, V = np.linalg.eigh(H)
+    Ot = V.conj().T @ np.asarray(O, dtype=np.complex128) @ V
+    omega = E[:, None] - E[None, :]
+    scale = float(np.max(np.abs(omega)))
+    w = np.exp(-0.5 * beta * (E - E.min()))
+    weight = (np.outer(w, w) * np.abs(Ot) ** 2).ravel()
+    weight = weight / weight.sum()
+    order = np.argsort(omega.ravel(), kind="stable")
+    freq = omega.ravel()[order]
+    group = np.concatenate([[0], np.cumsum(np.diff(freq) > merge_tol * scale)])
+    nodes = np.bincount(group, weights=freq) / np.bincount(group)
+    weights = np.bincount(group, weights=weight[order])
+    keep = weights > floor
+    return nodes[keep], weights[keep] / weights[keep].sum(), scale
+
+
+def gauss_rule_mismatch(b, H, O, merge_tol=0.0, floor=0.0):
+    """How far the chain b is from the spectral measure of (H, O).
+
+    The zero-diagonal Jacobi matrix of b is diagonalized; its eigenvalues
+    and squared first eigenvector components (the Gauss nodes and weights)
+    must reproduce the measure node by node.  Returns (node error relative
+    to max |omega|, weight error relative to the total weight 1), or
+    (inf, inf) when the chain has a different number of nodes.  Every
+    coefficient of the chain enters both.  merge_tol and floor go to
+    liouvillian_measure.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    nodes, weights, scale = liouvillian_measure(H, O, 0.0, merge_tol, floor)
+    lam, Q = scipy.linalg.eigh_tridiagonal(np.zeros(b.size + 1), b)
+    if lam.size != nodes.size:
+        return np.inf, np.inf
+    node_err = float(np.max(np.abs(lam - nodes))) / scale
+    weight_err = float(np.max(np.abs(Q[0] ** 2 - weights)))
+    return node_err, weight_err
+
+
+def stieltjes_chain(nodes, weights, dps=100, halt=1e-40):
+    """Lanczos coefficients of a discrete measure, computed in mpmath.
+
+    The Stieltjes procedure with two full Gram-Schmidt passes per step, at
+    dps decimal digits; it stops when a residual norm drops below halt
+    (exhaustion shows up as a residual at the working precision).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x = [mp.mpf(float(t)) for t in nodes]
+        q = [mp.sqrt(mp.mpf(float(w))) for w in weights]
+        norm = mp.sqrt(mp.fsum(v * v for v in q))
+        basis = [[v / norm for v in q]]
+        b = []
+        while len(basis) < len(x):
+            r = [xi * qi for xi, qi in zip(x, basis[-1])]
+            for _ in range(2):
+                for u in basis:
+                    c = mp.fsum(ui * ri for ui, ri in zip(u, r))
+                    r = [ri - c * ui for ri, ui in zip(r, u)]
+            bn = mp.sqrt(mp.fsum(v * v for v in r))
+            if bn <= halt:
+                break
+            b.append(bn)
+            basis.append([v / bn for v in r])
+        return np.array([float(v) for v in b])
+
+
 def dense_heisenberg(H, O, t):
     """O(t) = e^{iHt} O e^{-iHt} via dense exponentials."""
     U = scipy.linalg.expm(1j * t * H)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import (
@@ -17,11 +19,14 @@ from kbound.lanczos import (
     save_coefficients_csv,
     save_result_json,
 )
-from kbound.operators import InnerProductSpec, OperatorVector
+from kbound.operators import InnerProductSpec, OperatorVector, inner_product
 from kbound.ensembles import goe_sample, uniform_observable
 from oracles import (
+    gauss_rule_mismatch,
     gram_schmidt_lanczos,
+    liouvillian_measure,
     random_hermitian,
+    stieltjes_chain,
     thermal_trace_product,
     trace_product,
 )
@@ -126,33 +131,18 @@ class TestChainLength:
 
 class TestReorthPolicies:
     def test_policy_validation(self):
-        with pytest.raises(ValidationError):
-            ReorthPolicy("sometimes")
-        with pytest.raises(ValidationError):
-            ReorthPolicy("partial", threshold=0.0)
-        with pytest.raises(ValidationError):
-            ReorthPolicy("partial", threshold=1.5)
+        for mode in ("sometimes", "partial", "none"):
+            with pytest.raises(ValidationError):
+                ReorthPolicy(mode)
 
-    def test_default_switches_on_dimension(self):
-        assert default_policy(2).mode == "full"
-        assert default_policy(64).mode == "full"
-        assert default_policy(65).mode == "partial"
+    def test_default_is_full_at_every_dimension(self):
+        for d in (2, 64, 65):
+            assert default_policy(d).mode == "full"
 
-    def test_modes_agree_on_moderate_chains(self, rng):
-        d = 12
-        H = goe_sample(d, seed=rng)
-        obs = uniform_observable(H)
-        full = run_lanczos(H, obs, policy=ReorthPolicy("full"), store_basis=False)
-        part = run_lanczos(H, obs, policy=ReorthPolicy("partial"), store_basis=False)
-        assert full.D == part.D
-        np.testing.assert_allclose(part.b, full.b, rtol=1e-6, atol=1e-9)
-
-    def test_partial_keeps_the_basis_orthogonal(self, rng):
+    def test_default_keeps_the_basis_orthogonal(self, rng):
         d = 16
         H = goe_sample(d, seed=rng)
-        res = run_lanczos(
-            H, uniform_observable(H), policy=ReorthPolicy("partial")
-        )
+        res = run_lanczos(H, uniform_observable(H))
         assert res.D == max_chain_length(d)
         assert res.ortho_error < 1e-6
 
@@ -162,6 +152,162 @@ class TestReorthPolicies:
         res = run_lanczos(H, uniform_observable(H))
         assert res.D == max_chain_length(d)
         assert res.ortho_error < 1e-8
+
+
+def _ledger_draw(seed, realization, d):
+    """Realization ``realization`` of the GOE ledger seeded with ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(realization,))
+    return goe_sample(d, 1.0, ss)
+
+
+class TestWholeChainOracle:
+    # Every coefficient is checked through the Gauss rule of the whole chain.
+    # Ledger seed 11 realization 1 and seed 8 realization 0 at d = 32, and
+    # seed 7 realization 0 at d = 48, are draws whose chain tail the former
+    # operator-space recursion got wrong (node errors 6.5e-3, 6.3e-6, 4.3e-3).
+    TOL = 1e-10
+
+    def _check(self, H):
+        obs = uniform_observable(H)
+        res = run_lanczos(H, obs, store_basis=False)
+        assert res.D == max_chain_length(H.shape[0])
+        node_err, weight_err = gauss_rule_mismatch(res.b, H, obs.to_matrix())
+        assert node_err <= self.TOL
+        assert weight_err <= self.TOL
+
+    @pytest.mark.parametrize(
+        "seed, realization, d",
+        [(7, 0, 8), (7, 0, 16), (7, 0, 32), (11, 1, 32), (8, 0, 32), (7, 0, 48)],
+    )
+    def test_ledger_draws(self, seed, realization, d):
+        self._check(_ledger_draw(seed, realization, d))
+
+    def test_fixture_draw(self, rng):
+        self._check(goe_sample(12, seed=rng))
+
+    def test_cold_thermal_chain_against_high_precision(self):
+        # At beta = 40 the thermal weights of this draw span ~100 decades; the
+        # former recursion got its chain tail wrong by 3.5e-2 of max b.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        d, beta = 6, 40.0
+        H = random_hermitian(rng, d)
+        O = random_hermitian(rng, d)
+        spec = InnerProductSpec(beta=beta, hamiltonian=H)
+        res = run_lanczos(H, OperatorVector.from_matrix(O, spec), store_basis=False)
+        nodes, weights, _ = liouvillian_measure(H, O, beta)
+        ref = stieltjes_chain(nodes, weights)
+        assert res.b.size == ref.size
+        np.testing.assert_allclose(res.b, ref, rtol=0, atol=self.TOL * np.max(ref))
+
+
+class TestMeasureFold:
+    def test_aggregate_symmetry_is_accepted(self):
+        # omega_01 = -1 and omega_32 = +1 carry one weight each: the measure
+        # is symmetric only across the degenerate pairs at s = 1.
+        H = np.diag([0.0, 1.0, 1.0, 2.0])
+        O = np.zeros((4, 4))
+        O[0, 1] = O[3, 2] = 1.0
+        res = run_lanczos(H, O)
+        np.testing.assert_allclose(res.b, [1.0], atol=1e-12)
+        assert res.D == 2
+
+    def test_one_sided_measure_is_rejected(self):
+        E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError, match="property 2"):
+            run_lanczos(SZ, E01)
+
+    def test_degenerate_spin_chain(self):
+        # Four-site Heisenberg chain, seed Z on the first site: levels are
+        # degenerate up to rounding, and many frame entries of the seed are
+        # rounding noise.  The chain must stop at the 23 distinct frequencies
+        # that carry weight instead of resolving the noise.
+        n = 4
+        paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
+
+        def site(k, P):
+            out = np.eye(1)
+            for j in range(n):
+                out = np.kron(out, P if j == k else np.eye(2))
+            return out
+
+        H = sum(site(k, P) @ site(k + 1, P) for k in range(n - 1) for P in paulis)
+        O = site(0, SZ)
+        res = run_lanczos(H, O)
+        assert res.D == 23
+        assert res.ortho_error < 1e-12
+        node_err, weight_err = gauss_rule_mismatch(res.b, H, O, merge_tol=1e-9,
+                                                   floor=1e-20)
+        assert node_err <= 1e-10
+        assert weight_err <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        d=st.integers(min_value=2, max_value=5),
+        c=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_scale_covariance(self, seed, d, c):
+        rng = np.random.default_rng(seed)
+        H = random_hermitian(rng, d)
+        O = random_hermitian(rng, d)
+        base = run_lanczos(H, O, store_basis=False)
+        scaled = run_lanczos(c * H, O, store_basis=False)
+        assert scaled.D == base.D
+        np.testing.assert_allclose(scaled.b, c * base.b, rtol=0,
+                                   atol=1e-10 * c * np.max(base.b))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        d=st.integers(min_value=2, max_value=5),
+    )
+    def test_unitary_invariance(self, seed, d):
+        rng = np.random.default_rng(seed)
+        H = random_hermitian(rng, d)
+        O = random_hermitian(rng, d)
+        U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        base = run_lanczos(H, O, store_basis=False)
+        rotated = run_lanczos(U @ H @ U.conj().T, U @ O @ U.conj().T,
+                              store_basis=False)
+        assert rotated.D == base.D
+        np.testing.assert_allclose(rotated.b, base.b, rtol=0,
+                                   atol=1e-10 * np.max(base.b))
+
+
+class TestOrthogonalityReport:
+    def _loop_gram(self, res):
+        ops = [res.basis_operator(i) for i in range(res.D)]
+        return np.array([[inner_product(a, b, res.spec) for b in ops] for a in ops])
+
+    def test_matches_pairwise_products(self, rng):
+        d = 4
+        H = random_hermitian(rng, d)
+        O = random_hermitian(rng, d)
+        thermal = InnerProductSpec(beta=0.7, hamiltonian=H)
+        for res in (run_lanczos(H, O, spec=InnerProductSpec(normalization=2.0)),
+                    run_lanczos(H, OperatorVector.from_matrix(O, thermal))):
+            report = orthogonality_report(res)
+            np.testing.assert_allclose(report.gram, self._loop_gram(res),
+                                       rtol=0, atol=1e-12)
+            assert report.drift[0] == 0.0
+            assert report.drift[-1] == np.max(
+                np.abs(report.gram[-1, :-1]))
+
+    def test_reloaded_thermal_result_names_the_missing_hamiltonian(self, rng, tmp_path):
+        d = 4
+        H = random_hermitian(rng, d)
+        spec = InnerProductSpec(beta=0.5, hamiltonian=H)
+        res = run_lanczos(H, OperatorVector.from_matrix(random_hermitian(rng, d), spec))
+        path = tmp_path / "thermal.json"
+        save_result_json(res, path, include_basis=True)
+        back = load_result_json(path)
+        assert back.spec.beta == 0.5
+        assert back.spec.hamiltonian is None
+        with pytest.raises(ValidationError, match="Hamiltonian"):
+            orthogonality_report(back)
+        with pytest.raises(ValidationError, match="Hamiltonian"):
+            inner_product(back.basis_operator(0), back.basis_operator(1))
 
 
 class TestArgumentHandling:
