@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
+
+from .errors import ValidationError
+
 
 @contextmanager
 def open_write(path_or_file):
@@ -13,3 +17,20 @@ def open_write(path_or_file):
     else:
         with open(path_or_file, "w") as fh:
             yield fh
+
+
+def validate_times(times, name: str = "times") -> np.ndarray:
+    """A time grid as a flat float64 array: non-empty, finite, strictly increasing.
+
+    ``name`` is the argument name the error messages cite.
+    """
+    t = np.asarray(times, dtype=np.float64).ravel()
+    if t.size == 0:
+        raise ValidationError(f"{name} must be a non-empty finite array: it has no points")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError(
+            f"{name} must be a non-empty finite array: it has non-finite values"
+        )
+    if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        raise ValidationError(f"{name} must be strictly increasing")
+    return t

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NumericalError, ValidationError
+from ._util import validate_times
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
@@ -438,11 +439,7 @@ def model_amplitudes(model: AlgebraModel, times, truncation: int | None = None) 
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
-    t = np.asarray(times, dtype=np.float64).ravel()
-    if t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValidationError("times must be a non-empty finite array")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise ValidationError("times must be strictly increasing")
+    t = validate_times(times)
     if truncation is not None:
         truncation = int(truncation)
         if truncation < 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write
+from ._util import open_write, validate_times
 from .operators import InnerProductSpec, OperatorVector, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import ComplexityProfile, complexity_profile, evolve_amplitudes
@@ -169,11 +169,7 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         raise ValidationError(f"workers must be >= 1, got {workers}")
     times = None
     if profile_times is not None:
-        times = np.asarray(profile_times, dtype=np.float64).ravel()
-        if times.size == 0 or not np.all(np.isfinite(times)):
-            raise ValidationError("profile_times must be a non-empty finite array")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValidationError("profile_times must be strictly increasing")
+        times = validate_times(profile_times, "profile_times")
     tasks = [(spec.dim, spec.sigma, spec.seed, i, spec.halt_tol, times)
              for i in range(spec.count)]
     if workers == 1:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from kbound.dynamics import (
     short_time_coefficients,
     _sixth_coefficient,
 )
+from kbound.algebras import AlgebraModel, model_amplitudes
+from kbound.ensembles import GoeSpec, goe_sample, run_ensemble, uniform_observable
 from kbound.errors import NumericalError, ValidationError
-from oracles import complexity_series
+from kbound.lanczos import run_lanczos
+from oracles import chain_amplitudes, complexity_series
 
 QUBIT_B = np.array([math.sqrt(2.0), math.sqrt(2.0)])
 
@@ -138,6 +142,22 @@ class TestEvolution:
             evolve_amplitudes(QUBIT_B, [0.0, 1.0], method="rk4", rk4_step=-0.1)
 
 
+@pytest.mark.parametrize("grid, problem", [
+    ([], "no points"),
+    ([0.0, np.nan], "non-finite values"),
+    ([1.0, 0.5], "strictly increasing"),
+])
+def test_time_grids_share_one_validator(grid, problem):
+    # Every entry point that takes a grid rejects it the same way and names
+    # its own argument.
+    with pytest.raises(ValidationError, match=f"^times .*{problem}"):
+        evolve_amplitudes(QUBIT_B, grid)
+    with pytest.raises(ValidationError, match=f"^times .*{problem}"):
+        model_amplitudes(AlgebraModel.hw(), grid)
+    with pytest.raises(ValidationError, match=f"^profile_times .*{problem}"):
+        run_ensemble(GoeSpec(dim=4), profile_times=grid)
+
+
 class TestInitialCondition:
     """phi_n(0) = delta_n0 holds exactly, not up to the spectral sum's rounding."""
 
@@ -174,6 +194,61 @@ class TestInitialCondition:
         half = np.linspace(0.1, 2.0, 20)
         times = np.concatenate([-half[::-1], [0.0], half])
         self._check_seed_row(evolve_amplitudes(b, times))
+
+
+class TestAgainstExpmOracle:
+    """The spectral amplitudes against a dense expm of the hopping generator."""
+
+    TOL = 1e-12
+
+    def _check(self, b, times):
+        traj = evolve_amplitudes(b, times)
+        np.testing.assert_allclose(traj.phi, chain_amplitudes(b, times),
+                                   rtol=0, atol=self.TOL)
+        return traj
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 300, 301])
+    def test_odd_and_even_site_counts(self, rng, sites):
+        self._check(rng.uniform(0.3, 2.0, size=sites - 1), np.linspace(0.0, 4.0, 21))
+
+    def test_negative_times(self, rng):
+        self._check(rng.uniform(0.3, 2.0, size=40), np.linspace(-3.0, 2.5, 23))
+
+    def test_su2_through_its_pileup(self):
+        # D = 100, nu = 1: all weight sits on the last site at t = pi / 2.
+        n = np.arange(1, 100)
+        times = np.linspace(0.0, np.pi, 41)
+        traj = self._check(np.sqrt(n * (100.0 - n)), times)
+        assert traj.phi[20, -1] ** 2 > 1.0 - 1e-12
+        assert np.max(np.abs(np.sum(traj.phi**2, axis=1) - 1.0)) <= 1e-14
+
+    def test_goe_chain(self, rng):
+        H = goe_sample(8, seed=rng)
+        res = run_lanczos(H, uniform_observable(H), store_basis=False)
+        self._check(res.b, np.linspace(0.0, 5.0, 26))
+
+    @pytest.mark.parametrize("bonds", [30, 29])
+    def test_chain_with_modes_at_zero(self, bonds):
+        # A weak first bond between strong ones: nearly all of phi_0 sits in
+        # the modes at zero energy (one for 31 sites; for 30 a +-lambda pair
+        # equal to rounding), so a synthesis from half of the spectrum,
+        # mirrored by the chain's chirality, loses it.
+        self._check(np.array([0.01, 3.0] * 15)[:bonds], np.linspace(0.0, 60.0, 31))
+
+
+def test_synthesis_memory_stays_real():
+    # 2049 sites over 201 times: the eigenvectors take 34 MB and the
+    # eigensolver peaks at twice that, which the real synthesis stays within;
+    # a complex copy of the weights pushes the peak past 150 MB.
+    n = np.arange(1, 2049)
+    b = np.sqrt(n * (n + 100.0))
+    tracemalloc.start()
+    try:
+        evolve_amplitudes(b, np.linspace(0.0, 2.0, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 class TestProfile:

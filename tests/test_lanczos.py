@@ -36,6 +36,20 @@ SZ = np.diag([1.0, -1.0])
 SQRT2 = math.sqrt(2.0)
 
 
+def heisenberg_chain_z0(n=4):
+    """Heisenberg chain on n sites with seed Z on the first site."""
+    paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
+
+    def site(k, P):
+        out = np.eye(1)
+        for j in range(n):
+            out = np.kron(out, P if j == k else np.eye(2))
+        return out
+
+    H = sum(site(k, P) @ site(k + 1, P) for k in range(n - 1) for P in paulis)
+    return H, site(0, SZ)
+
+
 class TestQubitChains:
     # Chains small enough to work out by hand.
 
@@ -90,6 +104,16 @@ class TestAgainstGramSchmidtOracle:
         )
         assert res.b.size == b_ref.size
         np.testing.assert_allclose(res.b, b_ref, atol=1e-8)
+
+    def test_oracle_stops_at_the_measure_nodes(self):
+        # The Liouvillian measure of this seed has 23 nodes; without the node
+        # bound the oracle resolved rounding noise up to D = 51.
+        H, O = heisenberg_chain_z0()
+        b_ref, ops = gram_schmidt_lanczos(
+            H, O.astype(np.complex128), lambda A, B: trace_product(A, B, 1.0 / 16)
+        )
+        assert len(ops) == 23
+        np.testing.assert_allclose(b_ref, run_lanczos(H, O).b, rtol=0, atol=1e-8)
 
     def test_basis_is_orthonormal_under_the_declared_product(self, rng):
         d = 4
@@ -218,21 +242,10 @@ class TestMeasureFold:
             run_lanczos(SZ, E01)
 
     def test_degenerate_spin_chain(self):
-        # Four-site Heisenberg chain, seed Z on the first site: levels are
-        # degenerate up to rounding, and many frame entries of the seed are
-        # rounding noise.  The chain must stop at the 23 distinct frequencies
-        # that carry weight instead of resolving the noise.
-        n = 4
-        paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
-
-        def site(k, P):
-            out = np.eye(1)
-            for j in range(n):
-                out = np.kron(out, P if j == k else np.eye(2))
-            return out
-
-        H = sum(site(k, P) @ site(k + 1, P) for k in range(n - 1) for P in paulis)
-        O = site(0, SZ)
+        # Levels are degenerate up to rounding, and many frame entries of the
+        # seed are rounding noise.  The chain must stop at the 23 distinct
+        # frequencies that carry weight instead of resolving the noise.
+        H, O = heisenberg_chain_z0()
         res = run_lanczos(H, O)
         assert res.D == 23
         assert res.ortho_error < 1e-12
