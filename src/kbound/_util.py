@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,6 +19,30 @@ def open_write(path_or_file):
     else:
         with open(path_or_file, "w") as fh:
             yield fh
+
+
+def load_json_object(path) -> dict:
+    """The JSON object stored at ``path``.
+
+    Raises ValidationError if the file is not valid JSON or holds a JSON
+    value other than an object.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return payload
+
+
+def finite_or_none(x) -> float | None:
+    """x as a float for JSON, or None where it is None, NaN or infinite."""
+    if x is None:
+        return None
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def validate_times(times, name: str = "times") -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write
+from ._util import finite_or_none, load_json_object, open_write
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["RunConfig", "run_command", "main"]
@@ -114,19 +114,8 @@ def _dump_json(payload: dict, fh) -> None:
     fh.write("\n")
 
 
-def _none_if_nan(x: float | None):
-    if x is None:
-        return None
-    x = float(x)
-    return None if not np.isfinite(x) else x
-
-
 def _float_list(arr) -> list:
     return [float(x) for x in np.asarray(arr, dtype=np.float64)]
-
-
-def _nullable_list(arr) -> list:
-    return [_none_if_nan(x) for x in np.asarray(arr, dtype=np.float64)]
 
 
 # ---------------------------------------------------------------- chain I/O
@@ -142,13 +131,7 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     if not config.inputs:
         raise ValidationError(f"{config.command} needs an input file")
     path = config.inputs[0]
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    payload = load_json_object(path)
     if "realizations" in payload:
         if config.realization is None:
             raise ValidationError(
@@ -327,10 +310,10 @@ def _cmd_bound(config: RunConfig) -> int:
             "rate": _float_list(profile.rate),
             "dispersion": _float_list(profile.dispersion),
             "bound": _float_list(profile.bound),
-            "ratio": _nullable_list(profile.ratio),
-            "tau_K": _nullable_list(profile.tau_k),
+            "ratio": [finite_or_none(x) for x in profile.ratio],
+            "tau_K": [finite_or_none(x) for x in profile.tau_k],
             "b1": profile.b1,
-            "tau_d": _none_if_nan(tau_d),
+            "tau_d": finite_or_none(tau_d),
         }
         _emit(config, lambda fh: _dump_json(payload, fh))
     return 0

@@ -160,26 +160,34 @@ def _evolve_eigen(b: np.ndarray, times: np.ndarray) -> np.ndarray:
     n_sites = b.size + 1
     if n_sites == 1:
         return np.ones((times.size, 1))
-    lam, Q = eigh_tridiagonal(np.zeros(n_sites), b)
-    # phi_n(t) = Re[(-i)^n sum_k Q_nk Q_0k e^{i lam_k t}], and the real part
-    # of (-i)^n e^{ix} is (-1)^(n//2) cos x for even n and (-1)^(n//2) sin x
-    # for odd n: with W_nk = (-1)^(n//2) Q_nk Q_0k, even sites are cosine
-    # sums and odd sites sine sums, all in real arithmetic.
-    Q *= Q[0].copy()
-    Q[2::4] *= -1.0
-    Q[3::4] *= -1.0
-    # Q is Fortran-ordered, so its strided row halves are copied into
-    # contiguous blocks that BLAS multiplies as they are; with Q they take
-    # 2 N^2 values, no more than the eigensolver's own peak.
-    w_even, w_odd = Q[0::2].copy(), Q[1::2].copy()
-    del Q
-    phi = np.empty((times.size, n_sites))
-    # Chunk the time axis so the work array stays modest.
-    chunk = max(1, int(2_000_000 // n_sites))
-    for lo in range(0, times.size, chunk):
-        arg = np.outer(times[lo:lo + chunk], lam)
-        phi[lo:lo + chunk, 0::2] = np.cos(arg) @ w_even.T
-        phi[lo:lo + chunk, 1::2] = np.sin(arg, out=arg) @ w_odd.T
+    # An array chain is evolved at its full length, so its memory is bounded
+    # only by the machine's.
+    try:
+        lam, Q = eigh_tridiagonal(np.zeros(n_sites), b)
+        # phi_n(t) = Re[(-i)^n sum_k Q_nk Q_0k e^{i lam_k t}], and the real part
+        # of (-i)^n e^{ix} is (-1)^(n//2) cos x for even n and (-1)^(n//2) sin x
+        # for odd n: with W_nk = (-1)^(n//2) Q_nk Q_0k, even sites are cosine
+        # sums and odd sites sine sums, all in real arithmetic.
+        Q *= Q[0].copy()
+        Q[2::4] *= -1.0
+        Q[3::4] *= -1.0
+        # Q is Fortran-ordered, so its strided row halves are copied into
+        # contiguous blocks that BLAS multiplies as they are; with Q they take
+        # 2 N^2 values, no more than the eigensolver's own peak.
+        w_even, w_odd = Q[0::2].copy(), Q[1::2].copy()
+        del Q
+        phi = np.empty((times.size, n_sites))
+        # Chunk the time axis so the work array stays modest.
+        chunk = max(1, int(2_000_000 // n_sites))
+        for lo in range(0, times.size, chunk):
+            arg = np.outer(times[lo:lo + chunk], lam)
+            phi[lo:lo + chunk, 0::2] = np.cos(arg) @ w_even.T
+            phi[lo:lo + chunk, 1::2] = np.sin(arg, out=arg) @ w_odd.T
+    except MemoryError as exc:
+        raise NumericalError(
+            f"evolving {n_sites} sites needs about 16 N^2 = "
+            f"{16 * n_sites**2 / 1e9:.3g} GB of memory, more than is available"
+        ) from exc
     # The spectral sum at t = 0 is sum_k Q_nk Q_0k = delta_n0 only up to
     # rounding; the initial condition is exact by definition.
     at_zero = times == 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write, validate_times
+from ._util import finite_or_none, load_json_object, open_write, validate_times
 from .operators import InnerProductSpec, OperatorVector, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import ComplexityProfile, complexity_profile, evolve_amplitudes
@@ -238,15 +238,6 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
     )
 
 
-def _float_or_none(x):
-    v = float(x)
-    return None if np.isnan(v) else v
-
-
-def _nan_to_none(arr) -> list:
-    return [_float_or_none(x) for x in np.asarray(arr, dtype=np.float64)]
-
-
 def ensemble_to_dict(result: EnsembleResult) -> dict:
     """JSON-ready dict; undefined values are null, never NaN."""
     spec = result.spec
@@ -279,8 +270,8 @@ def ensemble_to_dict(result: EnsembleResult) -> dict:
             "rate": [float(x) for x in p.rate],
             "dispersion": [float(x) for x in p.dispersion],
             "bound": [float(x) for x in p.bound],
-            "ratio": _nan_to_none(p.ratio),
-            "tau_K": _nan_to_none(p.tau_k),
+            "ratio": [finite_or_none(x) for x in p.ratio],
+            "tau_K": [finite_or_none(x) for x in p.tau_k],
             "b1": p.b1,
         }
     else:
@@ -296,12 +287,8 @@ def save_ensemble_json(result: EnsembleResult, path) -> None:
 
 def load_ensemble_dict(path) -> dict:
     """Raw dict from an ensemble JSON file (schema of ensemble_to_dict)."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "realizations" not in payload:
+    payload = load_json_object(path)
+    if "realizations" not in payload:
         raise ValidationError(f"{path}: missing field 'realizations'")
     return payload
 

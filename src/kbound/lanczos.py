@@ -29,9 +29,12 @@ u_0 = sqrt(m) (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965):
     b_{n+1} u_{n+1} = A v_n - b_n u_{n-1}   (n odd).
 
 That is real arithmetic on about d^2 / 2 nodes for any H and product.  Each
-family is fully reorthogonalized against itself, by two classical
-Gram-Schmidt passes per step (as for long Krylov chains in Rabinovici et
-al., arXiv:2009.01862).  A stored basis is rebuilt as
+family is fully reorthogonalized against itself (as for long Krylov chains in
+Rabinovici et al., arXiv:2009.01862) by one classical Gram-Schmidt pass per
+step, repeated only when that pass cancels, i.e. shrinks the three-term
+residual below 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart,
+Math. Comp. 30, 1976).  On the chains measured, only the step at which the
+chain halts needs the second pass.  A stored basis is rebuilt as
 O_n[ij] = sign(omega_ij)^n (u_n or v_n)[k] x_ij / sqrt(m_k), k the node of ij.
 
 The chain terminates at D <= d^2 - d + 1 basis vectors: d^2 - d off-diagonal
@@ -42,12 +45,13 @@ block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write
+from ._util import load_json_object, open_write
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -58,6 +62,7 @@ from .operators import (
 DEFAULT_HALT_TOL = 1e-10
 DIAGONAL_TOL = 1e-8
 _ROUNDING = 64 * float(np.finfo(np.float64).eps)  # per Hilbert-space dimension
+_SQRT_HALF = math.sqrt(0.5)
 
 __all__ = [
     "DEFAULT_HALT_TOL",
@@ -107,7 +112,9 @@ class LanczosResult:
     dimension reached.  basis, when stored, holds the column-major
     vectorized operators O_0 .. O_{D-1} as rows, and ortho_error is then
     max |<O_i|O_j> - delta_ij| over that basis.  truncated marks a run
-    stopped by max_steps instead of the halting test.
+    stopped by max_steps instead of the halting test.  reorth_passes counts
+    the Gram-Schmidt passes of the run (None for a result reloaded from a
+    file that predates the count).
     """
 
     b: np.ndarray
@@ -118,6 +125,7 @@ class LanczosResult:
     ortho_error: float | None = None
     truncated: bool = False
     halt_tol: float = DEFAULT_HALT_TOL
+    reorth_passes: int | None = None
 
     def basis_operator(self, n: int) -> OperatorVector:
         """O_n as an OperatorVector (requires a stored basis)."""
@@ -196,12 +204,18 @@ def _check_symmetric(s: np.ndarray, below: np.ndarray, above: np.ndarray,
         )
 
 
-def _cgs2(w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Two classical Gram-Schmidt passes; the second mops up the rounding of
-    # the first. Both are BLAS-2 on the stacked family.
-    for _ in range(2):
-        w = w - B.T @ (B @ w)
-    return w
+def _reorthogonalize(w: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
+    """w with the span of B's orthonormal rows projected out, and the number
+    of classical Gram-Schmidt passes (BLAS-2 on the stacked family) it took.
+
+    A pass that keeps at least 1/sqrt(2) of the norm leaves w orthogonal to
+    working precision; one that cancels more is repeated once (DGKS 1976).
+    """
+    norm0 = np.linalg.norm(w)
+    w = w - B.T @ (B @ w)
+    if np.linalg.norm(w) >= norm0 * _SQRT_HALF:
+        return w, 1
+    return w - B.T @ (B @ w), 2
 
 
 def run_lanczos(
@@ -324,6 +338,7 @@ def run_lanczos(
 
     b: list[float] = []
     truncated = False
+    passes = 0
     prev: np.ndarray | None = None
     cur = families[0][0]
     while True:
@@ -334,7 +349,8 @@ def run_lanczos(
         w = s * cur
         if prev is not None:
             w -= b[-1] * prev
-        w = _cgs2(w, families[fam][:counts[fam]])
+        w, k = _reorthogonalize(w, families[fam][:counts[fam]])
+        passes += k
         bnew = float(np.linalg.norm(w))
         halt_scale = b[0] if b else max(omega_scale, 1.0)
         if bnew <= halt_tol * halt_scale:
@@ -372,6 +388,7 @@ def run_lanczos(
         ortho_error=ortho_error,
         truncated=truncated,
         halt_tol=halt_tol,
+        reorth_passes=passes,
     )
 
 
@@ -421,6 +438,8 @@ def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:
         "truncated": bool(result.truncated),
         "halt_tol": float(result.halt_tol),
         "ortho_error": None if result.ortho_error is None else float(result.ortho_error),
+        "reorth_passes": (None if result.reorth_passes is None
+                          else int(result.reorth_passes)),
     }
     if include_basis and result.basis is not None:
         out["basis"] = {
@@ -444,11 +463,7 @@ def load_result_json(path) -> LanczosResult:
     Hamiltonian (matrices are not serialized here); such a spec can be used
     for bookkeeping but not to take new inner products.
     """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    payload = load_json_object(path)
     for key in ("b", "D", "dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
@@ -471,6 +486,7 @@ def load_result_json(path) -> LanczosResult:
         ortho_error=payload.get("ortho_error"),
         truncated=bool(payload.get("truncated", False)),
         halt_tol=float(payload.get("halt_tol", DEFAULT_HALT_TOL)),
+        reorth_passes=payload.get("reorth_passes"),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from ._util import open_write
+from ._util import load_json_object, open_write
 
 HERMITICITY_TOL = 1e-12
 SUPEROP_MAX_DIM = 64
@@ -290,13 +290,7 @@ def save_matrix(path, matrix) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`; "im" may be omitted."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    payload = load_json_object(path)
     if "dim" not in payload:
         raise ValidationError(f"{path}: missing field 'dim'")
     if "re" not in payload:

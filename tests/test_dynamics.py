@@ -127,6 +127,19 @@ class TestEvolution:
                 np.array([0.0, 25.0]),
             )
 
+    def test_array_chain_out_of_memory(self, monkeypatch):
+        # An array chain is evolved at its full length; where the machine
+        # cannot hold it, the error names the size instead of numpy's bare
+        # MemoryError.
+        import kbound.dynamics as dyn
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(dyn, "eigh_tridiagonal", no_memory)
+        with pytest.raises(NumericalError, match="20000 sites .* 6.4 GB"):
+            evolve_amplitudes(np.ones(19_999), [0.0, 1.0])
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             evolve_amplitudes(QUBIT_B, [0.0, 0.0, 1.0])

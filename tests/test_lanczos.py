@@ -10,6 +10,7 @@ from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import (
     LanczosResult,
     ReorthPolicy,
+    _reorthogonalize,
     default_policy,
     load_result_json,
     max_chain_length,
@@ -225,6 +226,47 @@ class TestWholeChainOracle:
         np.testing.assert_allclose(res.b, ref, rtol=0, atol=self.TOL * np.max(ref))
 
 
+class TestReorthogonalization:
+    def test_cancelling_pass_is_repeated(self, rng):
+        # w lies within 1e-8 of the span of B: the first pass cancels almost
+        # all of it and leaves rounding of size eps * ||c|| along B, far
+        # above 1e-14 of what remains; the second pass removes it.
+        B = np.linalg.qr(rng.normal(size=(200, 40)))[0].T
+        w = B.T @ rng.normal(size=40) + 1e-8 * rng.normal(size=200)
+        w, passes = _reorthogonalize(w, B)
+        assert passes == 2
+        assert np.linalg.norm(B @ w) <= 1e-14 * np.linalg.norm(w)
+
+    def test_fresh_direction_takes_one_pass(self, rng):
+        B = np.linalg.qr(rng.normal(size=(200, 40)))[0].T
+        w, passes = _reorthogonalize(rng.normal(size=200), B)
+        assert passes == 1
+        assert np.linalg.norm(B @ w) <= 1e-14 * np.linalg.norm(w)
+
+    def test_one_pass_per_step_on_a_goe_chain(self):
+        # Two passes at every step would give 2 D; only the halting step
+        # needs the second one.
+        H = _ledger_draw(7, 0, 32)
+        res = run_lanczos(H, uniform_observable(H), store_basis=False)
+        assert res.D == max_chain_length(32)
+        assert res.reorth_passes <= res.D + 1
+
+    def test_stored_basis_of_a_goe_chain(self, rng):
+        H = goe_sample(24, seed=rng)
+        res = run_lanczos(H, uniform_observable(H))
+        assert res.D == max_chain_length(24)
+        assert res.ortho_error <= 1e-13
+
+    def test_stored_basis_of_a_cold_thermal_chain(self):
+        rng = np.random.default_rng(0)
+        d = 6
+        H = random_hermitian(rng, d)
+        O = random_hermitian(rng, d)
+        spec = InnerProductSpec(beta=40.0, hamiltonian=H)
+        res = run_lanczos(H, OperatorVector.from_matrix(O, spec))
+        assert res.ortho_error <= 1e-13
+
+
 class TestMeasureFold:
     def test_aggregate_symmetry_is_accepted(self):
         # omega_01 = -1 and omega_32 = +1 carry one weight each: the measure
@@ -380,6 +422,7 @@ class TestSerialization:
         assert back.dim == res.dim
         assert back.halt_tol == res.halt_tol
         assert back.truncated == res.truncated
+        assert back.reorth_passes == res.reorth_passes > 0
         np.testing.assert_allclose(back.basis, res.basis, atol=0.0)
 
     def test_basis_excluded_by_default(self, rng, tmp_path):
@@ -395,6 +438,11 @@ class TestSerialization:
         path.write_text('{"b": [1.0]}')
         with pytest.raises(ValidationError, match="D"):
             load_result_json(path)
+
+    def test_file_without_pass_count_loads(self, tmp_path):
+        path = tmp_path / "res.json"
+        path.write_text('{"b": [1.0], "D": 2, "dim": 2}')
+        assert load_result_json(path).reorth_passes is None
 
     def test_coefficients_csv_preserves_all_digits(self, rng, tmp_path):
         b = rng.uniform(0.1, 3.0, size=17)

@@ -1,0 +1,43 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kbound import cli
+from kbound._util import finite_or_none
+from kbound.ensembles import GoeSpec, ensemble_to_dict, load_ensemble_dict, run_ensemble
+from kbound.errors import ValidationError
+from kbound.lanczos import load_result_json
+from kbound.operators import load_matrix
+
+
+def _load_chain(path):
+    return cli._load_chain(cli.RunConfig("bound", [str(path)]))
+
+
+@pytest.mark.parametrize("load", [load_matrix, load_result_json,
+                                  load_ensemble_dict, _load_chain])
+@pytest.mark.parametrize("payload", [[1, 2], "b D dim"])
+def test_loaders_reject_json_that_is_not_an_object(load, payload, tmp_path):
+    # A string holding every field name passes `"b" in payload` checks.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="expected a JSON object"):
+        load(path)
+
+
+def test_finite_or_none():
+    for x in (None, math.nan, math.inf, -math.inf, np.float64(np.nan)):
+        assert finite_or_none(x) is None
+    out = finite_or_none(np.float64(1.5))
+    assert out == 1.5 and type(out) is float
+
+
+def test_ensemble_json_has_no_infinity():
+    res = run_ensemble(GoeSpec(dim=4, sigma=1.0, count=2, seed=2),
+                       profile_times=np.linspace(0.0, 1.0, 5))
+    res.profile.ratio[1] = math.inf
+    out = ensemble_to_dict(res)
+    assert out["profile"]["ratio"][1] is None
+    json.dumps(out, allow_nan=False)
