@@ -37,6 +37,18 @@ def load_json_object(path) -> dict:
     return payload
 
 
+def json_field(payload: dict, key: str, convert, path, expected: str):
+    """convert(payload[key]) for a field of the JSON file at ``path``.
+
+    Raises ValidationError naming the file and the field when the value
+    does not convert; ``expected`` says what it should have been.
+    """
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: field {key!r} must be {expected}") from exc
+
+
 def finite_or_none(x) -> float | None:
     """x as a float for JSON, or None where it is None, NaN or infinite."""
     if x is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import finite_or_none, load_json_object, open_write
+from ._util import finite_or_none, json_field, load_json_object, open_write
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["RunConfig", "run_command", "main"]
@@ -58,8 +58,6 @@ class RunConfig:
     normalization: float | None = None
     max_steps: int | None = None
     store_basis: bool = False
-    method: str = "eigen"
-    rk4_step: float | None = None
     truncation: int | None = None
     realization: int | None = None
     dim: int | None = None
@@ -138,25 +136,29 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
                 f"{path} is an ensemble file; pick one entry with --realization"
             )
         entries = payload["realizations"]
+        if not isinstance(entries, list):
+            raise ValidationError(f"{path}: field 'realizations' must be a list")
         idx = int(config.realization)
         if not 0 <= idx < len(entries):
             raise ValidationError(
                 f"--realization must lie in [0, {len(entries)}), got {idx}"
             )
         payload = entries[idx]
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"{path}: realization {idx} must be a JSON object"
+            )
     elif config.realization is not None:
         raise ValidationError(f"{path} is not an ensemble file; drop --realization")
     if "b" not in payload:
         raise ValidationError(f"{path}: missing field 'b'")
-    try:
-        b = np.asarray(payload["b"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field 'b' must be a numeric list") from exc
+    b = json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
+                   "a numeric list")
     if b.ndim != 1 or b.size == 0:
         raise ValidationError(f"{path}: field 'b' must be a non-empty list")
-    D = payload.get("D")
-    if D is not None:
-        D = int(D)
+    D = None
+    if payload.get("D") is not None:
+        D = json_field(payload, "D", int, path, "an integer")
     truncated = bool(payload.get("truncated", False))
     cut = truncated or D is None or D != b.size + 1
     return b, D, cut
@@ -173,8 +175,8 @@ def _chain_for_evolution(config: RunConfig, b: np.ndarray, cut: bool):
         if np.any(ns > size):
             raise NumericalError(
                 f"the input lists {size} coefficients but the time grid needs "
-                "more; regenerate the chain with more coefficients or drop "
-                "--truncation"
+                "more; regenerate the chain with more coefficients or shorten "
+                "the grid"
             )
         return b[ns - 1]
 
@@ -261,10 +263,7 @@ def _cmd_evolve(config: RunConfig) -> int:
     b, _, cut = _load_chain(config)
     times = _time_grid(config)
     chain, truncation = _chain_for_evolution(config, b, cut)
-    traj = dynamics.evolve_amplitudes(
-        chain, times, method=config.method,
-        truncation=truncation, rk4_step=config.rk4_step,
-    )
+    traj = dynamics.evolve_amplitudes(chain, times, truncation=truncation)
     fmt = _resolve_format(config, "csv")
     if fmt == "csv":
         _emit(config, lambda fh: dynamics.save_amplitudes_csv(traj, fh))
@@ -284,10 +283,7 @@ def _profile_and_tau(config: RunConfig):
     b, _, cut = _load_chain(config)
     times = _time_grid(config)
     chain, truncation = _chain_for_evolution(config, b, cut)
-    traj = dynamics.evolve_amplitudes(
-        chain, times, method=config.method,
-        truncation=truncation, rk4_step=config.rk4_step,
-    )
+    traj = dynamics.evolve_amplitudes(chain, times, truncation=truncation)
     profile = dynamics.complexity_profile(traj)
     tau_d = float("nan")
     if traj.b.size >= 3:
@@ -456,18 +452,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="amplitudes phi_n(t) of a chain")
     add_chain_input(p)
-    p.add_argument("--method", choices=("eigen", "rk4"), default="eigen")
-    p.add_argument("--rk4-step", dest="rk4_step", type=float, default=None)
     p.add_argument("--truncation", type=int, default=None,
-                   help="starting chain length for cut chains")
+                   help="fewest coefficients to report (default: all a cut "
+                        "chain lists); a complete chain given fewer is "
+                        "evolved on a window")
     add_grid(p)
     add_out(p)
 
     p = sub.add_parser("bound", help="complexity profile vs the dispersion bound")
     add_chain_input(p)
-    p.add_argument("--method", choices=("eigen", "rk4"), default="eigen")
-    p.add_argument("--rk4-step", dest="rk4_step", type=float, default=None)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=int, default=None,
+                   help="fewest coefficients to report (default: all a cut "
+                        "chain lists); a complete chain given fewer is "
+                        "evolved on a window")
     add_grid(p)
     add_out(p)
 

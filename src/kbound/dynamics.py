@@ -5,29 +5,43 @@ evolution of the seed operator reduces to a hopping problem on a half line:
 with the phase convention i^n factored out of the wavefunction, the
 amplitudes phi_n(t) are real and obey
 
-    d/dt phi_n = b_n phi_{n-1} - b_{n+1} phi_{n+1},    phi_n(0) = delta_n0.
+    d/dt phi_n = b_n phi_{n-1} - b_{n+1} phi_{n+1},    phi_n(0) = delta_n0,
 
+that is d/dt phi = A phi with the real antisymmetric hopping generator A.
 Everything this module computes derives from that recursion: the mean chain
 position K(t) = sum n phi_n^2 (operator complexity), its spread Delta K, the
 exact growth rate, the two-sided budget |dK/dt| <= 2 b_1 Delta K, and the
 short-time expansion whose fourth/sixth order terms set the time where
 generic chains leave the saturation regime.
 
-The default integrator diagonalizes the (zero-diagonal, symmetric)
-tridiagonal hopping matrix T = Q diag(lambda) Q^T once and evaluates every
-time from the full spectral sum in real arithmetic: with the weights
-W_nk = (-1)^(n//2) Q_nk Q_0k,
+A complete finite chain is evolved spectrally: the (zero-diagonal,
+symmetric) tridiagonal hopping matrix T = Q diag(lambda) Q^T is
+diagonalized once and every time comes from the full spectral sum in real
+arithmetic: with the weights W_nk = (-1)^(n//2) Q_nk Q_0k,
 
     phi_n(t) = sum_k W_nk cos(lambda_k t)    (n even),
     phi_n(t) = sum_k W_nk sin(lambda_k t)    (n odd),
 
 two real matrix products per block of times.  All eigenpairs are used:
 pairing +lambda with -lambda through the chain's chirality halves the sum
-but fails where such a pair is degenerate to rounding.  A classical
-fourth-order Runge-Kutta walker is kept as an independent cross-check.
-Infinite coefficient families are truncated and the truncation grows
-(doubling) until the mass in the last two sites stays below ``TAIL_TOL``
-over the whole time grid, up to ``MAX_TRUNCATION`` sites.
+but fails where such a pair is degenerate to rounding.
+
+An infinite family (a callable n -> b_n), or an array cut to its first
+``truncation`` coefficients, is evolved on a window that follows the
+amplitude out along the chain.  The state steps from one grid point to the
+next, forward from t = 0 and backward for negative times, by the Chebyshev
+expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+1984):
+
+    exp(h A) phi = J_0(a h) phi + 2 sum_k J_k(a h) R_k,
+    R_0 = phi,  R_1 = (A / a) phi,  R_{k+1} = 2 (A / a) R_k + R_{k-1},
+
+in real arithmetic, with a = 2 max b over the window bounding the spectrum
+of A and the series stopped once |J_k(a h)| falls below rounding.  An
+order-K step moves amplitude at most K sites, so before each step the
+window is sized to the last occupied site + K + 2 and only the
+coefficients new to it are fetched; memory is the output plus a few
+window-length vectors.  ``MAX_TRUNCATION`` caps the window.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
 from .errors import NumericalError, ValidationError
 from ._util import open_write, validate_times
@@ -47,13 +62,17 @@ TAIL_TOL = 1e-12
 # 0/0 points, and the dispersion is a difference of squares whose rounding
 # noise is sqrt(eps) * rms position, not a fixed constant.
 UNDEFINED_CUTOFF = 1e-12
-RK4_NORM_TOL = 1e-6
-DEFAULT_TRUNCATION = 64
-# Longest chain a callable family grows to.  Evolving N sites holds about
-# 2 N^2 float64 values (measured: 1.08 GB for 8193 sites), so this is a
-# memory limit: a grid that needs a longer chain raises NumericalError
-# instead of exhausting the machine.
-MAX_TRUNCATION = 1 << 13
+# Most sites a windowed evolution may span.  The window's vectors are small;
+# the output holds one float64 per grid time and site (201 times over the
+# whole window take 105 MB), so this is a memory limit: a grid that needs a
+# wider window raises NumericalError before the window is fetched.
+MAX_TRUNCATION = 1 << 16
+# A site is occupied while phi_n^2 exceeds this, an amplitude at the
+# rounding of a unit vector's entries.
+_OCCUPIED = 1e-30
+# Chebyshev terms stop once |J_k| drops below this: every R_k has norm at
+# most 1, and the J_k fall off faster than geometrically past k = a h.
+_SERIES_FLOOR = 1e-17
 
 # i^n, exact by table lookup
 _PHASE_POS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -61,8 +80,6 @@ _PHASE_POS = np.array([1.0, 1.0j, -1.0, -1.0j])
 __all__ = [
     "TAIL_TOL",
     "UNDEFINED_CUTOFF",
-    "RK4_NORM_TOL",
-    "DEFAULT_TRUNCATION",
     "AmplitudeTrajectory",
     "ComplexityProfile",
     "evolve_amplitudes",
@@ -80,12 +97,15 @@ __all__ = [
 class AmplitudeTrajectory:
     """Real chain amplitudes phi[k, n] = phi_n(times[k]).
 
-    b is the coefficient array actually evolved (length N - 1 for N sites).
-    truncated marks chains cut off from a longer or infinite family; for
-    those, tail_mass is the largest probability found in the last two sites
-    over the grid (kept below TAIL_TOL by the auto-grown truncation), while
-    exact finite chains report 0.  A grid point at exactly t = 0 carries the
-    seed e_0 = [1, 0, ..., 0] exactly, whatever the method.
+    b is the coefficient array of the reported sites (length N - 1 for N
+    sites).  truncated marks a trajectory cut from a longer or infinite
+    chain; its tail_mass is the largest probability, over the grid, that
+    the evolution window held past the reported sites (each of which has
+    |phi_n| <= tail_tol throughout), while exact finite chains report 0.  method is "eigen"
+    (spectral sum of a complete chain), "window" (Chebyshev steps on a
+    window that follows the amplitude) or "closed-form", and window is the
+    most sites the evolution ran on.  A grid point at exactly t = 0
+    carries the seed e_0 = [1, 0, ..., 0] exactly, whatever the method.
     """
 
     times: np.ndarray
@@ -94,6 +114,7 @@ class AmplitudeTrajectory:
     truncated: bool
     tail_mass: float
     method: str
+    window: int | None = None
 
     @property
     def sites(self) -> int:
@@ -128,8 +149,9 @@ def _validate_coefficients(b) -> np.ndarray:
     return arr
 
 
-def _eval_family(bfun, count: int) -> np.ndarray:
-    ns = np.arange(1, count + 1)
+def _eval_family(bfun, first: int, stop: int) -> np.ndarray:
+    """b_n for first <= n < stop from a family callable."""
+    ns = np.arange(first, stop)
     try:
         vals = np.asarray(bfun(ns), dtype=np.float64)
         if vals.shape != ns.shape:
@@ -146,14 +168,6 @@ def _tridiag_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[1:] = b * x[:-1]
         y[:-1] += b * x[1:]
     return y
-
-
-def _hop_deriv(b: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(phi)
-    if b.size:
-        out[1:] = b * phi[:-1]
-        out[:-1] -= b * phi[1:]
-    return out
 
 
 def _evolve_eigen(b: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -196,58 +210,140 @@ def _evolve_eigen(b: np.ndarray, times: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _rk4_span(phi: np.ndarray, b: np.ndarray, t0: float, t1: float,
-              hmax: float) -> np.ndarray:
-    span = t1 - t0
-    if span == 0.0:
-        return phi
-    nsub = max(1, int(math.ceil(abs(span) / hmax)))
-    h = span / nsub
-    for _ in range(nsub):
-        k1 = _hop_deriv(b, phi)
-        k2 = _hop_deriv(b, phi + 0.5 * h * k1)
-        k3 = _hop_deriv(b, phi + 0.5 * h * k2)
-        k4 = _hop_deriv(b, phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+def _bessel_series(x: float) -> np.ndarray:
+    """J_k(x), k = 0 .. K, for x >= 0, up to the last one above _SERIES_FLOOR."""
+    # Past k = x + 12 x^(1/3) + 32 the J_k are below 1e-20 for every x up to
+    # 1e5, and a window of MAX_TRUNCATION sites splits steps far below that.
+    top = int(x + 12.0 * x ** (1.0 / 3.0) + 32.0)
+    coef = jv(np.arange(top + 1), x)
+    return coef[:max(2, np.flatnonzero(np.abs(coef) >= _SERIES_FLOOR)[-1] + 1)]
 
 
-def _evolve_rk4(b: np.ndarray, times: np.ndarray, step: float | None) -> np.ndarray:
-    n_sites = b.size + 1
-    bmax = float(b.max()) if b.size else 1.0
-    if step is None:
-        spacing = float(np.min(np.diff(times))) if times.size > 1 else np.inf
-        step = min(0.005 / bmax, spacing)
-    out = np.empty((times.size, n_sites))
-    start = np.zeros(n_sites)
-    start[0] = 1.0
+def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """exp(h A) phi from the series coef[k] = J_k(a h), bonds = sign(h) 2 b / a.
 
-    def march(idx_list):
-        phi = start
-        t_prev = 0.0
-        for k in idx_list:
-            phi = _rk4_span(phi, b, t_prev, float(times[k]), step)
-            t_prev = float(times[k])
-            drift = abs(float(phi @ phi) - 1.0)
-            if drift > RK4_NORM_TOL:
-                raise NumericalError(
-                    f"rk4 lost unit norm at t = {t_prev:g} (drift {drift:.3e}); "
-                    "reduce rk4_step"
-                )
-            out[k] = phi
+    With M = 2 A / a the terms are R_1 = M phi / 2 and
+    R_{k+1} = M R_k + R_{k-1}; the window has one site more than the
+    support of any R_k, so its end never reflects.
+    """
+    def hop(x, out):
+        out[1:] += bonds * x[:-1]
+        out[:-1] -= bonds * x[1:]
+        return out
 
-    nonneg = int(np.searchsorted(times, 0.0))
-    march(range(nonneg - 1, -1, -1))  # negative times, walking backward from 0
-    march(range(nonneg, times.size))
+    prev = phi.copy()
+    cur = 0.5 * hop(phi, np.zeros_like(phi))
+    out = coef[0] * phi + (2.0 * coef[1]) * cur
+    for c in coef[2:]:
+        nxt = hop(cur, prev)          # R_{k+1} overwrites R_{k-1}
+        out += (2.0 * c) * nxt
+        prev, cur = cur, nxt
     return out
+
+
+def _last_site(phi: np.ndarray, threshold: float) -> int:
+    """Index of the last site with phi_n^2 above threshold (0 if none)."""
+    above = np.flatnonzero(phi * phi > threshold)
+    return int(above[-1]) if above.size else 0
+
+
+def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float):
+    """Chebyshev steps on a window grown as the amplitude spreads.
+
+    source is a family callable or a coefficient array; an array's last
+    site is a real wall, so a window that reaches it evolves the exact
+    finite chain.  Returns (phi, b, truncated, tail_mass, window).
+    """
+    family = callable(source)
+    end = None if family else source.size + 1
+    b = np.empty(0) if family else source
+    widest = 0
+
+    def coefficients(sites: int) -> np.ndarray:
+        """b_1 .. b_{sites-1}; a family is asked only for ones not yet held."""
+        nonlocal b, widest
+        if sites > MAX_TRUNCATION:
+            raise NumericalError(
+                f"the amplitude's tail needs a window of {sites} sites, past "
+                f"MAX_TRUNCATION = {MAX_TRUNCATION}; the grid reaches times "
+                "this chain cannot be evolved to within the memory limit"
+            )
+        if family and b.size < sites - 1:
+            b = np.concatenate([b, _eval_family(source, b.size + 1, sites)])
+        widest = max(widest, sites)
+        return b[:sites - 1]
+
+    def window(reach: int, h: float):
+        """(sites, a, J_k(a |h|)) for a step of h, or None if h must be split.
+
+        The sites must reach K + 2 past the occupied ones, and K grows with
+        a = 2 max b over them; a step that would more than double the window
+        (plus 64 sites) is split instead of fetching that far.  K exceeds
+        a |h|, so that bound is checked before the series is computed.
+        """
+        sites = max(min_sites, reach + 2)
+        limit = 2 * sites + 64
+        while True:
+            if end is not None:
+                sites = min(sites, end)
+            a = 2.0 * float(coefficients(sites).max())
+            if reach + a * abs(h) > limit:
+                return None
+            coef = _bessel_series(a * abs(h))
+            need = reach + coef.size + 1
+            if need <= sites or sites == end:
+                return sites, a, coef
+            if need > limit:
+                return None
+            sites = need
+
+    rows = [None] * times.size
+
+    def march(order):
+        """Step from e_0 at t = 0 through the grid points in order."""
+        phi = np.zeros(max(min_sites, 2))
+        phi[0] = 1.0
+        reach, t_prev = 0, 0.0
+        for k in order:
+            left = float(times[k]) - t_prev
+            while left != 0.0:
+                h = left
+                while (plan := window(reach, h)) is None:
+                    h *= 0.5
+                sites, a, coef = plan
+                state = np.zeros(sites)
+                keep = min(sites, phi.size)
+                state[:keep] = phi[:keep]
+                bonds = math.copysign(2.0 / a, h) * b[:sites - 1]
+                phi = _chebyshev_step(state, bonds, coef)
+                reach = _last_site(phi, _OCCUPIED)
+                left -= h
+            t_prev = float(times[k])
+            rows[k] = phi[:reach + 1].copy()
+
+    start = int(np.searchsorted(times, 0.0))
+    march(range(start - 1, -1, -1))
+    march(range(start, times.size))
+
+    if end is not None and widest >= end:
+        # The window met the array's own end: the whole array was evolved.
+        n_sites, truncated = end, False
+    else:
+        edge = max(_last_site(row, tail_tol * tail_tol) for row in rows)
+        n_sites, truncated = max(min_sites, edge + 2), True
+    phi = np.zeros((times.size, n_sites))
+    tail = 0.0
+    for k, row in enumerate(rows):
+        keep = min(row.size, n_sites)
+        phi[k, :keep] = row[:keep]
+        tail = max(tail, float(row[keep:] @ row[keep:]))
+    return phi, b[:n_sites - 1].copy(), truncated, (tail if truncated else 0.0), widest
 
 
 def evolve_amplitudes(
     b,
     times,
-    method: str = "eigen",
     truncation: int | None = None,
-    rk4_step: float | None = None,
     tail_tol: float = TAIL_TOL,
 ) -> AmplitudeTrajectory:
     """Integrate the chain amplitudes phi_n(t) for a coefficient chain.
@@ -257,82 +353,53 @@ def evolve_amplitudes(
     b : array-like or callable
         Either the complete coefficient chain of a finite-D problem (length
         D - 1, all positive), or a callable n -> b_n representing an
-        infinite family (called with a 1-based integer array; a scalar
+        infinite family (called with a 1-based integer array of the
+        coefficients new to the window, each requested once; a scalar
         fallback is attempted).
     times : array-like
         Strictly increasing, may include negative values.
-    method : {"eigen", "rk4"}
-        Spectral evaluation of the hopping matrix, or an explicit
-        fourth-order Runge-Kutta walker (cross-check; loses unit norm above
-        RK4_NORM_TOL -> NumericalError).
     truncation : int, optional
-        For a callable family: the starting chain length (default
-        DEFAULT_TRUNCATION), grown by doubling until the tail mass over the
-        grid drops below ``tail_tol``.  For an array: evolve only the first
-        ``truncation`` coefficients, growing back toward the full array if
-        the tail demands it.
-    rk4_step : float, optional
-        Substep for method "rk4"; default min(grid spacing, 0.005 / max b).
+        A floor on the reported chain: a windowed trajectory keeps at least
+        this many coefficients (truncation + 1 sites).  Without it, or for
+        an array no longer than it, the complete array is evolved
+        spectrally (method "eigen").  A callable family, or an array cut
+        shorter, is evolved on a window (method "window"): before each
+        Chebyshev step of order K it spans truncation + 1 sites or the last
+        occupied site (phi_n^2 > 1e-30) + K + 2, whichever is more.  A
+        window that reaches the end of a cut array evolves the exact finite
+        chain, which is reported whole with truncated False.  A window
+        wider than MAX_TRUNCATION sites raises NumericalError before its
+        coefficients are fetched.
+    tail_tol : float
+        A truncated trajectory reports max(truncation + 1, r + 2) sites,
+        r the last site whose amplitude |phi_r| exceeds tail_tol somewhere
+        on the grid, so every amplitude it leaves out stays within
+        tail_tol; tail_mass is the largest probability the window held
+        past the reported sites.
 
     Notes
     -----
-    The tail mass is the largest total weight found in the last two sites
-    across the grid.  Exact finite chains (array input, no cut) are closed
-    systems: amplitudes reflect off the end and the tail is reported as 0.
-    A grid point at exactly t = 0 (also an interior one of a grid with
-    negative times) carries the initial condition e_0 exactly, with either
-    method, so K and Delta K are exactly 0 there.
+    Exact finite chains (array input, no cut) are closed systems:
+    amplitudes reflect off the end and the tail is reported as 0.  A grid
+    point at exactly t = 0 (also an interior one of a grid with negative
+    times) carries the initial condition e_0 exactly, so K and Delta K are
+    exactly 0 there.
     """
     t = validate_times(times)
-    if method not in ("eigen", "rk4"):
-        raise ValidationError(f"method must be 'eigen' or 'rk4', got {method!r}")
-    if rk4_step is not None:
-        rk4_step = float(rk4_step)
-        if not (rk4_step > 0.0) or not np.isfinite(rk4_step):
-            raise ValidationError(f"rk4_step must be positive, got {rk4_step}")
     if truncation is not None:
         truncation = int(truncation)
         if truncation < 1:
             raise ValidationError(f"truncation must be >= 1, got {truncation}")
     tail_tol = float(tail_tol)
 
-    if callable(b):
-        count = max(4, truncation or DEFAULT_TRUNCATION)
-        cap = None
-        arr = None
-    else:
-        arr = _validate_coefficients(b)
-        if truncation is None or truncation >= arr.size:
-            phi = (_evolve_eigen(arr, t) if method == "eigen"
-                   else _evolve_rk4(arr, t, rk4_step))
-            return AmplitudeTrajectory(t, phi, arr, False, 0.0, method)
-        count = max(4, truncation)
-        cap = arr.size
-
-    while True:
-        if arr is None:
-            used = _eval_family(b, count)
-        else:
-            used = arr[:count]
-        phi = (_evolve_eigen(used, t) if method == "eigen"
-               else _evolve_rk4(used, t, rk4_step))
-        if cap is not None and count >= cap:
-            # Grew back to the full finite chain: it is exact after all.
-            return AmplitudeTrajectory(t, phi, used, False, 0.0, method)
-        tail = float(np.max(np.sum(phi[:, -2:] ** 2, axis=1)))
-        if tail < tail_tol:
-            return AmplitudeTrajectory(t, phi, used, True, tail, method)
-        if cap is not None:
-            count = min(2 * count, cap)
-        else:
-            count *= 2
-            if count > MAX_TRUNCATION:
-                raise NumericalError(
-                    f"truncation exceeded {MAX_TRUNCATION} sites with tail mass "
-                    f"{tail:.3e}; the grid reaches times this family cannot "
-                    "be materialized for: evolving N sites needs about "
-                    "16 N^2 bytes of memory, and the limit keeps that near 1 GB"
-                )
+    if not callable(b):
+        b = _validate_coefficients(b)
+        if truncation is None or truncation >= b.size:
+            return AmplitudeTrajectory(t, _evolve_eigen(b, t), b, False, 0.0,
+                                       "eigen", b.size + 1)
+    min_sites = 1 + (truncation or 0)
+    phi, used, truncated, tail, window = _evolve_window(b, t, min_sites, tail_tol)
+    return AmplitudeTrajectory(t, phi, used, truncated, tail, "window", window)
 
 
 def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:

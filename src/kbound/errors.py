@@ -12,6 +12,7 @@ class ValidationError(ValueError):
 class NumericalError(RuntimeError):
     """A computation ran but left its tolerance regime.
 
-    Examples: the integrator lost unit norm, a truncation left too much
-    tail weight, a requested quantity is undefined for the given data.
+    Examples: an evolution window outgrew its memory limit, a cut chain
+    ran out of listed coefficients, a requested quantity is undefined for
+    the given data.
     """

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import load_json_object, open_write
+from ._util import json_field, load_json_object, open_write
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -478,9 +478,10 @@ def load_result_json(path) -> LanczosResult:
             payload["basis"]["im"], dtype=np.float64
         )
     return LanczosResult(
-        b=np.asarray(payload["b"], dtype=np.float64),
-        D=int(payload["D"]),
-        dim=int(payload["dim"]),
+        b=json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
+                     "a numeric list"),
+        D=json_field(payload, "D", int, path, "an integer"),
+        dim=json_field(payload, "dim", int, path, "an integer"),
         spec=spec,
         basis=basis,
         ortho_error=payload.get("ortho_error"),

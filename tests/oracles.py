@@ -177,6 +177,55 @@ def chain_amplitudes(b, times):
     return np.array([scipy.linalg.expm(t * A)[:, 0] for t in np.ravel(times)])
 
 
+def rk4_amplitudes(b, times, rk4_step=None, norm_tol=1e-6):
+    """phi[k, n] from a classical fourth-order Runge-Kutta walk.
+
+    Integrates d/dt phi_n = b_n phi_{n-1} - b_{n+1} phi_{n+1} on the finite
+    chain b from phi(0) = e_0, forward through the non-negative times and
+    backward from 0 through the negative ones, in substeps of at most
+    rk4_step (default min(grid spacing, 0.005 / max b)).  Raises
+    RuntimeError where the norm drifts from 1 by more than norm_tol.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    n_sites = b.size + 1
+    if rk4_step is None:
+        spacing = float(np.min(np.diff(times))) if times.size > 1 else np.inf
+        rk4_step = min(0.005 / float(b.max()), spacing)
+
+    def deriv(phi):
+        out = np.zeros_like(phi)
+        out[1:] = b * phi[:-1]
+        out[:-1] -= b * phi[1:]
+        return out
+
+    out = np.empty((times.size, n_sites))
+    start = int(np.searchsorted(times, 0.0))
+    for order in (range(start - 1, -1, -1), range(start, times.size)):
+        phi = np.zeros(n_sites)
+        phi[0] = 1.0
+        t_prev = 0.0
+        for k in order:
+            span = float(times[k]) - t_prev
+            nsub = int(np.ceil(abs(span) / rk4_step)) if span else 0
+            for _ in range(nsub):
+                h = span / nsub
+                k1 = deriv(phi)
+                k2 = deriv(phi + 0.5 * h * k1)
+                k3 = deriv(phi + 0.5 * h * k2)
+                k4 = deriv(phi + h * k3)
+                phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_prev = float(times[k])
+            drift = abs(float(phi @ phi) - 1.0)
+            if drift > norm_tol:
+                raise RuntimeError(
+                    f"rk4 lost unit norm at t = {t_prev:g} (drift {drift:.3e}); "
+                    "reduce rk4_step"
+                )
+            out[k] = phi
+    return out
+
+
 def amplitude_series(b, order):
     """Taylor coefficients a[n, k] of phi_n(t) = sum_k a[n, k] t^k.
 

@@ -50,11 +50,27 @@ class TestExitCodes:
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         chain = tmp_path / "c.json"
-        chain.write_text(json.dumps({"b": [1.0, 1.5, 2.0], "D": 4}))
-        code, _, err = run_cli(capsys, "evolve", str(chain), "--method", "rk4",
-                               "--rk4-step", "2.5", "--tmax", "5", "--steps", "2")
+        # Without "D" the three coefficients are a cut chain, and t = 5 needs
+        # more of them.
+        chain.write_text(json.dumps({"b": [1.0, 1.5, 2.0]}))
+        code, _, err = run_cli(capsys, "evolve", str(chain), "--tmax", "5",
+                               "--steps", "2")
         assert code == 2
         assert err.startswith("numerical error:")
+
+    @pytest.mark.parametrize("payload, extra, field", [
+        ({"realizations": [1, 2]}, ["--realization", "0"], "realization 0"),
+        ({"b": "x"}, [], "field 'b'"),
+        ({"b": [1.0, 2.0], "D": "two"}, [], "field 'D'"),
+    ])
+    def test_malformed_chain_fields_are_input_errors(self, tmp_path, capsys,
+                                                     payload, extra, field):
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "bound", str(chain), "--tmax", "1", *extra)
+        assert code == 1
+        assert err.startswith(f"error: {chain}: ")
+        assert field in err
 
 
 class TestModelCommand:

@@ -23,7 +23,7 @@ from kbound.algebras import AlgebraModel, model_amplitudes
 from kbound.ensembles import GoeSpec, goe_sample, run_ensemble, uniform_observable
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import run_lanczos
-from oracles import chain_amplitudes, complexity_series
+from oracles import chain_amplitudes, complexity_series, rk4_amplitudes
 
 QUBIT_B = np.array([math.sqrt(2.0), math.sqrt(2.0)])
 
@@ -58,25 +58,21 @@ class TestEvolution:
     def test_eigen_and_rk4_agree(self, rng):
         b = rng.uniform(0.3, 2.0, size=8)
         t = np.linspace(0.0, 2.0, 21)
-        eig = evolve_amplitudes(b, t, method="eigen")
-        rk4 = evolve_amplitudes(b, t, method="rk4")
-        np.testing.assert_allclose(rk4.phi, eig.phi, atol=1e-9)
+        eig = evolve_amplitudes(b, t)
+        np.testing.assert_allclose(rk4_amplitudes(b, t), eig.phi, atol=1e-9)
 
     def test_negative_times(self, rng):
         b = rng.uniform(0.3, 2.0, size=6)
         t = np.linspace(-2.0, 2.0, 41)
-        eig = evolve_amplitudes(b, t, method="eigen")
-        rk4 = evolve_amplitudes(b, t, method="rk4")
-        np.testing.assert_allclose(rk4.phi, eig.phi, atol=1e-9)
+        eig = evolve_amplitudes(b, t)
+        np.testing.assert_allclose(rk4_amplitudes(b, t), eig.phi, atol=1e-9)
         # phi_n(-t) = (-1)^n phi_n(t): reversing time flips odd sites.
         signs = (-1.0) ** np.arange(eig.phi.shape[1])
         np.testing.assert_allclose(eig.phi[::-1], eig.phi * signs, atol=1e-12)
 
     def test_rk4_with_coarse_step_reports_norm_loss(self):
-        with pytest.raises(NumericalError, match="rk4_step"):
-            evolve_amplitudes(
-                10.0 * QUBIT_B, np.linspace(0.0, 5.0, 6), method="rk4", rk4_step=0.5
-            )
+        with pytest.raises(RuntimeError, match="rk4_step"):
+            rk4_amplitudes(10.0 * QUBIT_B, np.linspace(0.0, 5.0, 6), rk4_step=0.5)
 
     def test_infinite_family_grows_until_tail_clears(self):
         traj = evolve_amplitudes(
@@ -127,6 +123,16 @@ class TestEvolution:
                 np.array([0.0, 25.0]),
             )
 
+    def test_huge_coefficients_split_steps(self, monkeypatch):
+        # b_n = 1e12 n: one step from 0 to 1 would take a Chebyshev series of
+        # some 2e12 terms.  It is split instead, and the spread then meets
+        # the (lowered) window ceiling.
+        import kbound.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "MAX_TRUNCATION", 512)
+        with pytest.raises(NumericalError, match="MAX_TRUNCATION = 512"):
+            evolve_amplitudes(lambda n: 1e12 * np.asarray(n, dtype=float), [0.0, 1.0])
+
     def test_array_chain_out_of_memory(self, monkeypatch):
         # An array chain is evolved at its full length; where the machine
         # cannot hold it, the error names the size instead of numpy's bare
@@ -148,11 +154,7 @@ class TestEvolution:
         with pytest.raises(ValidationError):
             evolve_amplitudes([1.0, -1.0], [0.0, 1.0])
         with pytest.raises(ValidationError):
-            evolve_amplitudes(QUBIT_B, [0.0, 1.0], method="euler")
-        with pytest.raises(ValidationError):
             evolve_amplitudes(QUBIT_B, [0.0, 1.0], truncation=0)
-        with pytest.raises(ValidationError):
-            evolve_amplitudes(QUBIT_B, [0.0, 1.0], method="rk4", rk4_step=-0.1)
 
 
 @pytest.mark.parametrize("grid, problem", [
@@ -247,6 +249,88 @@ class TestAgainstExpmOracle:
         # equal to rounding), so a synthesis from half of the spectrum,
         # mirrored by the chain's chirality, loses it.
         self._check(np.array([0.01, 3.0] * 15)[:bonds], np.linspace(0.0, 60.0, 31))
+
+    def _check_window(self, b, times, chain, truncation=None):
+        """A windowed trajectory against the oracle on the finite chain.
+
+        chain holds the coefficients of the oracle's chain; the sites the
+        trajectory leaves out must hold nothing above TOL either.
+        """
+        traj = evolve_amplitudes(b, times, truncation=truncation)
+        assert traj.method == "window"
+        ref = chain_amplitudes(chain, times)
+        assert traj.sites <= ref.shape[1]
+        np.testing.assert_allclose(traj.phi, ref[:, :traj.sites], rtol=0, atol=self.TOL)
+        assert np.max(np.abs(ref[:, traj.sites:]), initial=0.0) < self.TOL
+        return traj
+
+    @pytest.mark.parametrize("points", [31, 2])
+    def test_callable_family(self, points):
+        # hw with nu = 1: by t = 3 the amplitude has spread over ~50 sites.
+        # On the two-point grid the one step from 0 to 3 would more than
+        # double the window, so it is split.
+        traj = self._check_window(lambda n: np.sqrt(np.asarray(n, dtype=float)),
+                                  np.linspace(0.0, 3.0, points),
+                                  np.sqrt(np.arange(1.0, 150.0)))
+        assert traj.truncated
+        assert traj.tail_mass < 1e-20
+
+    @pytest.mark.parametrize("tmax, exact", [(4.0, False), (200.0, True)])
+    def test_cut_array(self, rng, tmax, exact):
+        # 300 sites cut to 40: by t = 4 the window has not reached the end of
+        # the array; by t = 200 it has, and the array is the exact chain.
+        b = rng.uniform(0.3, 2.0, size=299)
+        traj = self._check_window(b, np.linspace(0.0, tmax, 21), b, truncation=40)
+        assert traj.truncated is not exact
+        assert (traj.sites == 300) is exact
+        assert traj.sites >= 41
+
+    def test_negative_times_on_a_window(self, rng):
+        b = rng.uniform(0.3, 2.0, size=299)
+        times = np.linspace(-3.0, 3.0, 25)
+        traj = self._check_window(b, times, b, truncation=10)
+        # phi_n(-t) = (-1)^n phi_n(t), from separate walks forward and back.
+        signs = (-1.0) ** np.arange(traj.sites)
+        np.testing.assert_allclose(traj.phi[::-1], traj.phi * signs, rtol=0, atol=self.TOL)
+
+
+class RecordingFamily:
+    """b_n = sqrt(n (n + 100)) (sl2r, eta = 101), recording every n asked for."""
+
+    def __init__(self):
+        self.requested = []
+
+    def __call__(self, n):
+        n = np.asarray(n)
+        self.requested.append(n.copy())
+        return np.sqrt(n * (n + 100.0))
+
+
+def test_family_is_asked_once_per_coefficient_and_only_inside_the_window():
+    family = RecordingFamily()
+    traj = evolve_amplitudes(family, np.linspace(0.0, 2.0, 201))
+    asked = np.concatenate(family.requested)
+    # Every coefficient once, in order: the blocks tile 1 .. max.
+    np.testing.assert_array_equal(asked, np.arange(1, asked.size + 1))
+    # Never past the widest window, and that window stays within one step's
+    # spread of the amplitude's reach: by t = 2 the closed form has
+    # phi_n^2 > 1e-30 up to n = 3471, and a step of 0.01 has order K ~ 120.
+    assert asked[-1] <= traj.window - 1
+    assert traj.window < 4000
+    assert traj.sites <= traj.window
+
+
+def test_window_memory_stays_linear():
+    # sl2r eta = 101 to t = 2 over 201 times: the output is 201 x ~3500
+    # values (6 MB).  Doubling eigensolves up to 4097 sites peaked near 270 MB.
+    family = RecordingFamily()
+    tracemalloc.start()
+    try:
+        evolve_amplitudes(family, np.linspace(0.0, 2.0, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_synthesis_memory_stays_real():

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -437,6 +438,18 @@ class TestSerialization:
         path = tmp_path / "res.json"
         path.write_text('{"b": [1.0]}')
         with pytest.raises(ValidationError, match="D"):
+            load_result_json(path)
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"realizations": [1, 2]}, "'b'"),
+        ({"b": "x", "D": 2, "dim": 2}, "'b'"),
+        ({"b": [1.0], "D": "two", "dim": 2}, "'D'"),
+        ({"b": [1.0], "D": 2, "dim": [2]}, "'dim'"),
+    ])
+    def test_malformed_fields_name_file_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "res.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"res.json: .*field {field}"):
             load_result_json(path)
 
     def test_file_without_pass_count_loads(self, tmp_path):
