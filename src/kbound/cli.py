@@ -164,24 +164,19 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     return b, D, cut
 
 
-def _chain_for_evolution(config: RunConfig, b: np.ndarray, cut: bool):
-    """What to hand evolve_amplitudes: the exact array, or a capped family."""
-    if not cut:
-        return b, config.truncation
-    size = b.size
+def _evolve_chain(config: RunConfig) -> dynamics.AmplitudeTrajectory:
+    """The amplitudes of the input chain on the configured grid.
 
-    def family(n):
-        ns = np.asarray(n)
-        if np.any(ns > size):
-            raise NumericalError(
-                f"the input lists {size} coefficients but the time grid needs "
-                "more; regenerate the chain with more coefficients or shorten "
-                "the grid"
-            )
-        return b[ns - 1]
-
-    start = size if config.truncation is None else min(int(config.truncation), size)
-    return family, start
+    A cut chain's listed coefficients are open-ended: by default all of
+    them are reported, and a grid that carries probability onto their last
+    two sites is a NumericalError.
+    """
+    b, _, cut = _load_chain(config)
+    times = _time_grid(config)
+    truncation = config.truncation
+    if cut and truncation is None:
+        truncation = b.size
+    return dynamics.evolve_amplitudes(b, times, truncation=truncation, open_end=cut)
 
 
 # ------------------------------------------------------------- subcommands
@@ -260,10 +255,7 @@ def _cmd_lanczos(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
-    b, _, cut = _load_chain(config)
-    times = _time_grid(config)
-    chain, truncation = _chain_for_evolution(config, b, cut)
-    traj = dynamics.evolve_amplitudes(chain, times, truncation=truncation)
+    traj = _evolve_chain(config)
     fmt = _resolve_format(config, "csv")
     if fmt == "csv":
         _emit(config, lambda fh: dynamics.save_amplitudes_csv(traj, fh))
@@ -280,10 +272,7 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 
 def _profile_and_tau(config: RunConfig):
-    b, _, cut = _load_chain(config)
-    times = _time_grid(config)
-    chain, truncation = _chain_for_evolution(config, b, cut)
-    traj = dynamics.evolve_amplitudes(chain, times, truncation=truncation)
+    traj = _evolve_chain(config)
     profile = dynamics.complexity_profile(traj)
     tau_d = float("nan")
     if traj.b.size >= 3:

@@ -41,7 +41,10 @@ of A and the series stopped once |J_k(a h)| falls below rounding.  An
 order-K step moves amplitude at most K sites, so before each step the
 window is sized to the last occupied site + K + 2 and only the
 coefficients new to it are fetched; memory is the output plus a few
-window-length vectors.  ``MAX_TRUNCATION`` caps the window.
+window-length vectors.  ``MAX_TRUNCATION`` caps the window.  The window
+stops at the end of an array: there the exact chain reflects, and an array
+that lists only the first coefficients of a longer chain is used while its
+last two sites stay below the tail tolerance.
 """
 
 from __future__ import annotations
@@ -101,11 +104,11 @@ class AmplitudeTrajectory:
     sites).  truncated marks a trajectory cut from a longer or infinite
     chain; its tail_mass is the largest probability, over the grid, that
     the evolution window held past the reported sites (each of which has
-    |phi_n| <= tail_tol throughout), while exact finite chains report 0.  method is "eigen"
-    (spectral sum of a complete chain), "window" (Chebyshev steps on a
-    window that follows the amplitude) or "closed-form", and window is the
-    most sites the evolution ran on.  A grid point at exactly t = 0
-    carries the seed e_0 = [1, 0, ..., 0] exactly, whatever the method.
+    |phi_n| <= tail_tol throughout), while exact finite chains report 0.
+    method is "eigen" (spectral sum of a complete chain), "window"
+    (Chebyshev steps on a window that follows the amplitude) or
+    "closed-form".  A grid point at exactly t = 0 carries the seed
+    e_0 = [1, 0, ..., 0] exactly, whatever the method.
     """
 
     times: np.ndarray
@@ -114,7 +117,6 @@ class AmplitudeTrajectory:
     truncated: bool
     tail_mass: float
     method: str
-    window: int | None = None
 
     @property
     def sites(self) -> int:
@@ -247,70 +249,88 @@ def _last_site(phi: np.ndarray, threshold: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float):
+def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
+                   open_end: bool):
     """Chebyshev steps on a window grown as the amplitude spreads.
 
-    source is a family callable or a coefficient array; an array's last
-    site is a real wall, so a window that reaches it evolves the exact
-    finite chain.  Returns (phi, b, truncated, tail_mass, window).
+    source is a family callable or a coefficient array.  The window stops
+    growing at an array's last site.  The end of an exact array is a real
+    wall, so a window that reaches it evolves the finite chain; the end of
+    an open-ended array stands in for the coefficients it does not list,
+    which holds only while the probability in its last two sites stays
+    below tail_tol.  Returns (phi, b, truncated, tail_mass).
     """
     family = callable(source)
     end = None if family else source.size + 1
     b = np.empty(0) if family else source
-    widest = 0
+    cap = MAX_TRUNCATION if end is None else min(end, MAX_TRUNCATION)
+    if end is not None:
+        min_sites = min(min_sites, end)
+    if min_sites > MAX_TRUNCATION:
+        raise NumericalError(
+            f"truncation = {min_sites - 1} asks for a window of {min_sites} "
+            f"sites, past MAX_TRUNCATION = {MAX_TRUNCATION}"
+        )
+    walled = False
+    wall_mass = 0.0
 
     def coefficients(sites: int) -> np.ndarray:
         """b_1 .. b_{sites-1}; a family is asked only for ones not yet held."""
-        nonlocal b, widest
-        if sites > MAX_TRUNCATION:
-            raise NumericalError(
-                f"the amplitude's tail needs a window of {sites} sites, past "
-                f"MAX_TRUNCATION = {MAX_TRUNCATION}; the grid reaches times "
-                "this chain cannot be evolved to within the memory limit"
-            )
+        nonlocal b
         if family and b.size < sites - 1:
             b = np.concatenate([b, _eval_family(source, b.size + 1, sites)])
-        widest = max(widest, sites)
         return b[:sites - 1]
 
-    def window(reach: int, h: float):
-        """(sites, a, J_k(a |h|)) for a step of h, or None if h must be split.
+    def plan(reach: int, h: float):
+        """(sites, a, J_k(a |h|), h) for the longest step up to h that fits.
 
         The sites must reach K + 2 past the occupied ones, and K grows with
-        a = 2 max b over them; a step that would more than double the window
-        (plus 64 sites) is split instead of fetching that far.  K exceeds
-        a |h|, so that bound is checked before the series is computed.
+        a = 2 max b over them, so the window grows until it holds the step:
+        to at most twice its first size plus 64 sites, the array's end or
+        MAX_TRUNCATION.  A step that needs more is halved until it fits the
+        window already fetched, so every coefficient fetched is evolved.
+        The series of a window has at most as many terms as it has sites,
+        and K exceeds a |h|, so that is checked before the series is
+        computed.  A window of MAX_TRUNCATION sites that cannot hold a step
+        of a |h| = 1 raises: the tail has reached the ceiling, and ever
+        shorter steps would only creep toward it.
         """
-        sites = max(min_sites, reach + 2)
-        limit = 2 * sites + 64
+        sites = min(max(min_sites, reach + 2), cap)
+        top = min(2 * sites + 64, cap)
         while True:
-            if end is not None:
-                sites = min(sites, end)
             a = 2.0 * float(coefficients(sites).max())
-            if reach + a * abs(h) > limit:
-                return None
+            if a * abs(h) > top:
+                h *= 0.5
+                continue
             coef = _bessel_series(a * abs(h))
             need = reach + coef.size + 1
             if need <= sites or sites == end:
-                return sites, a, coef
-            if need > limit:
-                return None
-            sites = need
+                return sites, a, coef, h
+            if sites < top:
+                sites = min(need, top)
+            elif top == MAX_TRUNCATION and a * abs(h) <= 1.0:
+                raise NumericalError(
+                    f"the amplitude's tail needs a window of more than {top} "
+                    f"sites, past MAX_TRUNCATION = {MAX_TRUNCATION}; the grid "
+                    "reaches times this chain cannot be evolved to within the "
+                    "memory limit"
+                )
+            else:
+                h *= 0.5
 
     rows = [None] * times.size
 
     def march(order):
         """Step from e_0 at t = 0 through the grid points in order."""
+        nonlocal walled, wall_mass
         phi = np.zeros(max(min_sites, 2))
         phi[0] = 1.0
         reach, t_prev = 0, 0.0
         for k in order:
             left = float(times[k]) - t_prev
             while left != 0.0:
-                h = left
-                while (plan := window(reach, h)) is None:
-                    h *= 0.5
-                sites, a, coef = plan
+                sites, a, coef, h = plan(reach, left)
+                walled = walled or sites == end
                 state = np.zeros(sites)
                 keep = min(sites, phi.size)
                 state[:keep] = phi[:keep]
@@ -320,24 +340,36 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float):
                 left -= h
             t_prev = float(times[k])
             rows[k] = phi[:reach + 1].copy()
+            if open_end:
+                last = rows[k][end - 2:]
+                wall_mass = max(wall_mass, float(last @ last))
+                if wall_mass >= tail_tol:
+                    raise NumericalError(
+                        f"the chain lists {end - 1} coefficients, and by t = "
+                        f"{t_prev:g} its last two sites hold probability "
+                        f"{wall_mass:.3e}, past tail_tol = {tail_tol:g}; list "
+                        "more coefficients or shorten the grid"
+                    )
 
     start = int(np.searchsorted(times, 0.0))
     march(range(start - 1, -1, -1))
     march(range(start, times.size))
 
-    if end is not None and widest >= end:
+    if walled and not open_end:
         # The window met the array's own end: the whole array was evolved.
         n_sites, truncated = end, False
     else:
         edge = max(_last_site(row, tail_tol * tail_tol) for row in rows)
         n_sites, truncated = max(min_sites, edge + 2), True
+        if end is not None:
+            n_sites = min(n_sites, end)
     phi = np.zeros((times.size, n_sites))
-    tail = 0.0
+    tail = wall_mass
     for k, row in enumerate(rows):
         keep = min(row.size, n_sites)
         phi[k, :keep] = row[:keep]
         tail = max(tail, float(row[keep:] @ row[keep:]))
-    return phi, b[:n_sites - 1].copy(), truncated, (tail if truncated else 0.0), widest
+    return phi, b[:n_sites - 1].copy(), truncated, (tail if truncated else 0.0)
 
 
 def evolve_amplitudes(
@@ -345,6 +377,7 @@ def evolve_amplitudes(
     times,
     truncation: int | None = None,
     tail_tol: float = TAIL_TOL,
+    open_end: bool = False,
 ) -> AmplitudeTrajectory:
     """Integrate the chain amplitudes phi_n(t) for a coefficient chain.
 
@@ -367,15 +400,24 @@ def evolve_amplitudes(
         Chebyshev step of order K it spans truncation + 1 sites or the last
         occupied site (phi_n^2 > 1e-30) + K + 2, whichever is more.  A
         window that reaches the end of a cut array evolves the exact finite
-        chain, which is reported whole with truncated False.  A window
-        wider than MAX_TRUNCATION sites raises NumericalError before its
-        coefficients are fetched.
+        chain, which is reported whole with truncated False.  A step that
+        needs a window wider than MAX_TRUNCATION sites is split, and one of
+        a |h| = 1 that still does not fit raises NumericalError; no
+        coefficient past the ceiling is fetched.
     tail_tol : float
         A truncated trajectory reports max(truncation + 1, r + 2) sites,
         r the last site whose amplitude |phi_r| exceeds tail_tol somewhere
         on the grid, so every amplitude it leaves out stays within
         tail_tol; tail_mass is the largest probability the window held
         past the reported sites.
+    open_end : bool
+        The array lists only the first coefficients of a longer chain (a
+        Lanczos run cut short, or a family's listed coefficients).  It is
+        evolved on a window whatever its truncation, and the window stops
+        at the array's end, whose wall is allowed while the probability in
+        the last two sites stays below tail_tol over the grid: the result
+        is truncated, with tail_mass at least that probability, and a grid
+        that moves more there raises NumericalError.
 
     Notes
     -----
@@ -391,15 +433,18 @@ def evolve_amplitudes(
         if truncation < 1:
             raise ValidationError(f"truncation must be >= 1, got {truncation}")
     tail_tol = float(tail_tol)
+    # A family lists no end to stand in for.
+    open_end = bool(open_end) and not callable(b)
 
     if not callable(b):
         b = _validate_coefficients(b)
-        if truncation is None or truncation >= b.size:
-            return AmplitudeTrajectory(t, _evolve_eigen(b, t), b, False, 0.0,
-                                       "eigen", b.size + 1)
+        if open_end and b.size == 0:
+            raise ValidationError("an open-ended chain must list a coefficient")
+        if not open_end and (truncation is None or truncation >= b.size):
+            return AmplitudeTrajectory(t, _evolve_eigen(b, t), b, False, 0.0, "eigen")
     min_sites = 1 + (truncation or 0)
-    phi, used, truncated, tail, window = _evolve_window(b, t, min_sites, tail_tol)
-    return AmplitudeTrajectory(t, phi, used, truncated, tail, "window", window)
+    phi, used, truncated, tail = _evolve_window(b, t, min_sites, tail_tol, open_end)
+    return AmplitudeTrajectory(t, phi, used, truncated, tail, "window")
 
 
 def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:

@@ -201,6 +201,24 @@ class TestEvolveCommand:
         assert code == 2
         assert "more" in err
 
+    @pytest.mark.parametrize("tmax, steps, code", [
+        ("1.8", "301", 0), ("1.8", "2", 0), ("1.9", "301", 2),
+    ])
+    def test_cut_chain_runs_until_its_end_is_reached(self, tmp_path, capsys,
+                                                     tmax, steps, code):
+        # The 256 listed coefficients of b_n = n hold the amplitude's tail
+        # below 1e-12 in their last two sites up to t = 1.8, on a fine grid
+        # or a coarse one, and no further.
+        art = tmp_path / "m.json"
+        run_cli(capsys, "model", "sl2r:eta=1", "--out", str(art))
+        got, out, err = run_cli(capsys, "bound", str(art), "--tmax", tmax,
+                                "--steps", steps)
+        assert got == code
+        if code == 0:
+            assert len(out.splitlines()) == int(steps) + 2
+        else:
+            assert err.startswith("numerical error:")
+
     def test_ensemble_input_needs_realization(self, tmp_path, capsys):
         ens = tmp_path / "e.json"
         code, _, _ = run_cli(capsys, "goe", "--dim", "3", "--count", "2",

@@ -133,6 +133,44 @@ class TestEvolution:
         with pytest.raises(NumericalError, match="MAX_TRUNCATION = 512"):
             evolve_amplitudes(lambda n: 1e12 * np.asarray(n, dtype=float), [0.0, 1.0])
 
+    def test_coarse_grid_fits_under_the_cap(self, monkeypatch):
+        # b_n = n (sl2r, eta = 1) to t = 1.65 keeps phi_n^2 > 1e-30 out to
+        # n = 454, within a ceiling of 512 sites.  A step from 0 to 1.65
+        # would need a far wider window, so it is split rather than refused:
+        # the two-point grid runs wherever the fine one does.
+        import kbound.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "MAX_TRUNCATION", 512)
+        family = lambda n: np.asarray(n, dtype=float)
+        fine = evolve_amplitudes(family, np.linspace(0.0, 1.65, 301))
+        coarse = evolve_amplitudes(family, [0.0, 1.65])
+        closed = np.tanh(1.65) ** np.arange(coarse.sites) / np.cosh(1.65)
+        np.testing.assert_allclose(coarse.phi[-1], closed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fine.phi[-1, :coarse.sites], coarse.phi[-1],
+                                   rtol=0, atol=1e-12)
+
+    def test_open_ended_array_stops_at_its_end(self):
+        # 256 listed coefficients of b_n = n: their end stands in for the
+        # rest while the last two sites hold less than tail_tol, as they do
+        # up to t = 1.8, and a grid that moves more there is refused.  Up
+        # to then the amplitudes are those of the closed 257-site chain,
+        # whose reflection moves them by up to 2.4e-7 from the infinite
+        # chain's, within the amplitude of 1e-6 that tail_tol lets the wall
+        # carry.
+        b = np.arange(1.0, 257.0)
+        times = np.linspace(0.0, 1.8, 301)
+        traj = evolve_amplitudes(b, times, truncation=256, open_end=True)
+        assert traj.method == "window"
+        assert traj.truncated
+        assert traj.sites == 257
+        assert 0.0 < traj.tail_mass < 1e-12
+        np.testing.assert_allclose(traj.phi[::50], chain_amplitudes(b, times[::50]),
+                                   rtol=0, atol=1e-12)
+        closed = np.tanh(1.8) ** np.arange(257) / np.cosh(1.8)
+        np.testing.assert_allclose(traj.phi[-1], closed, rtol=0, atol=1e-6)
+        with pytest.raises(NumericalError, match="lists 256 coefficients"):
+            evolve_amplitudes(b, np.linspace(0.0, 1.9, 301), open_end=True)
+
     def test_array_chain_out_of_memory(self, monkeypatch):
         # An array chain is evolved at its full length; where the machine
         # cannot hold it, the error names the size instead of numpy's bare
@@ -306,18 +344,31 @@ class RecordingFamily:
         return np.sqrt(n * (n + 100.0))
 
 
-def test_family_is_asked_once_per_coefficient_and_only_inside_the_window():
+@pytest.mark.parametrize("points", [201, 2])
+def test_family_is_asked_once_per_coefficient_and_only_inside_the_window(
+        monkeypatch, points):
+    import kbound.dynamics as dyn
+
+    windows = []
+    step = dyn._chebyshev_step
+
+    def recording_step(phi, bonds, coef):
+        windows.append(phi.size)
+        return step(phi, bonds, coef)
+
+    monkeypatch.setattr(dyn, "_chebyshev_step", recording_step)
     family = RecordingFamily()
-    traj = evolve_amplitudes(family, np.linspace(0.0, 2.0, 201))
+    traj = evolve_amplitudes(family, np.linspace(0.0, 2.0, points))
     asked = np.concatenate(family.requested)
     # Every coefficient once, in order: the blocks tile 1 .. max.
     np.testing.assert_array_equal(asked, np.arange(1, asked.size + 1))
-    # Never past the widest window, and that window stays within one step's
-    # spread of the amplitude's reach: by t = 2 the closed form has
-    # phi_n^2 > 1e-30 up to n = 3471, and a step of 0.01 has order K ~ 120.
-    assert asked[-1] <= traj.window - 1
-    assert traj.window < 4000
-    assert traj.sites <= traj.window
+    # Never past the widest window a step ran on, also where a coarse grid
+    # splits its steps, and that window stays within one step's spread of
+    # the amplitude's reach: by t = 2 the closed form has phi_n^2 > 1e-30
+    # up to n = 3471.
+    assert asked[-1] <= max(windows) - 1
+    assert max(windows) < 4000
+    assert traj.sites <= max(windows)
 
 
 def test_window_memory_stays_linear():
