@@ -13,9 +13,7 @@ from .operators import (
     HermitianMatrix,
     InnerProductSpec,
     OperatorVector,
-    apply_liouvillian,
     as_hermitian,
-    build_superoperator,
     inner_product,
     load_hamiltonian,
     load_matrix,
@@ -54,8 +52,6 @@ from .algebras import (
     model_amplitudes,
     model_observables,
     parse_model_spec,
-    saturated_complexity,
-    saturating_b,
 )
 from .ensembles import (
     EnsembleResult,
@@ -87,9 +83,7 @@ __all__ = [
     "ReorthPolicy",
     "ValidationError",
     "anticommutator_expectation",
-    "apply_liouvillian",
     "as_hermitian",
-    "build_superoperator",
     "classify_algebra",
     "closure_test",
     "complexity_profile",

@@ -45,8 +45,15 @@ def json_field(payload: dict, key: str, convert, path, expected: str):
     """
     try:
         return convert(payload[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
         raise ValidationError(f"{path}: field {key!r} must be {expected}") from exc
+
+
+def json_bool(value) -> bool:
+    """A JSON boolean as itself; TypeError for anything else (such as "false")."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
 
 
 def finite_or_none(x) -> float | None:

@@ -17,9 +17,15 @@ law, distinguished by the sign of alpha:
     alpha > 0   b_n = nu sqrt(n (n - 1 + eta)),
                 K = eta sinh^2(nu t)                  (sl2r)
 
-For all three the amplitude distribution over sites is known in closed form
-(binomial, Poisson, negative binomial), which this module evaluates in log
-space so chains with thousands of sites neither overflow nor underflow.
+:class:`AlgebraModel` is the one closed-form layer: ``from_rates`` maps a
+rate pair (alpha, gamma) to its family member, ``b`` gives its chain,
+:func:`model_observables` its closed-form K(t) and Delta K(t), and
+:func:`model_amplitudes` its amplitudes.  For all three the amplitude
+distribution over sites is known in closed form (binomial, Poisson,
+negative binomial), which is evaluated in log space so chains with
+thousands of sites neither overflow nor underflow; the infinite families
+are cut where that distribution leaves less than TAIL_TOL past the last
+site.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, nbdtrik, pdtrc, pdtrik
 
 from .errors import NumericalError, ValidationError
 from ._util import validate_times
@@ -40,21 +46,16 @@ from .dynamics import (
 )
 
 CLOSURE_TOL = 1e-8
-MODEL_TAIL_TOL = 1e-9
-DEFAULT_MODEL_START = 64
 MAX_MODEL_SITES = 1 << 22
 _HALF_INTEGER_TOL = 1e-6
 
 __all__ = [
     "CLOSURE_TOL",
-    "MODEL_TAIL_TOL",
     "AlgebraModel",
     "parse_model_spec",
-    "saturating_b",
     "ClosureReport",
     "closure_test",
     "classify_algebra",
-    "saturated_complexity",
     "model_amplitudes",
     "model_observables",
 ]
@@ -121,7 +122,8 @@ class AlgebraModel:
 
         alpha < 0 implies the finite chain D = 2j + 1 with j = gamma/|alpha|;
         D may be omitted but must agree when given.  alpha >= 0 families are
-        infinite, so finite D is rejected there.
+        infinite, so finite D is rejected there.  An alpha > 0 below
+        gamma * 2^-104 gives hw, whose chain it equals to double precision.
         """
         alpha = float(alpha)
         gamma = float(gamma)
@@ -145,7 +147,10 @@ class AlgebraModel:
             return model
         if D is not None:
             raise ValidationError("finite D requires alpha < 0")
-        if alpha == 0.0:
+        # Below this alpha the term alpha n (n - 1) / 4 rounds away beside
+        # gamma n / 2 at every index n < 2^52, and eta = 2 gamma / alpha
+        # could overflow b_n^2: the chain is the hw one to double precision.
+        if alpha <= gamma * 2.0**-104:
             return cls.hw(math.sqrt(gamma / 2.0))
         return cls.sl2r(2.0 * gamma / alpha, math.sqrt(alpha) / 2.0)
 
@@ -175,12 +180,14 @@ class AlgebraModel:
     def b(self, n):
         """Coefficients b_n; n is a 1-based integer scalar or array."""
         ns = np.asarray(n, dtype=np.float64)
-        if np.any(ns < 1):
-            raise ValidationError("n must be >= 1")
+        if np.any(ns < 1) or np.any(ns != np.round(ns)):
+            raise ValidationError("n must be integer >= 1")
         if self.kind == "su2":
-            if np.any(ns > self.D - 1):
+            past = ns > self.D - 1
+            if np.any(past):
                 raise ValidationError(
-                    f"n must be <= D - 1 = {self.D - 1} for this su2 chain"
+                    f"n = {ns[past].min():g} is past the end of this su2 chain "
+                    f"(n must be <= D - 1 = {self.D - 1})"
                 )
             vals = self.nu * np.sqrt(ns * (2.0 * self.j + 1.0 - ns))
         elif self.kind == "hw":
@@ -252,35 +259,6 @@ def parse_model_spec(text: str) -> AlgebraModel:
     if keys:
         raise ValidationError(f"model spec has unknown keys {sorted(keys)!r}")
     return model
-
-
-def saturating_b(alpha: float, gamma: float, n):
-    """b_n of the saturating law, b_n^2 = alpha n (n-1) / 4 + gamma n / 2.
-
-    n may be a scalar or array of 1-based integer indices; a non-positive
-    radicand (n beyond the finite chain when alpha < 0) is rejected.
-    """
-    alpha = float(alpha)
-    gamma = float(gamma)
-    if not np.isfinite(alpha) or not np.isfinite(gamma):
-        raise ValidationError("alpha and gamma must be finite")
-    if gamma <= 0.0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    ns = np.asarray(n, dtype=np.float64)
-    if np.any(ns < 1) or np.any(ns != np.round(ns)):
-        raise ValidationError("n must be integer >= 1")
-    radicand = 0.25 * alpha * ns * (ns - 1.0) + 0.5 * gamma * ns
-    if np.any(radicand <= 0.0):
-        flat = radicand.ravel()
-        bad = int(ns.ravel()[int(np.argmax(flat <= 0.0))])
-        raise ValidationError(
-            f"saturating law undefined at n = {bad}: b_n^2 <= 0 "
-            "(index beyond the finite chain?)"
-        )
-    vals = np.sqrt(radicand)
-    if isinstance(n, np.ndarray):
-        return vals
-    return float(vals) if np.isscalar(n) else vals
 
 
 @dataclass(eq=False)
@@ -369,45 +347,6 @@ def classify_algebra(alpha: float, tol: float = CLOSURE_TOL) -> str:
     return "su2" if alpha < 0.0 else "sl2r"
 
 
-def saturated_complexity(alpha: float, gamma: float, times, D: int | None = None):
-    """K(t) of the saturating law with rates (alpha, gamma).
-
-        alpha > 0:  (2 gamma / alpha) sinh^2(sqrt(alpha) t / 2)
-        alpha = 0:  (gamma / 2) t^2
-        alpha < 0:  (D - 1) sin^2(omega t),  omega = sqrt(gamma / (2 (D-1)))
-
-    The finite branch needs D and checks alpha = -2 gamma / (D - 1).
-    """
-    alpha = float(alpha)
-    gamma = float(gamma)
-    if not np.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
-    t = np.asarray(times, dtype=np.float64)
-    if alpha > 0.0:
-        out = (2.0 * gamma / alpha) * np.sinh(0.5 * math.sqrt(alpha) * t) ** 2
-    elif alpha == 0.0:
-        out = 0.5 * gamma * t * t
-    else:
-        if D is None:
-            raise ValidationError("alpha < 0 requires the chain length D")
-        D = int(D)
-        if D < 2:
-            raise ValidationError(f"D must be >= 2, got {D}")
-        implied = -2.0 * gamma / (D - 1)
-        if abs(alpha - implied) > 1e-8 * max(1.0, abs(alpha)):
-            raise ValidationError(
-                f"alpha = {alpha:g} inconsistent with gamma, D "
-                f"(a finite chain needs alpha = -2 gamma / (D-1) = {implied:g})"
-            )
-        omega = math.sqrt(gamma / (2.0 * (D - 1)))
-        out = (D - 1) * np.sin(omega * t) ** 2
-    if isinstance(times, np.ndarray):
-        return out
-    return float(out) if out.ndim == 0 else out
-
-
 def _signed_log_power(base: np.ndarray, exponents: np.ndarray):
     """(log |base^e|, sign(base^e)) on the outer (t, n) grid, exact at 0^0 = 1.
 
@@ -427,23 +366,50 @@ def _signed_log_power(base: np.ndarray, exponents: np.ndarray):
     return logmag, sign
 
 
-def model_amplitudes(model: AlgebraModel, times, truncation: int | None = None) -> AmplitudeTrajectory:
+def _infinite_family_length(model: AlgebraModel, x: float) -> tuple[int, float]:
+    """(sites, tail) for hw or sl2r at |x| = nu |t|: the sites that hold all
+    but tail < TAIL_TOL of the probability, and that tail exactly.
+
+    phi_n^2 is Poisson(x^2) for hw and negative binomial (eta, sech^2 x)
+    for sl2r, so the tail past a site only grows with |x|.  The quantile k
+    at 1 - TAIL_TOL covers sites 0 .. ceil(k); one more site absorbs the
+    root finder's tolerance on k.
+    """
+    if model.kind == "hw":
+        k = pdtrik(1.0 - TAIL_TOL, x * x)
+    else:
+        with np.errstate(over="ignore"):
+            p = 1.0 / np.cosh(x) ** 2
+        # Where cosh overflows the quantile is infinite; nbdtrik would
+        # return its search bound instead.
+        k = nbdtrik(1.0 - TAIL_TOL, model.eta, p) if p > 0.0 else math.inf
+    if not k + 2.0 <= MAX_MODEL_SITES:
+        needed = f"{k + 2.0:.4g}" if math.isfinite(k) else "a non-finite number of"
+        raise NumericalError(
+            f"the {model.label()} chain needs {needed} sites to hold all but "
+            f"{TAIL_TOL:g} of its probability at nu t = {x:g}, past "
+            f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; the grid reaches times too "
+            "large to materialize"
+        )
+    sites = math.ceil(k) + 2
+    if model.kind == "hw":
+        tail = pdtrc(sites - 1, x * x)
+    else:
+        tail = betainc(sites, model.eta, math.tanh(x) ** 2)
+    return sites, float(tail)
+
+
+def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     """Closed-form amplitudes phi_n(t) for one of the three families.
 
-    su2 uses its full finite chain and is exact.  For hw and sl2r,
-    ``truncation`` sets the materialized chain length; if that leaves more
-    than MODEL_TAIL_TOL of weight in the last two sites anywhere on the
-    grid, a NumericalError is raised instead of silently clipping.  Without
-    ``truncation`` the length grows automatically until the tail clears
-    TAIL_TOL.
+    su2 uses its full finite chain and is exact.  hw and sl2r are cut where
+    their site distribution at the largest |t| of the grid leaves less than
+    TAIL_TOL past the last site; that probability is the trajectory's
+    tail_mass.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
     t = validate_times(times)
-    if truncation is not None:
-        truncation = int(truncation)
-        if truncation < 1:
-            raise ValidationError(f"truncation must be >= 1, got {truncation}")
 
     x = model.nu * t
     if model.kind == "su2":
@@ -457,38 +423,19 @@ def model_amplitudes(model: AlgebraModel, times, truncation: int | None = None) 
         bchain = model.b(np.arange(1, n_sites))
         return AmplitudeTrajectory(t, phi, bchain, False, 0.0, "closed-form")
 
-    auto = truncation is None
-    count = DEFAULT_MODEL_START if auto else truncation
-    while True:
-        ns = np.arange(count, dtype=np.float64)
-        if model.kind == "hw":
-            lx, sx = _signed_log_power(x, ns)
-            logw = -0.5 * gammaln(ns + 1.0)
-            envelope = -0.5 * x * x
-            phi = sx * np.exp(logw[None, :] + lx + envelope[:, None])
-        else:
-            eta = model.eta
-            lth, sth = _signed_log_power(np.tanh(x), ns)
-            logw = 0.5 * (gammaln(ns + eta) - gammaln(ns + 1.0) - gammaln(eta))
-            envelope = -eta * np.log(np.cosh(x))
-            phi = sth * np.exp(logw[None, :] + lth + envelope[:, None])
-        tail = float(np.max(np.sum(phi[:, -2:] ** 2, axis=1)))
-        if auto:
-            if tail < TAIL_TOL:
-                break
-            count *= 2
-            if count > MAX_MODEL_SITES:
-                raise NumericalError(
-                    f"model chain exceeded {MAX_MODEL_SITES} sites with tail mass "
-                    f"{tail:.3e}; the grid reaches times too large to materialize"
-                )
-        else:
-            if tail > MODEL_TAIL_TOL:
-                raise NumericalError(
-                    f"truncation = {count} leaves tail mass {tail:.3e} > "
-                    f"{MODEL_TAIL_TOL:g}; increase truncation"
-                )
-            break
+    count, tail = _infinite_family_length(model, float(np.max(np.abs(x))))
+    ns = np.arange(count, dtype=np.float64)
+    if model.kind == "hw":
+        lx, sx = _signed_log_power(x, ns)
+        logw = -0.5 * gammaln(ns + 1.0)
+        envelope = -0.5 * x * x
+        phi = sx * np.exp(logw[None, :] + lx + envelope[:, None])
+    else:
+        eta = model.eta
+        lth, sth = _signed_log_power(np.tanh(x), ns)
+        logw = 0.5 * (gammaln(ns + eta) - gammaln(ns + 1.0) - gammaln(eta))
+        envelope = -eta * np.log(np.cosh(x))
+        phi = sth * np.exp(logw[None, :] + lth + envelope[:, None])
     bchain = model.b(np.arange(1, count))
     return AmplitudeTrajectory(t, phi, bchain, True, tail, "closed-form")
 
@@ -502,9 +449,7 @@ def model_observables(model: AlgebraModel, times) -> ComplexityProfile:
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
-    t = np.asarray(times, dtype=np.float64).ravel()
-    if t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValidationError("times must be a non-empty finite array")
+    t = validate_times(times)
     x = model.nu * t
     if model.kind == "su2":
         j = model.j

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import finite_or_none, json_field, load_json_object, open_write
+from ._util import finite_or_none, json_bool, json_field, load_json_object, open_write
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["RunConfig", "run_command", "main"]
@@ -159,7 +159,9 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     D = None
     if payload.get("D") is not None:
         D = json_field(payload, "D", int, path, "an integer")
-    truncated = bool(payload.get("truncated", False))
+    truncated = False
+    if payload.get("truncated") is not None:
+        truncated = json_field(payload, "truncated", json_bool, path, "true or false")
     cut = truncated or D is None or D != b.size + 1
     return b, D, cut
 
@@ -263,6 +265,7 @@ def _cmd_evolve(config: RunConfig) -> int:
         payload = {
             "t": _float_list(traj.times),
             "b": _float_list(traj.b),
+            "method": traj.method,
             "truncated": bool(traj.truncated),
             "tail_mass": float(traj.tail_mass),
             "phi": [_float_list(row) for row in traj.phi],

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import json_field, load_json_object, open_write
+from ._util import json_bool, json_field, load_json_object, open_write
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -467,27 +467,43 @@ def load_result_json(path) -> LanczosResult:
     for key in ("b", "D", "dim"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
-    beta = float(payload.get("beta", 0.0))
+
+    def field(key, convert, expected, default=None):
+        if payload.get(key) is None:
+            return default
+        return json_field(payload, key, convert, path, expected)
+
+    dim = json_field(payload, "dim", int, path, "an integer")
+    D = json_field(payload, "D", int, path, "an integer")
+    beta = field("beta", float, "a finite number >= 0", 0.0)
+    if not 0.0 <= beta < math.inf:
+        raise ValidationError(f"{path}: field 'beta' must be a finite number >= 0")
+    normalization = field("normalization", float, "a number or null")
     if beta > 0.0:
-        spec = InnerProductSpec.unbound(beta, payload.get("normalization"))
+        spec = InnerProductSpec.unbound(beta, normalization)
     else:
-        spec = InnerProductSpec(0.0, payload.get("normalization"))
-    basis = None
-    if "basis" in payload:
-        basis = np.array(payload["basis"]["re"], dtype=np.float64) + 1j * np.array(
-            payload["basis"]["im"], dtype=np.float64
+        spec = InnerProductSpec(0.0, normalization)
+    basis = field(
+        "basis",
+        lambda v: (np.array(v["re"], dtype=np.float64)
+                   + 1j * np.array(v["im"], dtype=np.float64)),
+        "an object of numeric arrays 're' and 'im'",
+    )
+    if basis is not None and basis.shape != (D, dim * dim):
+        raise ValidationError(
+            f"{path}: field 'basis' has shape {basis.shape}, expected ({D}, {dim * dim})"
         )
     return LanczosResult(
         b=json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
                      "a numeric list"),
-        D=json_field(payload, "D", int, path, "an integer"),
-        dim=json_field(payload, "dim", int, path, "an integer"),
+        D=D,
+        dim=dim,
         spec=spec,
         basis=basis,
-        ortho_error=payload.get("ortho_error"),
-        truncated=bool(payload.get("truncated", False)),
-        halt_tol=float(payload.get("halt_tol", DEFAULT_HALT_TOL)),
-        reorth_passes=payload.get("reorth_passes"),
+        ortho_error=field("ortho_error", float, "a number or null"),
+        truncated=field("truncated", json_bool, "true or false", False),
+        halt_tol=field("halt_tol", float, "a number", DEFAULT_HALT_TOL),
+        reorth_passes=field("reorth_passes", int, "an integer or null"),
     )
 
 

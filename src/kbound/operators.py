@@ -1,11 +1,11 @@
-"""Vectorized operators, inner-product families, and the commutator superoperator.
+"""Vectorized operators and the inner-product family.
 
 Operators on a d-dimensional Hilbert space are treated as vectors in the
 d^2-dimensional Liouville space.  This module fixes the conventions the rest
 of the package relies on:
 
-* matrices are vectorized column-major (Fortran order), so that
-  ``vec(H A - A H) = (I (x) H - H^T (x) I) vec(A)``;
+* matrices are vectorized column-major (Fortran order): component
+  ``j + d*i`` is the (j, i) entry;
 * the inner product is ``<A|B> = nu0 * Tr(A^dag B)`` at beta = 0, with the
   normalization nu0 defaulting to 1/d (identity has unit norm), and the
   symmetrically weighted thermal form
@@ -13,6 +13,8 @@ of the package relies on:
 
 Both members of the family make the Liouvillian L = [H, .] self-adjoint,
 which is what keeps the Lanczos recursion two-term with real coefficients.
+``lanczos`` applies L in the eigenbasis of H, where it is the elementwise
+multiply by E_i - E_j; no dense d^2 x d^2 superoperator is ever formed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import ValidationError
 from ._util import load_json_object, open_write
 
 HERMITICITY_TOL = 1e-12
-SUPEROP_MAX_DIM = 64
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -34,7 +35,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 __all__ = [
     "HERMITICITY_TOL",
-    "SUPEROP_MAX_DIM",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -42,9 +42,7 @@ __all__ = [
     "InnerProductSpec",
     "OperatorVector",
     "as_hermitian",
-    "apply_liouvillian",
     "inner_product",
-    "build_superoperator",
     "load_matrix",
     "save_matrix",
     "load_hamiltonian",
@@ -217,18 +215,6 @@ class OperatorVector:
         return float(np.sqrt(max(val.real, 0.0)))
 
 
-def apply_liouvillian(hamiltonian, operator: OperatorVector) -> OperatorVector:
-    """[H, A], returned in the same vectorized representation as ``operator``."""
-    H = as_hermitian(hamiltonian)
-    if H.dim != operator.dim:
-        raise ValidationError(
-            f"hamiltonian dim {H.dim} does not match operator dim {operator.dim}"
-        )
-    A = operator.to_matrix()
-    C = H.entries @ A - A @ H.entries
-    return OperatorVector(C.ravel(order="F"), operator.dim, operator.spec)
-
-
 def _thermal_product(spec: InnerProductSpec, A: np.ndarray, B: np.ndarray) -> complex:
     V = spec._vectors
     w = spec._weights
@@ -257,22 +243,6 @@ def inner_product(a: OperatorVector, b: OperatorVector,
             f"does not match operand dim {a.dim}"
         )
     return _thermal_product(spec, a.to_matrix(), b.to_matrix())
-
-
-def build_superoperator(hamiltonian, max_dim: int = SUPEROP_MAX_DIM) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of L = [H, .] in the column-major convention.
-
-    Meant for cross-checks at small d; refuses d > max_dim so a careless
-    call cannot allocate gigabytes.
-    """
-    H = as_hermitian(hamiltonian)
-    if H.dim > max_dim:
-        raise ValidationError(
-            f"dense superoperator needs d <= {max_dim}, got d = {H.dim}"
-        )
-    d = H.dim
-    eye = np.eye(d, dtype=np.complex128)
-    return np.kron(eye, H.entries) - np.kron(H.entries.T, eye)
 
 
 def save_matrix(path, matrix) -> None:

@@ -12,10 +12,8 @@ from kbound.algebras import (
     model_amplitudes,
     model_observables,
     parse_model_spec,
-    saturated_complexity,
-    saturating_b,
 )
-from kbound.dynamics import complexity_profile, evolve_amplitudes
+from kbound.dynamics import TAIL_TOL, complexity_profile, evolve_amplitudes
 from kbound.errors import NumericalError, ValidationError
 
 
@@ -135,26 +133,43 @@ class TestParseModelSpec:
                 parse_model_spec(bad)
 
 
+def _law(alpha, gamma, n):
+    """b_n of the saturating law, evaluated here from (alpha, gamma)."""
+    n = np.asarray(n, dtype=np.float64)
+    return np.sqrt(0.25 * alpha * n * (n - 1.0) + 0.5 * gamma * n)
+
+
 class TestSaturatingLaw:
     def test_matches_family_chains(self):
         n = np.arange(1, 30)
         for m in (AlgebraModel.hw(1.3), AlgebraModel.sl2r(2.5, 0.7)):
             np.testing.assert_allclose(
-                saturating_b(m.alpha, m.gamma, n), m.b(n), rtol=1e-13
+                AlgebraModel.from_rates(m.alpha, m.gamma).b(n),
+                _law(m.alpha, m.gamma, n), rtol=1e-13
             )
         m = AlgebraModel.su2(10.0, 1.1)
         n = np.arange(1, m.D)
         np.testing.assert_allclose(
-            saturating_b(m.alpha, m.gamma, n), m.b(n), rtol=1e-13
+            AlgebraModel.from_rates(m.alpha, m.gamma).b(n),
+            _law(m.alpha, m.gamma, n), rtol=1e-13
         )
 
     def test_rejects_indices_past_the_finite_chain(self):
         with pytest.raises(ValidationError, match="n = 100"):
-            saturating_b(-4.0, 198.0, np.arange(1, 101))
+            AlgebraModel.from_rates(-4.0, 198.0).b(np.arange(1, 101))
 
     def test_rejects_non_integer_index(self):
         with pytest.raises(ValidationError):
-            saturating_b(0.0, 2.0, 1.5)
+            AlgebraModel.from_rates(0.0, 2.0).b(1.5)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 2.2250738585072014e-308, 1e-40])
+    def test_alpha_below_resolution_is_hw(self, alpha):
+        # eta = 2 gamma / alpha overflows (or nearly), while the alpha term
+        # of b_n^2 is below rounding at any index a chain can reach.
+        m = AlgebraModel.from_rates(alpha, 0.1)
+        assert m.kind == "hw"
+        n = np.arange(1, 51)
+        np.testing.assert_allclose(m.b(n), _law(alpha, 0.1, n), rtol=1e-15)
 
 
 class TestClosureTest:
@@ -202,7 +217,7 @@ class TestClosureTest:
     def test_scale_relative_tolerance(self):
         # A chain 100x larger has f values 1e4 larger; the same relative
         # wiggle must not flip the verdict.
-        b = saturating_b(0.5, 3.0, np.arange(1, 20))
+        b = AlgebraModel.from_rates(0.5, 3.0).b(np.arange(1, 20))
         assert closure_test(b * 100.0).closed
 
     def test_classification(self):
@@ -219,33 +234,50 @@ class TestClosureTest:
     count=st.integers(min_value=3, max_value=50),
 )
 def test_saturating_chains_always_close(alpha, gamma, count):
-    b = saturating_b(alpha, gamma, np.arange(1, count + 1))
+    b = AlgebraModel.from_rates(alpha, gamma).b(np.arange(1, count + 1))
     rep = closure_test(b)
     assert rep.closed
     assert rep.alpha == pytest.approx(alpha, abs=1e-9 * max(1.0, gamma))
 
 
 class TestSaturatedComplexity:
+    """K(t) of the saturating law, reached from the rates (alpha, gamma)."""
+
+    @staticmethod
+    def _complexity(alpha, gamma, t, D=None):
+        return model_observables(AlgebraModel.from_rates(alpha, gamma, D), t).complexity
+
     def test_three_branches(self):
         t = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(
-            saturated_complexity(4.0, 202.0, t), 101.0 * np.sinh(t) ** 2, rtol=1e-13
+            self._complexity(4.0, 202.0, t), 101.0 * np.sinh(t) ** 2, rtol=1e-13
         )
         np.testing.assert_allclose(
-            saturated_complexity(0.0, 200.0, t), 100.0 * t * t, rtol=1e-13
+            self._complexity(0.0, 200.0, t), 100.0 * t * t, rtol=1e-13
         )
         np.testing.assert_allclose(
-            saturated_complexity(-4.0, 198.0, t, D=100), 99.0 * np.sin(t) ** 2,
+            self._complexity(-4.0, 198.0, t, D=100), 99.0 * np.sin(t) ** 2,
             rtol=1e-12, atol=1e-12,
         )
 
     def test_finite_branch_requires_d(self):
-        with pytest.raises(ValidationError):
-            saturated_complexity(-4.0, 198.0, [0.0, 1.0])
+        # alpha < 0 fixes the chain length D = 1 + 2 gamma / |alpha|, which
+        # must be whole; K is then (D - 1) sin^2(omega t) with
+        # omega = sqrt(gamma / (2 (D - 1))).
+        with pytest.raises(ValidationError, match="half-integer"):
+            AlgebraModel.from_rates(-4.0, 197.0)
+        t = np.linspace(0.0, 2.0, 9)
+        for alpha, gamma, D in ((-4.0, 198.0, 100), (-0.5, 3.25, 14)):
+            assert AlgebraModel.from_rates(alpha, gamma).D == D
+            omega = math.sqrt(gamma / (2.0 * (D - 1)))
+            np.testing.assert_allclose(
+                self._complexity(alpha, gamma, t), (D - 1) * np.sin(omega * t) ** 2,
+                rtol=1e-12, atol=1e-12,
+            )
 
     def test_inconsistent_rates_rejected(self):
         with pytest.raises(ValidationError):
-            saturated_complexity(-4.0, 198.0, [0.0, 1.0], D=50)
+            self._complexity(-4.0, 198.0, [0.0, 1.0], D=50)
 
 
 class TestModelAmplitudes:
@@ -290,12 +322,36 @@ class TestModelAmplitudes:
         m = AlgebraModel.sl2r(1.0)
         traj = model_amplitudes(m, np.array([0.0, 2.0, 4.0]))
         assert traj.sites >= 1000
-        np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
+                                   atol=1e-10)
 
-    def test_explicit_truncation_too_small(self):
-        with pytest.raises(NumericalError, match="truncation"):
-            model_amplitudes(AlgebraModel.hw(1.0), np.array([0.0, 5.0]),
-                             truncation=8)
+    def test_tail_mass_bounds_the_geometric_tail(self):
+        # sl2r at eta = 1 puts tanh^(2n) x sech^2 x on site n: the mass
+        # past the last of N sites is exactly tanh^(2N) x.
+        traj = model_amplitudes(AlgebraModel.sl2r(1.0), np.array([0.0, 2.0, 4.0]))
+        assert TAIL_TOL > traj.tail_mass >= math.tanh(4.0) ** (2 * traj.sites)
+        np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
+                                   atol=2e-12)
+
+    def test_tail_mass_is_the_poisson_tail(self):
+        # hw puts the Poisson(x^2) weights e^{-x^2} x^{2n} / n! on site n.
+        m = AlgebraModel.hw(0.9)
+        traj = model_amplitudes(m, np.linspace(0.0, 3.0, 25))
+        lam = (0.9 * 3.0) ** 2
+        past = math.fsum(
+            math.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0))
+            for n in range(traj.sites, traj.sites + 200)
+        )
+        assert traj.tail_mass == pytest.approx(past, rel=1e-9, abs=0.0)
+        assert traj.tail_mass < TAIL_TOL
+        np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
+                                   atol=2e-12)
+
+    def test_grid_past_the_site_cap(self):
+        with pytest.raises(NumericalError, match="MAX_MODEL_SITES"):
+            model_amplitudes(AlgebraModel.hw(1.0), np.array([0.0, 1e4]))
+        with pytest.raises(NumericalError, match="non-finite"):
+            model_amplitudes(AlgebraModel.sl2r(2.0), np.array([0.0, 1e3]))
 
     def test_time_grid_validation(self):
         with pytest.raises(ValidationError):

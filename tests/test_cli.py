@@ -62,6 +62,7 @@ class TestExitCodes:
         ({"realizations": [1, 2]}, ["--realization", "0"], "realization 0"),
         ({"b": "x"}, [], "field 'b'"),
         ({"b": [1.0, 2.0], "D": "two"}, [], "field 'D'"),
+        ({"b": [1.0, 2.0], "truncated": "false"}, [], "field 'truncated'"),
     ])
     def test_malformed_chain_fields_are_input_errors(self, tmp_path, capsys,
                                                      payload, extra, field):
@@ -176,6 +177,7 @@ class TestEvolveCommand:
                                "--tmax", "1", "--steps", "3")
         assert code == 0
         d = json.loads(out)
+        assert d["method"] == "eigen"
         assert d["truncated"] is False
         assert len(d["phi"]) == 3
         np.testing.assert_allclose(d["phi"][2], [math.cos(1.0), math.sin(1.0)],
@@ -192,6 +194,17 @@ class TestEvolveCommand:
         d = json.loads(out)
         phi = np.array(d["phi"])
         np.testing.assert_allclose(np.sum(phi**2, axis=1), 1.0, atol=1e-10)
+
+    def test_json_reports_how_a_cut_chain_was_evolved(self, tmp_path, capsys):
+        art = tmp_path / "m.json"
+        run_cli(capsys, "model", "hw:nu=1", "--coeffs", "64", "--out", str(art))
+        code, out, _ = run_cli(capsys, "evolve", str(art), "--format", "json",
+                               "--tmax", "1", "--steps", "3")
+        assert code == 0
+        d = json.loads(out)
+        assert d["method"] == "window"
+        assert d["truncated"] is True
+        assert 0.0 <= d["tail_mass"] < 1e-12
 
     def test_exhausted_artifact_chain(self, tmp_path, capsys):
         # 10 listed coefficients cannot cover the spread at t = 10.

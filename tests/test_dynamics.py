@@ -19,7 +19,7 @@ from kbound.dynamics import (
     short_time_coefficients,
     _sixth_coefficient,
 )
-from kbound.algebras import AlgebraModel, model_amplitudes
+from kbound.algebras import AlgebraModel, model_amplitudes, model_observables
 from kbound.ensembles import GoeSpec, goe_sample, run_ensemble, uniform_observable
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import run_lanczos
@@ -207,6 +207,8 @@ def test_time_grids_share_one_validator(grid, problem):
         evolve_amplitudes(QUBIT_B, grid)
     with pytest.raises(ValidationError, match=f"^times .*{problem}"):
         model_amplitudes(AlgebraModel.hw(), grid)
+    with pytest.raises(ValidationError, match=f"^times .*{problem}"):
+        model_observables(AlgebraModel.hw(), grid)
     with pytest.raises(ValidationError, match=f"^profile_times .*{problem}"):
         run_ensemble(GoeSpec(dim=4), profile_times=grid)
 

@@ -445,6 +445,16 @@ class TestSerialization:
         ({"b": "x", "D": 2, "dim": 2}, "'b'"),
         ({"b": [1.0], "D": "two", "dim": 2}, "'D'"),
         ({"b": [1.0], "D": 2, "dim": [2]}, "'dim'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "beta": "hot"}, "'beta'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "beta": -1.0}, "'beta'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "halt_tol": "x"}, "'halt_tol'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "normalization": "x"}, "'normalization'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "basis": [1]}, "'basis'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "basis": {"re": [[1.0]]}}, "'basis'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "basis": {"re": [1.0], "im": [0.0]}},
+         "'basis'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "truncated": "false"}, "'truncated'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "ortho_error": "x"}, "'ortho_error'"),
     ])
     def test_malformed_fields_name_file_and_field(self, tmp_path, payload, field):
         path = tmp_path / "res.json"

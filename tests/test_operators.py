@@ -10,18 +10,13 @@ from kbound.operators import (
     HermitianMatrix,
     InnerProductSpec,
     OperatorVector,
-    apply_liouvillian,
     as_hermitian,
-    build_superoperator,
     inner_product,
     load_hamiltonian,
     load_matrix,
     save_matrix,
 )
 from oracles import random_hermitian, thermal_trace_product, trace_product
-
-SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-SZ = np.diag([1.0, -1.0])
 
 
 class TestHermitianMatrix:
@@ -140,19 +135,20 @@ class TestInnerProduct:
         assert op.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestLiouvillian:
-    def test_qubit_commutator(self):
-        op = OperatorVector.from_matrix(SX)
-        out = apply_liouvillian(SZ, op).to_matrix()
-        np.testing.assert_allclose(out, SZ @ SX - SX @ SZ, atol=1e-15)
+def _commutator(H, A: OperatorVector) -> OperatorVector:
+    """[H, A] in the representation of A."""
+    M = A.to_matrix()
+    return OperatorVector.from_matrix(H @ M - M @ H, A.spec)
 
+
+class TestLiouvillian:
     def test_self_adjoint_flat(self, rng):
         d = 4
         H = random_hermitian(rng, d)
         A = OperatorVector.from_matrix(random_hermitian(rng, d))
         B = OperatorVector.from_matrix(random_hermitian(rng, d))
-        lhs = inner_product(A, apply_liouvillian(H, B))
-        rhs = inner_product(apply_liouvillian(H, A), B)
+        lhs = inner_product(A, _commutator(H, B))
+        rhs = inner_product(_commutator(H, A), B)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_self_adjoint_thermal(self, rng):
@@ -161,28 +157,9 @@ class TestLiouvillian:
         spec = InnerProductSpec(beta=1.1, hamiltonian=H)
         A = OperatorVector.from_matrix(random_hermitian(rng, d), spec)
         B = OperatorVector.from_matrix(random_hermitian(rng, d), spec)
-        lhs = inner_product(A, apply_liouvillian(H, B))
-        rhs = inner_product(apply_liouvillian(H, A), B)
+        lhs = inner_product(A, _commutator(H, B))
+        rhs = inner_product(_commutator(H, A), B)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_superoperator_matches_commutator(self, rng):
-        d = 3
-        H = random_hermitian(rng, d)
-        L = build_superoperator(H)
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        op = OperatorVector.from_matrix(A)
-        np.testing.assert_allclose(
-            L @ op.components, apply_liouvillian(H, op).components, atol=1e-12
-        )
-
-    def test_superoperator_dimension_cap(self, rng):
-        H = random_hermitian(rng, 5)
-        with pytest.raises(ValidationError):
-            build_superoperator(H, max_dim=4)
-
-    def test_dim_mismatch(self, rng):
-        with pytest.raises(ValidationError):
-            apply_liouvillian(SZ, OperatorVector.from_matrix(np.eye(3)))
 
 
 class TestOperatorVector:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kbound
 from kbound import cli
 from kbound._util import finite_or_none
 from kbound.ensembles import GoeSpec, ensemble_to_dict, load_ensemble_dict, run_ensemble
@@ -41,3 +46,13 @@ def test_ensemble_json_has_no_infinity():
     out = ensemble_to_dict(res)
     assert out["profile"]["ratio"][1] is None
     json.dumps(out, allow_nan=False)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import; nothing in the package
+    # needs it, and a fresh `import kbound` must not pay for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
+    code = "import sys, kbound; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
