@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @contextmanager
@@ -79,3 +79,19 @@ def validate_times(times, name: str = "times") -> np.ndarray:
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValidationError(f"{name} must be strictly increasing")
     return t
+
+
+def output_array(points: int, sites: int) -> np.ndarray:
+    """A zeroed (points, sites) float64 array for amplitudes on a time grid.
+
+    Raises NumericalError naming the grid points, the sites and the size
+    where numpy cannot allocate it, in place of a bare MemoryError.
+    """
+    try:
+        return np.zeros((points, sites))
+    except MemoryError as exc:
+        raise NumericalError(
+            f"{points} grid points by {sites} sites take "
+            f"{8 * points * sites / 1e9:.3g} GB of memory, more than is available; "
+            "use fewer grid points or a shorter grid"
+        ) from exc

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import betainc, gammaln, nbdtrik, pdtrc, pdtrik
 
 from .errors import NumericalError, ValidationError
-from ._util import validate_times
+from ._util import output_array, validate_times
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
@@ -47,6 +47,9 @@ from .dynamics import (
 
 CLOSURE_TOL = 1e-8
 MAX_MODEL_SITES = 1 << 22
+# Cells of the amplitude grid computed at once: each intermediate array of
+# model_amplitudes holds at most this many (8 MB).
+_CHUNK_CELLS = 1 << 20
 _HALF_INTEGER_TOL = 1e-6
 
 __all__ = [
@@ -405,7 +408,9 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     su2 uses its full finite chain and is exact.  hw and sl2r are cut where
     their site distribution at the largest |t| of the grid leaves less than
     TAIL_TOL past the last site; that probability is the trajectory's
-    tail_mass.
+    tail_mass.  The output is allocated first (an output the machine cannot
+    hold raises NumericalError naming its size) and filled a few rows at a
+    time, so the intermediate arrays stay small.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
@@ -413,31 +418,41 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
 
     x = model.nu * t
     if model.kind == "su2":
-        n_sites = model.D
-        ns = np.arange(n_sites, dtype=np.float64)
+        n_sites, truncated, tail = model.D, False, 0.0
+    else:
+        n_sites, tail = _infinite_family_length(model, float(np.max(np.abs(x))))
+        truncated = True
+    ns = np.arange(n_sites, dtype=np.float64)
+    if model.kind == "su2":
         twoj = 2.0 * model.j
         logbin = 0.5 * (gammaln(twoj + 1.0) - gammaln(ns + 1.0) - gammaln(twoj - ns + 1.0))
-        lc, sc = _signed_log_power(np.cos(x), twoj - ns)
-        ls, ss = _signed_log_power(np.sin(x), ns)
-        phi = sc * ss * np.exp(logbin[None, :] + lc + ls)
-        bchain = model.b(np.arange(1, n_sites))
-        return AmplitudeTrajectory(t, phi, bchain, False, 0.0, "closed-form")
 
-    count, tail = _infinite_family_length(model, float(np.max(np.abs(x))))
-    ns = np.arange(count, dtype=np.float64)
-    if model.kind == "hw":
-        lx, sx = _signed_log_power(x, ns)
+        def rows(xs):
+            lc, sc = _signed_log_power(np.cos(xs), twoj - ns)
+            ls, ss = _signed_log_power(np.sin(xs), ns)
+            return sc * ss * np.exp(logbin[None, :] + lc + ls)
+    elif model.kind == "hw":
         logw = -0.5 * gammaln(ns + 1.0)
-        envelope = -0.5 * x * x
-        phi = sx * np.exp(logw[None, :] + lx + envelope[:, None])
+
+        def rows(xs):
+            lx, sx = _signed_log_power(xs, ns)
+            envelope = -0.5 * xs * xs
+            return sx * np.exp(logw[None, :] + lx + envelope[:, None])
     else:
         eta = model.eta
-        lth, sth = _signed_log_power(np.tanh(x), ns)
         logw = 0.5 * (gammaln(ns + eta) - gammaln(ns + 1.0) - gammaln(eta))
-        envelope = -eta * np.log(np.cosh(x))
-        phi = sth * np.exp(logw[None, :] + lth + envelope[:, None])
-    bchain = model.b(np.arange(1, count))
-    return AmplitudeTrajectory(t, phi, bchain, True, tail, "closed-form")
+
+        def rows(xs):
+            lth, sth = _signed_log_power(np.tanh(xs), ns)
+            envelope = -eta * np.log(np.cosh(xs))
+            return sth * np.exp(logw[None, :] + lth + envelope[:, None])
+
+    phi = output_array(t.size, n_sites)
+    chunk = max(1, _CHUNK_CELLS // n_sites)
+    for lo in range(0, t.size, chunk):
+        phi[lo:lo + chunk] = rows(x[lo:lo + chunk])
+    bchain = model.b(np.arange(1, n_sites))
+    return AmplitudeTrajectory(t, phi, bchain, truncated, tail, "closed-form")
 
 
 def model_observables(model: AlgebraModel, times) -> ComplexityProfile:

@@ -159,6 +159,12 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     D = None
     if payload.get("D") is not None:
         D = json_field(payload, "D", int, path, "an integer")
+        # Fewer coefficients than D - 1 are the head of the chain.
+        if b.size > D - 1:
+            raise ValidationError(
+                f"{path}: field 'b' lists {b.size} coefficients, more than field "
+                f"'D' = {D} allows (D - 1 = {D - 1})"
+            )
     truncated = False
     if payload.get("truncated") is not None:
         truncated = json_field(payload, "truncated", json_bool, path, "true or false")
@@ -266,6 +272,9 @@ def _cmd_evolve(config: RunConfig) -> int:
             "t": _float_list(traj.times),
             "b": _float_list(traj.b),
             "method": traj.method,
+            "blocks": traj.blocks,
+            "terms": traj.terms,
+            "window": traj.window,
             "truncated": bool(traj.truncated),
             "tail_mass": float(traj.tail_mass),
             "phi": [_float_list(row) for row in traj.phi],
@@ -447,7 +456,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--truncation", type=int, default=None,
                    help="fewest coefficients to report (default: all a cut "
                         "chain lists); a complete chain given fewer is "
-                        "evolved on a window")
+                        "cut past the sites the amplitude reaches")
     add_grid(p)
     add_out(p)
 
@@ -456,7 +465,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--truncation", type=int, default=None,
                    help="fewest coefficients to report (default: all a cut "
                         "chain lists); a complete chain given fewer is "
-                        "evolved on a window")
+                        "cut past the sites the amplitude reaches")
     add_grid(p)
     add_out(p)
 

@@ -14,37 +14,35 @@ exact growth rate, the two-sided budget |dK/dt| <= 2 b_1 Delta K, and the
 short-time expansion whose fourth/sixth order terms set the time where
 generic chains leave the saturation regime.
 
-A complete finite chain is evolved spectrally: the (zero-diagonal,
-symmetric) tridiagonal hopping matrix T = Q diag(lambda) Q^T is
-diagonalized once and every time comes from the full spectral sum in real
-arithmetic: with the weights W_nk = (-1)^(n//2) Q_nk Q_0k,
-
-    phi_n(t) = sum_k W_nk cos(lambda_k t)    (n even),
-    phi_n(t) = sum_k W_nk sin(lambda_k t)    (n odd),
-
-two real matrix products per block of times.  All eigenpairs are used:
-pairing +lambda with -lambda through the chain's chirality halves the sum
-but fails where such a pair is degenerate to rounding.
-
-An infinite family (a callable n -> b_n), or an array cut to its first
-``truncation`` coefficients, is evolved on a window that follows the
-amplitude out along the chain.  The state steps from one grid point to the
-next, forward from t = 0 and backward for negative times, by the Chebyshev
-expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-1984):
+Every chain is evolved on a window that follows the amplitude out along
+it: a complete array, a callable family (n -> b_n), or an array cut to its
+first ``truncation`` coefficients.  The state moves from t = 0 through the
+grid, forward for positive and backward for negative times, by the
+Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 3967, 1984):
 
     exp(h A) phi = J_0(a h) phi + 2 sum_k J_k(a h) R_k,
     R_0 = phi,  R_1 = (A / a) phi,  R_{k+1} = 2 (A / a) R_k + R_{k-1},
 
 in real arithmetic, with a = 2 max b over the window bounding the spectrum
-of A and the series stopped once |J_k(a h)| falls below rounding.  An
-order-K step moves amplitude at most K sites, so before each step the
+of A and the series stopped once |J_k(a h)| falls below rounding.  The grid
+is taken in blocks: the consecutive points whose argument a |t_j - t_start|
+stays within 32 share one set of vectors R_0 .. R_K, built once for the
+widest offset, and all their rows come from one matrix product with the
+J_k(a h_j).  A gap wider than that is one block of its own, stepped by
+accumulating the series (and split where the window cannot hold it).
+Every series is divided by J_0 + 2 sum_k J_2k, which Neumann's identity
+makes 1; with the fewer steps of the blocks this keeps the norm within a
+few rounding errors.
+
+An order-K block moves amplitude at most K sites, so before each one the
 window is sized to the last occupied site + K + 2 and only the
-coefficients new to it are fetched; memory is the output plus a few
-window-length vectors.  ``MAX_TRUNCATION`` caps the window.  The window
-stops at the end of an array: there the exact chain reflects, and an array
-that lists only the first coefficients of a longer chain is used while its
-last two sites stay below the tail tolerance.
+coefficients new to it are fetched; memory is the output plus the block's
+vectors.  ``MAX_TRUNCATION`` caps the window.  The window stops at the end
+of an array: there the exact chain reflects, and an array that lists only
+the first coefficients of a longer chain is used while its last two sites
+stay below the tail tolerance.  A complete array is reported whole; the
+sites its window never reached, where |phi_n| < 1e-15, hold exact zeros.
 """
 
 from __future__ import annotations
@@ -53,11 +51,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write, validate_times
+from ._util import open_write, output_array, validate_times
 
 TAIL_TOL = 1e-12
 # Dispersion below max(this, 16 sqrt(eps) * the peak rms position) marks
@@ -65,7 +62,7 @@ TAIL_TOL = 1e-12
 # 0/0 points, and the dispersion is a difference of squares whose rounding
 # noise is sqrt(eps) * rms position, not a fixed constant.
 UNDEFINED_CUTOFF = 1e-12
-# Most sites a windowed evolution may span.  The window's vectors are small;
+# Most sites an evolution window may span.  The window's vectors are small;
 # the output holds one float64 per grid time and site (201 times over the
 # whole window take 105 MB), so this is a memory limit: a grid that needs a
 # wider window raises NumericalError before the window is fetched.
@@ -76,6 +73,12 @@ _OCCUPIED = 1e-30
 # Chebyshev terms stop once |J_k| drops below this: every R_k has norm at
 # most 1, and the J_k fall off faster than geometrically past k = a h.
 _SERIES_FLOOR = 1e-17
+# Widest series argument a |t_j - t_start| of the grid points evaluated from
+# one set of Chebyshev vectors.  On the su2 D = 100 pileup (41 points to
+# t = pi) the norm error is 1.8e-15 at 32, against 5.6e-15 with one step per
+# point and 8.1e-15 at 64, whose longer series sum more rounding; the
+# blocks' up to ~100 vectors of MAX_TRUNCATION sites take 52 MB.
+_BLOCK_ARG = 32.0
 
 # i^n, exact by table lookup
 _PHASE_POS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -105,10 +108,12 @@ class AmplitudeTrajectory:
     chain; its tail_mass is the largest probability, over the grid, that
     the evolution window held past the reported sites (each of which has
     |phi_n| <= tail_tol throughout), while exact finite chains report 0.
-    method is "eigen" (spectral sum of a complete chain), "window"
-    (Chebyshev steps on a window that follows the amplitude) or
-    "closed-form".  A grid point at exactly t = 0 carries the seed
-    e_0 = [1, 0, ..., 0] exactly, whatever the method.
+    method is "window" (Chebyshev blocks on a window that follows the
+    amplitude) or "closed-form".  A window evolution records the blocks it
+    evaluated, the Chebyshev terms summed over them (each block's order
+    K + 1) and the widest window a block ran on; a closed form records 0.
+    A grid point at exactly t = 0 carries the seed e_0 = [1, 0, ..., 0]
+    exactly, whatever the method.
     """
 
     times: np.ndarray
@@ -117,6 +122,9 @@ class AmplitudeTrajectory:
     truncated: bool
     tail_mass: float
     method: str
+    blocks: int = 0
+    terms: int = 0
+    window: int = 0
 
     @property
     def sites(self) -> int:
@@ -172,44 +180,15 @@ def _tridiag_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _evolve_eigen(b: np.ndarray, times: np.ndarray) -> np.ndarray:
-    n_sites = b.size + 1
-    if n_sites == 1:
-        return np.ones((times.size, 1))
-    # An array chain is evolved at its full length, so its memory is bounded
-    # only by the machine's.
-    try:
-        lam, Q = eigh_tridiagonal(np.zeros(n_sites), b)
-        # phi_n(t) = Re[(-i)^n sum_k Q_nk Q_0k e^{i lam_k t}], and the real part
-        # of (-i)^n e^{ix} is (-1)^(n//2) cos x for even n and (-1)^(n//2) sin x
-        # for odd n: with W_nk = (-1)^(n//2) Q_nk Q_0k, even sites are cosine
-        # sums and odd sites sine sums, all in real arithmetic.
-        Q *= Q[0].copy()
-        Q[2::4] *= -1.0
-        Q[3::4] *= -1.0
-        # Q is Fortran-ordered, so its strided row halves are copied into
-        # contiguous blocks that BLAS multiplies as they are; with Q they take
-        # 2 N^2 values, no more than the eigensolver's own peak.
-        w_even, w_odd = Q[0::2].copy(), Q[1::2].copy()
-        del Q
-        phi = np.empty((times.size, n_sites))
-        # Chunk the time axis so the work array stays modest.
-        chunk = max(1, int(2_000_000 // n_sites))
-        for lo in range(0, times.size, chunk):
-            arg = np.outer(times[lo:lo + chunk], lam)
-            phi[lo:lo + chunk, 0::2] = np.cos(arg) @ w_even.T
-            phi[lo:lo + chunk, 1::2] = np.sin(arg, out=arg) @ w_odd.T
-    except MemoryError as exc:
-        raise NumericalError(
-            f"evolving {n_sites} sites needs about 16 N^2 = "
-            f"{16 * n_sites**2 / 1e9:.3g} GB of memory, more than is available"
-        ) from exc
-    # The spectral sum at t = 0 is sum_k Q_nk Q_0k = delta_n0 only up to
-    # rounding; the initial condition is exact by definition.
-    at_zero = times == 0.0
-    phi[at_zero] = 0.0
-    phi[at_zero, 0] = 1.0
-    return phi
+def _neumann(coef: np.ndarray) -> np.ndarray:
+    """Series J_k(x) along the last axis, divided by J_0 + 2 sum_k J_2k.
+
+    Neumann's identity makes that sum 1 (Abramowitz & Stegun 9.1.46); jv
+    misses it by up to a few 1e-16, and dividing it out keeps the norm of
+    the evolved state within rounding: on sl2r eta = 1 to t = 4 over 200
+    steps the norm error falls from 2.3e-12 to 1.9e-14.
+    """
+    return coef / (coef[..., :1] + 2.0 * coef[..., 2::2].sum(axis=-1, keepdims=True))
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -218,7 +197,7 @@ def _bessel_series(x: float) -> np.ndarray:
     # 1e5, and a window of MAX_TRUNCATION sites splits steps far below that.
     top = int(x + 12.0 * x ** (1.0 / 3.0) + 32.0)
     coef = jv(np.arange(top + 1), x)
-    return coef[:max(2, np.flatnonzero(np.abs(coef) >= _SERIES_FLOOR)[-1] + 1)]
+    return _neumann(coef[:max(2, np.flatnonzero(np.abs(coef) >= _SERIES_FLOOR)[-1] + 1)])
 
 
 def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -226,12 +205,26 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.
 
     With M = 2 A / a the terms are R_1 = M phi / 2 and
     R_{k+1} = M R_k + R_{k-1}; the window has one site more than the
-    support of any R_k, so its end never reflects.
+    support of any R_k, so its end never reflects.  A 2-D coef holds one
+    series per row, for offsets h_j of one sign: the R_k are then stored as
+    a (K + 1, window) array and the rows exp(h_j A) phi come from one
+    product with them.  A 1-D coef accumulates its sum term by term.
     """
     def hop(x, out):
         out[1:] += bonds * x[:-1]
         out[:-1] -= bonds * x[1:]
         return out
+
+    if coef.ndim == 2:
+        R = np.empty((coef.shape[1], phi.size))
+        R[0] = phi
+        R[1] = 0.5 * hop(phi, np.zeros_like(phi))
+        for k in range(2, R.shape[0]):
+            R[k] = R[k - 2]
+            hop(R[k - 1], R[k])
+        weights = 2.0 * coef
+        weights[:, 0] = coef[:, 0]
+        return weights @ R
 
     prev = phi.copy()
     cur = 0.5 * hop(phi, np.zeros_like(phi))
@@ -250,15 +243,16 @@ def _last_site(phi: np.ndarray, threshold: float) -> int:
 
 
 def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
-                   open_end: bool):
-    """Chebyshev steps on a window grown as the amplitude spreads.
+                   open_end: bool, complete: bool) -> AmplitudeTrajectory:
+    """Chebyshev blocks on a window grown as the amplitude spreads.
 
     source is a family callable or a coefficient array.  The window stops
     growing at an array's last site.  The end of an exact array is a real
     wall, so a window that reaches it evolves the finite chain; the end of
     an open-ended array stands in for the coefficients it does not list,
     which holds only while the probability in its last two sites stays
-    below tail_tol.  Returns (phi, b, truncated, tail_mass).
+    below tail_tol.  A complete array is reported whole, its output
+    allocated before the first block.
     """
     family = callable(source)
     end = None if family else source.size + 1
@@ -273,6 +267,7 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
         )
     walled = False
     wall_mass = 0.0
+    blocks = terms = widest = 0
 
     def coefficients(sites: int) -> np.ndarray:
         """b_1 .. b_{sites-1}; a family is asked only for ones not yet held."""
@@ -281,34 +276,50 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
             b = np.concatenate([b, _eval_family(source, b.size + 1, sites)])
         return b[:sites - 1]
 
-    def plan(reach: int, h: float):
-        """(sites, a, J_k(a |h|), h) for the longest step up to h that fits.
+    def plan(reach: int, offsets: np.ndarray):
+        """(sites, a, J_k(a |h|), steps) for the next block.
 
-        The sites must reach K + 2 past the occupied ones, and K grows with
-        a = 2 max b over them, so the window grows until it holds the step:
-        to at most twice its first size plus 64 sites, the array's end or
-        MAX_TRUNCATION.  A step that needs more is halved until it fits the
-        window already fetched, so every coefficient fetched is evolved.
-        The series of a window has at most as many terms as it has sites,
-        and K exceeds a |h|, so that is checked before the series is
-        computed.  A window of MAX_TRUNCATION sites that cannot hold a step
-        of a |h| = 1 raises: the tail has reached the ceiling, and ever
-        shorter steps would only creep toward it.
+        offsets are the candidate grid points' offsets from the state's time,
+        of one sign and growing in size.  The block keeps those within
+        a |h| <= _BLOCK_ARG, at least the first; steps is that prefix, and h
+        its last entry, for which the series is computed.  The sites must
+        reach K + 2 past the occupied ones, and K grows with a = 2 max b
+        over them, so the window grows until it holds the block: to at most
+        twice its first size plus 64 sites, the array's end or
+        MAX_TRUNCATION.  A block that needs more drops its last point, and a
+        single point that needs more is approached by a step halved until it
+        fits the window already fetched (steps is then [h], short of the
+        point), so every coefficient fetched is evolved.  The series of a
+        window has at most as many terms as it has sites, and K exceeds
+        a |h|, so that is checked before the series is computed.  A window
+        of MAX_TRUNCATION sites that cannot hold a step of a |h| = 1 raises:
+        the tail has reached the ceiling, and ever shorter steps would only
+        creep toward it.
         """
         sites = min(max(min_sites, reach + 2), cap)
         top = min(2 * sites + 64, cap)
+        steps, x = offsets, None
+
+        def shorten(steps):
+            return steps[:-1] if steps.size > 1 else 0.5 * steps
+
         while True:
             a = 2.0 * float(coefficients(sites).max())
-            if a * abs(h) > top:
-                h *= 0.5
+            while steps.size > 1 and a * abs(steps[-1]) > _BLOCK_ARG:
+                steps = steps[:-1]
+            if a * abs(steps[-1]) > top:
+                steps = shorten(steps)
                 continue
-            coef = _bessel_series(a * abs(h))
+            if a * abs(steps[-1]) != x:
+                # A wider window with the same a reuses its series.
+                x = a * abs(steps[-1])
+                coef = _bessel_series(x)
             need = reach + coef.size + 1
             if need <= sites or sites == end:
-                return sites, a, coef, h
+                return sites, a, coef, steps
             if sites < top:
                 sites = min(need, top)
-            elif top == MAX_TRUNCATION and a * abs(h) <= 1.0:
+            elif top == MAX_TRUNCATION and x <= 1.0 and steps.size == 1:
                 raise NumericalError(
                     f"the amplitude's tail needs a window of more than {top} "
                     f"sites, past MAX_TRUNCATION = {MAX_TRUNCATION}; the grid "
@@ -316,45 +327,88 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
                     "memory limit"
                 )
             else:
-                h *= 0.5
+                steps = shorten(steps)
 
+    out = output_array(times.size, end) if complete else None
     rows = [None] * times.size
 
+    def record(k: int, row: np.ndarray) -> int:
+        """Keep row as phi(times[k]) up to its last occupied site; return that site."""
+        nonlocal wall_mass
+        reach = _last_site(row, _OCCUPIED)
+        if complete:
+            out[k, :reach + 1] = row[:reach + 1]
+        else:
+            rows[k] = row[:reach + 1].copy()
+        if open_end:
+            last = row[:reach + 1][end - 2:]
+            wall_mass = max(wall_mass, float(last @ last))
+            if wall_mass >= tail_tol:
+                raise NumericalError(
+                    f"the chain lists {end - 1} coefficients, and by t = "
+                    f"{times[k]:g} its last two sites hold probability "
+                    f"{wall_mass:.3e}, past tail_tol = {tail_tol:g}; list "
+                    "more coefficients or shorten the grid"
+                )
+        return reach
+
     def march(order):
-        """Step from e_0 at t = 0 through the grid points in order."""
-        nonlocal walled, wall_mass
+        """Evolve from e_0 at t = 0 through the grid points in order.
+
+        Each pass of the loop evaluates one block.  Its candidates are the
+        next point and those after it within _BLOCK_ARG of the state's time
+        at the a of the smallest window, which only grows as plan widens it.
+        """
+        nonlocal walled, blocks, terms, widest
+        order = np.asarray(order, dtype=np.intp)
         phi = np.zeros(max(min_sites, 2))
         phi[0] = 1.0
-        reach, t_prev = 0, 0.0
-        for k in order:
-            left = float(times[k]) - t_prev
-            while left != 0.0:
-                sites, a, coef, h = plan(reach, left)
-                walled = walled or sites == end
-                state = np.zeros(sites)
-                keep = min(sites, phi.size)
-                state[:keep] = phi[:keep]
-                bonds = math.copysign(2.0 / a, h) * b[:sites - 1]
-                phi = _chebyshev_step(state, bonds, coef)
+        reach, t_now, i = 0, 0.0, 0
+        while i < order.size:
+            if times[order[i]] == t_now:
+                # t = 0 itself: the seed e_0, exactly.
+                reach = record(order[i], phi)
+                i += 1
+                continue
+            a = 2.0 * float(coefficients(min(max(min_sites, reach + 2), cap)).max())
+            j = i + 1
+            while j < order.size and a * abs(times[order[j]] - t_now) <= _BLOCK_ARG:
+                j += 1
+            offsets = times[order[i:j]] - t_now
+            sites, a, coef, steps = plan(reach, offsets)
+            m = steps.size
+            if m > 1:
+                head = _neumann(jv(np.arange(coef.size), a * np.abs(steps[:-1, None])))
+                coef = np.vstack([head, coef])
+            walled = walled or sites == end
+            blocks += 1
+            terms += coef.shape[-1]
+            widest = max(widest, sites)
+            state = np.zeros(sites)
+            keep = min(sites, phi.size)
+            state[:keep] = phi[:keep]
+            bonds = math.copysign(2.0 / a, steps[-1]) * b[:sites - 1]
+            phi = _chebyshev_step(state, bonds, coef)
+            if steps[-1] != offsets[m - 1]:
+                # A split step toward the next point.
+                t_now += float(steps[-1])
                 reach = _last_site(phi, _OCCUPIED)
-                left -= h
-            t_prev = float(times[k])
-            rows[k] = phi[:reach + 1].copy()
-            if open_end:
-                last = rows[k][end - 2:]
-                wall_mass = max(wall_mass, float(last @ last))
-                if wall_mass >= tail_tol:
-                    raise NumericalError(
-                        f"the chain lists {end - 1} coefficients, and by t = "
-                        f"{t_prev:g} its last two sites hold probability "
-                        f"{wall_mass:.3e}, past tail_tol = {tail_tol:g}; list "
-                        "more coefficients or shorten the grid"
-                    )
+                continue
+            if m > 1:
+                for k, row in zip(order[i:i + m - 1], phi[:-1]):
+                    record(k, row)
+                phi = phi[-1]
+            reach = record(order[i + m - 1], phi)
+            t_now = float(times[order[i + m - 1]])
+            i += m
 
     start = int(np.searchsorted(times, 0.0))
     march(range(start - 1, -1, -1))
     march(range(start, times.size))
 
+    stats = ("window", blocks, terms, widest)
+    if complete:
+        return AmplitudeTrajectory(times, out, b, False, 0.0, *stats)
     if walled and not open_end:
         # The window met the array's own end: the whole array was evolved.
         n_sites, truncated = end, False
@@ -363,13 +417,14 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
         n_sites, truncated = max(min_sites, edge + 2), True
         if end is not None:
             n_sites = min(n_sites, end)
-    phi = np.zeros((times.size, n_sites))
+    phi = output_array(times.size, n_sites)
     tail = wall_mass
     for k, row in enumerate(rows):
         keep = min(row.size, n_sites)
         phi[k, :keep] = row[:keep]
         tail = max(tail, float(row[keep:] @ row[keep:]))
-    return phi, b[:n_sites - 1].copy(), truncated, (tail if truncated else 0.0)
+    return AmplitudeTrajectory(times, phi, b[:n_sites - 1].copy(), truncated,
+                               tail if truncated else 0.0, *stats)
 
 
 def evolve_amplitudes(
@@ -392,16 +447,16 @@ def evolve_amplitudes(
     times : array-like
         Strictly increasing, may include negative values.
     truncation : int, optional
-        A floor on the reported chain: a windowed trajectory keeps at least
-        this many coefficients (truncation + 1 sites).  Without it, or for
-        an array no longer than it, the complete array is evolved
-        spectrally (method "eigen").  A callable family, or an array cut
-        shorter, is evolved on a window (method "window"): before each
-        Chebyshev step of order K it spans truncation + 1 sites or the last
-        occupied site (phi_n^2 > 1e-30) + K + 2, whichever is more.  A
-        window that reaches the end of a cut array evolves the exact finite
-        chain, which is reported whole with truncated False.  A step that
-        needs a window wider than MAX_TRUNCATION sites is split, and one of
+        A floor on the reported chain: a trajectory cut from a longer chain
+        keeps at least this many coefficients (truncation + 1 sites).
+        Without it, or for an array no longer than it, the array is the
+        complete chain and is reported whole.  Every chain is evolved on a
+        window (method "window"): before each block of Chebyshev order K it
+        spans truncation + 1 sites or the last occupied site
+        (phi_n^2 > 1e-30) + K + 2, whichever is more.  A window that
+        reaches the end of a cut array evolves the exact finite chain,
+        which is reported whole with truncated False.  A step that needs a
+        window wider than MAX_TRUNCATION sites is split, and one of
         a |h| = 1 that still does not fit raises NumericalError; no
         coefficient past the ceiling is fetched.
     tail_tol : float
@@ -413,10 +468,10 @@ def evolve_amplitudes(
     open_end : bool
         The array lists only the first coefficients of a longer chain (a
         Lanczos run cut short, or a family's listed coefficients).  It is
-        evolved on a window whatever its truncation, and the window stops
-        at the array's end, whose wall is allowed while the probability in
-        the last two sites stays below tail_tol over the grid: the result
-        is truncated, with tail_mass at least that probability, and a grid
+        evolved whatever its truncation, and the window stops at the
+        array's end, whose wall is allowed while the probability in the
+        last two sites stays below tail_tol over the grid: the result is
+        truncated, with tail_mass at least that probability, and a grid
         that moves more there raises NumericalError.
 
     Notes
@@ -425,7 +480,8 @@ def evolve_amplitudes(
     amplitudes reflect off the end and the tail is reported as 0.  A grid
     point at exactly t = 0 (also an interior one of a grid with negative
     times) carries the initial condition e_0 exactly, so K and Delta K are
-    exactly 0 there.
+    exactly 0 there.  An output the machine cannot allocate raises
+    NumericalError naming its size.
     """
     t = validate_times(times)
     if truncation is not None:
@@ -436,15 +492,19 @@ def evolve_amplitudes(
     # A family lists no end to stand in for.
     open_end = bool(open_end) and not callable(b)
 
+    complete = False
     if not callable(b):
         b = _validate_coefficients(b)
         if open_end and b.size == 0:
             raise ValidationError("an open-ended chain must list a coefficient")
-        if not open_end and (truncation is None or truncation >= b.size):
-            return AmplitudeTrajectory(t, _evolve_eigen(b, t), b, False, 0.0, "eigen")
-    min_sites = 1 + (truncation or 0)
-    phi, used, truncated, tail = _evolve_window(b, t, min_sites, tail_tol, open_end)
-    return AmplitudeTrajectory(t, phi, used, truncated, tail, "window")
+        complete = not open_end and (truncation is None or truncation >= b.size)
+        if b.size == 0:
+            # D = 1: nothing moves.
+            phi = output_array(t.size, 1)
+            phi[:] = 1.0
+            return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
+    min_sites = 1 if complete else 1 + (truncation or 0)
+    return _evolve_window(b, t, min_sites, tail_tol, open_end, complete)
 
 
 def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:

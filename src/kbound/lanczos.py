@@ -493,9 +493,17 @@ def load_result_json(path) -> LanczosResult:
         raise ValidationError(
             f"{path}: field 'basis' has shape {basis.shape}, expected ({D}, {dim * dim})"
         )
+    b = json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
+                   "a numeric list")
+    if b.ndim != 1:
+        raise ValidationError(f"{path}: field 'b' must be a flat numeric list")
+    if b.size != D - 1:
+        raise ValidationError(
+            f"{path}: field 'b' lists {b.size} coefficients, but field 'D' = {D} "
+            f"needs D - 1 = {D - 1}"
+        )
     return LanczosResult(
-        b=json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
-                     "a numeric list"),
+        b=b,
         D=D,
         dim=dim,
         spec=spec,

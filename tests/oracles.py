@@ -177,6 +177,29 @@ def chain_amplitudes(b, times):
     return np.array([scipy.linalg.expm(t * A)[:, 0] for t in np.ravel(times)])
 
 
+def spectral_amplitudes(b, times):
+    """phi[k, n] = phi_n(times[k]) from the eigenpairs of the hopping matrix.
+
+    The zero-diagonal tridiagonal T = Q diag(lambda) Q^T with off-diagonal
+    b gives phi_n(t) = Re[(-i)^n sum_j Q_nj Q_0j e^(i lambda_j t)]: with
+    W_nj = (-1)^(n//2) Q_nj Q_0j, a cosine sum over all eigenpairs for even
+    n and a sine sum for odd n.  One eigensolve serves every time, so this
+    reaches chains of thousands of sites where a matrix exponential per
+    time does not.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    times = np.ravel(times)
+    lam, Q = scipy.linalg.eigh_tridiagonal(np.zeros(b.size + 1), b)
+    W = Q * Q[0]
+    W[2::4] *= -1.0
+    W[3::4] *= -1.0
+    arg = np.outer(times, lam)
+    phi = np.empty((times.size, b.size + 1))
+    phi[:, 0::2] = np.cos(arg) @ W[0::2].T
+    phi[:, 1::2] = np.sin(arg) @ W[1::2].T
+    return phi
+
+
 def rk4_amplitudes(b, times, rk4_step=None, norm_tol=1e-6):
     """phi[k, n] from a classical fourth-order Runge-Kutta walk.
 

@@ -177,7 +177,9 @@ class TestEvolveCommand:
                                "--tmax", "1", "--steps", "3")
         assert code == 0
         d = json.loads(out)
-        assert d["method"] == "eigen"
+        assert d["method"] == "window"
+        assert d["blocks"] >= 1 and d["terms"] >= 2 * d["blocks"]
+        assert d["window"] == 2
         assert d["truncated"] is False
         assert len(d["phi"]) == 3
         np.testing.assert_allclose(d["phi"][2], [math.cos(1.0), math.sin(1.0)],

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kbound._util
+
 from kbound.dynamics import (
     AmplitudeTrajectory,
     anticommutator_expectation,
@@ -23,9 +25,28 @@ from kbound.algebras import AlgebraModel, model_amplitudes, model_observables
 from kbound.ensembles import GoeSpec, goe_sample, run_ensemble, uniform_observable
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import run_lanczos
-from oracles import chain_amplitudes, complexity_series, rk4_amplitudes
+from oracles import (
+    chain_amplitudes,
+    complexity_series,
+    rk4_amplitudes,
+    spectral_amplitudes,
+)
 
 QUBIT_B = np.array([math.sqrt(2.0), math.sqrt(2.0)])
+
+
+class SmallMachine:
+    """numpy, except that zeros refuses arrays past 1 GB as a small machine would."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def zeros(shape, *args, **kwargs):
+        if 8 * math.prod(shape) > 1e9:
+            raise MemoryError("Unable to allocate")
+        return np.zeros(shape, *args, **kwargs)
+
 
 chain_lists = st.lists(
     st.floats(min_value=0.05, max_value=3.0), min_size=2, max_size=12
@@ -172,17 +193,20 @@ class TestEvolution:
             evolve_amplitudes(b, np.linspace(0.0, 1.9, 301), open_end=True)
 
     def test_array_chain_out_of_memory(self, monkeypatch):
-        # An array chain is evolved at its full length; where the machine
-        # cannot hold it, the error names the size instead of numpy's bare
-        # MemoryError.
-        import kbound.dynamics as dyn
+        # A complete chain's output is allocated before the first block;
+        # where the machine cannot hold it, the error names its size instead
+        # of numpy's bare MemoryError.
+        monkeypatch.setattr(kbound._util, "np", SmallMachine())
+        with pytest.raises(NumericalError, match="50000 grid points by 20000 sites .* 8 GB"):
+            evolve_amplitudes(np.ones(19_999), np.linspace(0.0, 1.0, 50_000))
 
-        def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate")
-
-        monkeypatch.setattr(dyn, "eigh_tridiagonal", no_memory)
-        with pytest.raises(NumericalError, match="20000 sites .* 6.4 GB"):
-            evolve_amplitudes(np.ones(19_999), [0.0, 1.0])
+    def test_model_output_out_of_memory(self, monkeypatch):
+        # hw with nu = 1 to t = 2000 spans 4014079 sites, under
+        # MAX_MODEL_SITES; over 200 grid points that is 6.42 GB.
+        monkeypatch.setattr(kbound._util, "np", SmallMachine())
+        with pytest.raises(NumericalError,
+                           match="200 grid points by 4014079 sites .* 6.42 GB"):
+            model_amplitudes(AlgebraModel.hw(), np.linspace(0.0, 2000.0, 200))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -214,7 +238,7 @@ def test_time_grids_share_one_validator(grid, problem):
 
 
 class TestInitialCondition:
-    """phi_n(0) = delta_n0 holds exactly, not up to the spectral sum's rounding."""
+    """phi_n(0) = delta_n0 holds exactly, not up to the propagator's rounding."""
 
     @staticmethod
     def _check_seed_row(traj):
@@ -252,7 +276,7 @@ class TestInitialCondition:
 
 
 class TestAgainstExpmOracle:
-    """The spectral amplitudes against a dense expm of the hopping generator."""
+    """The amplitudes against a dense expm of the hopping generator."""
 
     TOL = 1e-12
 
@@ -334,6 +358,44 @@ class TestAgainstExpmOracle:
         np.testing.assert_allclose(traj.phi[::-1], traj.phi * signs, rtol=0, atol=self.TOL)
 
 
+class TestAgainstSpectralOracle:
+    """Complete chains of thousands of sites against one eigensolve of T."""
+
+    def test_oracle_agrees_with_expm(self, rng):
+        b = rng.uniform(0.3, 2.0, size=39)
+        times = np.linspace(-2.0, 4.0, 13)
+        np.testing.assert_allclose(spectral_amplitudes(b, times),
+                                   chain_amplitudes(b, times), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [32, 48])
+    def test_goe_ledger_chain(self, dim):
+        # Seed 7, realization 0 of the GOE ledger: 993 and 2257 sites.  By
+        # t = 3 the amplitude has reached fewer than 200 of them; the rest
+        # hold exact zeros.
+        H = goe_sample(dim, seed=np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+        b = run_lanczos(H, uniform_observable(H)).b
+        times = np.linspace(0.0, 3.0, 301)
+        traj = evolve_amplitudes(b, times)
+        assert traj.sites == b.size + 1
+        assert not traj.truncated and traj.tail_mass == 0.0
+        assert traj.method == "window"
+        assert 1 <= traj.blocks <= 10
+        assert traj.window < 300
+        np.testing.assert_allclose(traj.phi, spectral_amplitudes(b, times),
+                                   rtol=0, atol=1e-12)
+        assert np.max(np.abs(np.sum(traj.phi**2, axis=1) - 1.0)) <= 1e-14
+
+    def test_su2_against_its_closed_form(self):
+        # D = 2000 over 601 times: the window covers the whole chain, which
+        # the amplitude crosses and comes back from.
+        model = AlgebraModel.su2(999.5)
+        times = np.linspace(0.0, 3.0, 601)
+        traj = evolve_amplitudes(model.b(np.arange(1, 2000)), times)
+        assert traj.window == 2000
+        np.testing.assert_allclose(traj.phi, model_amplitudes(model, times).phi,
+                                   rtol=0, atol=1e-12)
+
+
 class RecordingFamily:
     """b_n = sqrt(n (n + 100)) (sl2r, eta = 101), recording every n asked for."""
 
@@ -387,9 +449,9 @@ def test_window_memory_stays_linear():
 
 
 def test_synthesis_memory_stays_real():
-    # 2049 sites over 201 times: the eigenvectors take 34 MB and the
-    # eigensolver peaks at twice that, which the real synthesis stays within;
-    # a complex copy of the weights pushes the peak past 150 MB.
+    # 2049 sites over 201 times: the output takes 3.3 MB, and the blocks add
+    # a few window-length vectors per series term.  A dense eigensolve of
+    # the chain peaked near 70 MB.
     n = np.arange(1, 2049)
     b = np.sqrt(n * (n + 100.0))
     tracemalloc.start()

@@ -455,6 +455,7 @@ class TestSerialization:
          "'basis'"),
         ({"b": [1.0], "D": 2, "dim": 2, "truncated": "false"}, "'truncated'"),
         ({"b": [1.0], "D": 2, "dim": 2, "ortho_error": "x"}, "'ortho_error'"),
+        ({"b": [[1.0, 2.0]], "D": 3, "dim": 2}, "'b'"),
     ])
     def test_malformed_fields_name_file_and_field(self, tmp_path, payload, field):
         path = tmp_path / "res.json"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +57,36 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg adds roughly 0.1 s to a fresh `import kbound`; the
+    # package evolves chains without an eigensolve and needs none of it.
+    env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
+    code = "import sys, kbound; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+def test_chain_longer_than_its_D_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"b": [1.0, 2.0, 3.0], "D": 2, "dim": 2}))
+    message = re.escape(f"{path}: field 'b' lists 3 coefficients") + r".*'D' = 2.*D - 1 = 1"
+    for load in (load_result_json, _load_chain):
+        with pytest.raises(ValidationError, match=message):
+            load(path)
+    assert cli.main(["bound", str(path)]) == 1
+    assert "field 'b' lists 3 coefficients" in capsys.readouterr().err
+
+
+def test_chain_shorter_than_its_D(tmp_path):
+    # A Lanczos result lists all D - 1 coefficients; the CLI reads a shorter
+    # list as the head of a longer chain.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"b": [1.0, 2.0], "D": 5, "dim": 2}))
+    message = re.escape(f"{path}: field 'b' lists 2 coefficients") + r".*'D' = 5.*D - 1 = 4"
+    with pytest.raises(ValidationError, match=message):
+        load_result_json(path)
+    b, D, cut = _load_chain(path)
+    assert b.size == 2 and D == 5 and cut
+
