@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,53 +30,18 @@ from .errors import NumericalError, ValidationError
 from ._util import finite_or_none, json_bool, json_field, load_json_object, open_write
 from . import algebras, dynamics, ensembles, lanczos, operators
 
-__all__ = ["RunConfig", "run_command", "main"]
+__all__ = ["main"]
 
 _FORMATS = ("json", "csv")
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: command, inputs, grid, tolerances, output."""
-
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    out: str = "-"
-    fmt: str | None = None
-    tmax: float | None = None
-    steps: int | None = None
-    tol_halt: float = lanczos.DEFAULT_HALT_TOL
-    tol_closure: float = algebras.CLOSURE_TOL
-    seed: int = 0
-    workers: int = 1
-    model_spec: str | None = None
-    coeffs: int = 256
-    coeffs_out: str | None = None
-    observable: str | None = None
-    beta: float = 0.0
-    normalization: float | None = None
-    max_steps: int | None = None
-    store_basis: bool = False
-    truncation: int | None = None
-    realization: int | None = None
-    dim: int | None = None
-    sigma: float = 1.0
-    count: int = 1
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        data = {k: v for k, v in vars(ns).items() if k in names}
-        return cls(**data)
 
 
 def _fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _time_grid(config: RunConfig) -> np.ndarray:
-    tmax = 3.0 if config.tmax is None else float(config.tmax)
-    steps = 301 if config.steps is None else int(config.steps)
+def _time_grid(ns: argparse.Namespace) -> np.ndarray:
+    tmax = 3.0 if ns.tmax is None else float(ns.tmax)
+    steps = 301 if ns.steps is None else int(ns.steps)
     if not np.isfinite(tmax) or tmax <= 0.0:
         raise ValidationError(f"--tmax must be positive, got {tmax}")
     if steps < 2:
@@ -85,25 +49,19 @@ def _time_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(0.0, tmax, steps)
 
 
-def _resolve_format(config: RunConfig, default: str) -> str:
-    fmt = config.fmt
-    if fmt is None:
-        if config.out not in (None, "-"):
-            suffix = config.out.rsplit(".", 1)[-1].lower()
-            if suffix in _FORMATS:
-                return suffix
-        return default
-    if fmt not in _FORMATS:
-        raise ValidationError(f"--format must be one of {_FORMATS}, got {fmt!r}")
-    return fmt
+def _resolve_format(ns: argparse.Namespace, default: str) -> str:
+    if ns.fmt is not None:
+        return ns.fmt
+    suffix = ns.out.rsplit(".", 1)[-1].lower()
+    return suffix if ns.out != "-" and suffix in _FORMATS else default
 
 
-def _emit(config: RunConfig, writer) -> None:
+def _emit(ns: argparse.Namespace, writer) -> None:
     """Call writer(handle) on the chosen output (stdout for '-')."""
-    if config.out in (None, "-"):
+    if ns.out == "-":
         writer(sys.stdout)
     else:
-        with open_write(config.out) as fh:
+        with open_write(ns.out) as fh:
             writer(fh)
 
 
@@ -118,7 +76,7 @@ def _float_list(arr) -> list:
 
 # ---------------------------------------------------------------- chain I/O
 
-def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
+def _load_chain(ns: argparse.Namespace) -> tuple[np.ndarray, int | None, bool]:
     """(b, D or None, cut_flag) from a chain JSON artifact.
 
     Accepts model artifacts, Lanczos results, closure inputs ({"b": ...}),
@@ -126,19 +84,17 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     coefficients continue past the list (truncated result or infinite
     family), so the chain end is not a physical boundary.
     """
-    if not config.inputs:
-        raise ValidationError(f"{config.command} needs an input file")
-    path = config.inputs[0]
+    path = ns.inputs[0]
     payload = load_json_object(path)
     if "realizations" in payload:
-        if config.realization is None:
+        if ns.realization is None:
             raise ValidationError(
                 f"{path} is an ensemble file; pick one entry with --realization"
             )
         entries = payload["realizations"]
         if not isinstance(entries, list):
             raise ValidationError(f"{path}: field 'realizations' must be a list")
-        idx = int(config.realization)
+        idx = int(ns.realization)
         if not 0 <= idx < len(entries):
             raise ValidationError(
                 f"--realization must lie in [0, {len(entries)}), got {idx}"
@@ -148,7 +104,7 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
             raise ValidationError(
                 f"{path}: realization {idx} must be a JSON object"
             )
-    elif config.realization is not None:
+    elif ns.realization is not None:
         raise ValidationError(f"{path} is not an ensemble file; drop --realization")
     if "b" not in payload:
         raise ValidationError(f"{path}: missing field 'b'")
@@ -172,34 +128,30 @@ def _load_chain(config: RunConfig) -> tuple[np.ndarray, int | None, bool]:
     return b, D, cut
 
 
-def _evolve_chain(config: RunConfig) -> dynamics.AmplitudeTrajectory:
+def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
     """The amplitudes of the input chain on the configured grid.
 
-    A cut chain's listed coefficients are open-ended: by default all of
-    them are reported, and a grid that carries probability onto their last
-    two sites is a NumericalError.
+    Every listed coefficient is reported.  A cut chain's are open-ended: a
+    grid that carries probability onto their last two sites is a
+    NumericalError.
     """
-    b, _, cut = _load_chain(config)
-    times = _time_grid(config)
-    truncation = config.truncation
-    if cut and truncation is None:
-        truncation = b.size
-    return dynamics.evolve_amplitudes(b, times, truncation=truncation, open_end=cut)
+    b, _, cut = _load_chain(ns)
+    return dynamics.evolve_amplitudes(b, _time_grid(ns), open_end=cut)
 
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_model(config: RunConfig) -> int:
-    model = algebras.parse_model_spec(config.model_spec)
-    times = _time_grid(config)
+def _cmd_model(ns: argparse.Namespace) -> int:
+    model = algebras.parse_model_spec(ns.model_spec)
+    times = _time_grid(ns)
     profile = algebras.model_observables(model, times)
     if model.D is not None:
         bchain = model.b(np.arange(1, model.D))
     else:
-        if config.coeffs < 1:
-            raise ValidationError(f"--coeffs must be >= 1, got {config.coeffs}")
-        bchain = model.b(np.arange(1, config.coeffs + 1))
-    fmt = _resolve_format(config, "json")
+        if ns.coeffs < 1:
+            raise ValidationError(f"--coeffs must be >= 1, got {ns.coeffs}")
+        bchain = model.b(np.arange(1, ns.coeffs + 1))
+    fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = {
             "model": model.label(),
@@ -214,7 +166,7 @@ def _cmd_model(config: RunConfig) -> int:
                 "dispersion": _float_list(profile.dispersion),
             },
         }
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     else:
         def write(fh):
             fh.write("t,K,dispersion\n")
@@ -223,24 +175,22 @@ def _cmd_model(config: RunConfig) -> int:
                     f"{_fmt17(times[k])},{_fmt17(profile.complexity[k])},"
                     f"{_fmt17(profile.dispersion[k])}\n"
                 )
-        _emit(config, write)
-    if config.coeffs_out:
-        lanczos.save_coefficients_csv(bchain, config.coeffs_out)
+        _emit(ns, write)
+    if ns.coeffs_out:
+        lanczos.save_coefficients_csv(bchain, ns.coeffs_out)
     return 0
 
 
-def _cmd_lanczos(config: RunConfig) -> int:
-    if not config.inputs:
-        raise ValidationError("lanczos needs a Hamiltonian matrix JSON file")
-    H = operators.load_hamiltonian(config.inputs[0])
+def _cmd_lanczos(ns: argparse.Namespace) -> int:
+    H = operators.load_hamiltonian(ns.inputs[0])
     spec = operators.InnerProductSpec(
-        config.beta, config.normalization, H if config.beta > 0.0 else None
+        ns.beta, ns.normalization, H if ns.beta > 0.0 else None
     )
-    if config.observable is not None:
-        obs_matrix = operators.load_matrix(config.observable)
+    if ns.observable is not None:
+        obs_matrix = operators.load_matrix(ns.observable)
         obs = operators.OperatorVector.from_matrix(obs_matrix, spec)
     else:
-        if config.beta > 0.0:
+        if ns.beta > 0.0:
             raise ValidationError(
                 "the default (uniform) observable needs beta = 0; pass --observable"
             )
@@ -249,24 +199,24 @@ def _cmd_lanczos(config: RunConfig) -> int:
         H,
         obs,
         spec=spec,
-        halt_tol=config.tol_halt,
-        max_steps=config.max_steps,
-        store_basis=config.store_basis,
+        halt_tol=ns.tol_halt,
+        max_steps=ns.max_steps,
+        store_basis=ns.store_basis,
     )
-    fmt = _resolve_format(config, "json")
+    fmt = _resolve_format(ns, "json")
     if fmt == "json":
-        payload = lanczos.result_to_dict(result, include_basis=config.store_basis)
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        payload = lanczos.result_to_dict(result, include_basis=ns.store_basis)
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     else:
-        _emit(config, lambda fh: lanczos.save_coefficients_csv(result.b, fh))
+        _emit(ns, lambda fh: lanczos.save_coefficients_csv(result.b, fh))
     return 0
 
 
-def _cmd_evolve(config: RunConfig) -> int:
-    traj = _evolve_chain(config)
-    fmt = _resolve_format(config, "csv")
+def _cmd_evolve(ns: argparse.Namespace) -> int:
+    traj = _evolve_chain(ns)
+    fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
-        _emit(config, lambda fh: dynamics.save_amplitudes_csv(traj, fh))
+        _emit(ns, lambda fh: dynamics.save_amplitudes_csv(traj, fh))
     else:
         payload = {
             "t": _float_list(traj.times),
@@ -279,12 +229,12 @@ def _cmd_evolve(config: RunConfig) -> int:
             "tail_mass": float(traj.tail_mass),
             "phi": [_float_list(row) for row in traj.phi],
         }
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     return 0
 
 
-def _profile_and_tau(config: RunConfig):
-    traj = _evolve_chain(config)
+def _profile_and_tau(ns: argparse.Namespace):
+    traj = _evolve_chain(ns)
     profile = dynamics.complexity_profile(traj)
     tau_d = float("nan")
     if traj.b.size >= 3:
@@ -295,11 +245,11 @@ def _profile_and_tau(config: RunConfig):
     return profile, tau_d
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    profile, tau_d = _profile_and_tau(config)
-    fmt = _resolve_format(config, "csv")
+def _cmd_bound(ns: argparse.Namespace) -> int:
+    profile, tau_d = _profile_and_tau(ns)
+    fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
-        _emit(config, lambda fh: dynamics.save_profile_csv(profile, fh, tau_d=tau_d))
+        _emit(ns, lambda fh: dynamics.save_profile_csv(profile, fh, tau_d=tau_d))
     else:
         payload = {
             "t": _float_list(profile.times),
@@ -312,15 +262,15 @@ def _cmd_bound(config: RunConfig) -> int:
             "b1": profile.b1,
             "tau_d": finite_or_none(tau_d),
         }
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     return 0
 
 
-def _cmd_closure(config: RunConfig) -> int:
-    b, D, cut = _load_chain(config)
-    report = algebras.closure_test(b, D=None if cut else D, tol=config.tol_closure)
+def _cmd_closure(ns: argparse.Namespace) -> int:
+    b, D, cut = _load_chain(ns)
+    report = algebras.closure_test(b, D=None if cut else D, tol=ns.tol_closure)
     classification = algebras.classify_algebra(report.alpha) if report.closed else None
-    fmt = _resolve_format(config, "json")
+    fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = {
             "closed": report.closed,
@@ -332,7 +282,7 @@ def _cmd_closure(config: RunConfig) -> int:
             "classification": classification,
             "f_values": _float_list(report.f_values),
         }
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     else:
         def write(fh):
             fh.write("key,value\n")
@@ -342,31 +292,29 @@ def _cmd_closure(config: RunConfig) -> int:
             fh.write(f"max_residual,{_fmt17(report.max_residual)}\n")
             fh.write(f"trivial,{int(report.trivial)}\n")
             fh.write(f"classification,{classification or ''}\n")
-        _emit(config, write)
+        _emit(ns, write)
     return 0
 
 
-def _cmd_goe(config: RunConfig) -> int:
-    if config.dim is None:
-        raise ValidationError("goe needs --dim")
+def _cmd_goe(ns: argparse.Namespace) -> int:
     spec = ensembles.GoeSpec(
-        dim=config.dim,
-        sigma=config.sigma,
-        count=config.count,
-        seed=config.seed,
-        halt_tol=config.tol_halt,
+        dim=ns.dim,
+        sigma=ns.sigma,
+        count=ns.count,
+        seed=ns.seed,
+        halt_tol=ns.tol_halt,
     )
     profile_times = None
-    if config.tmax is not None or config.steps is not None:
-        profile_times = _time_grid(config)
+    if ns.tmax is not None or ns.steps is not None:
+        profile_times = _time_grid(ns)
     result = ensembles.run_ensemble(spec, profile_times=profile_times,
-                                    workers=config.workers)
-    fmt = _resolve_format(config, "json")
+                                    workers=ns.workers)
+    fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = ensembles.ensemble_to_dict(result)
-        _emit(config, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: _dump_json(payload, fh))
     else:
-        _emit(config, lambda fh: ensembles.save_ensemble_csv(result, fh))
+        _emit(ns, lambda fh: ensembles.save_ensemble_csv(result, fh))
     if result.failed:
         print(f"warning: {len(result.failed)} of {spec.count} realizations failed",
               file=sys.stderr)
@@ -381,13 +329,6 @@ _COMMANDS = {
     "closure": _cmd_closure,
     "goe": _cmd_goe,
 }
-
-
-def run_command(config: RunConfig) -> int:
-    """Execute a resolved RunConfig; raises the package's error types."""
-    if config.command not in _COMMANDS:
-        raise ValidationError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](config)
 
 
 # ------------------------------------------------------------------ parser
@@ -453,19 +394,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="amplitudes phi_n(t) of a chain")
     add_chain_input(p)
-    p.add_argument("--truncation", type=int, default=None,
-                   help="fewest coefficients to report (default: all a cut "
-                        "chain lists); a complete chain given fewer is "
-                        "cut past the sites the amplitude reaches")
     add_grid(p)
     add_out(p)
 
     p = sub.add_parser("bound", help="complexity profile vs the dispersion bound")
     add_chain_input(p)
-    p.add_argument("--truncation", type=int, default=None,
-                   help="fewest coefficients to report (default: all a cut "
-                        "chain lists); a complete chain given fewer is "
-                        "cut past the sites the amplitude reaches")
     add_grid(p)
     add_out(p)
 
@@ -492,8 +425,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        config = RunConfig.from_namespace(ns)
-        return run_command(config)
+        return _COMMANDS[ns.command](ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

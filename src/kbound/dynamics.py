@@ -15,11 +15,10 @@ short-time expansion whose fourth/sixth order terms set the time where
 generic chains leave the saturation regime.
 
 Every chain is evolved on a window that follows the amplitude out along
-it: a complete array, a callable family (n -> b_n), or an array cut to its
-first ``truncation`` coefficients.  The state moves from t = 0 through the
-grid, forward for positive and backward for negative times, by the
-Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
-81, 3967, 1984):
+it: a coefficient array, closed or open-ended, or a callable family
+(n -> b_n).  The state moves from t = 0 through the grid, forward for
+positive and backward for negative times, by the Chebyshev expansion of
+the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984):
 
     exp(h A) phi = J_0(a h) phi + 2 sum_k J_k(a h) R_k,
     R_0 = phi,  R_1 = (A / a) phi,  R_{k+1} = 2 (A / a) R_k + R_{k-1},
@@ -39,10 +38,13 @@ An order-K block moves amplitude at most K sites, so before each one the
 window is sized to the last occupied site + K + 2 and only the
 coefficients new to it are fetched; memory is the output plus the block's
 vectors.  ``MAX_TRUNCATION`` caps the window.  The window stops at the end
-of an array: there the exact chain reflects, and an array that lists only
-the first coefficients of a longer chain is used while its last two sites
-stay below the tail tolerance.  A complete array is reported whole; the
+of an array: there a closed chain reflects, and an open-ended array, which
+lists only the first coefficients of a longer chain, is used while its
+last two sites stay below ``TAIL_TOL``.  There are two output rules.  An
+array is reported whole, its output allocated before the first block; the
 sites its window never reached, where |phi_n| < 1e-15, hold exact zeros.
+A family is reported up to the last site where |phi_n| exceeds
+``TAIL_TOL``, plus 2.
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ class AmplitudeTrajectory:
     """Real chain amplitudes phi[k, n] = phi_n(times[k]).
 
     b is the coefficient array of the reported sites (length N - 1 for N
-    sites).  truncated marks a trajectory cut from a longer or infinite
-    chain; its tail_mass is the largest probability, over the grid, that
-    the evolution window held past the reported sites (each of which has
-    |phi_n| <= tail_tol throughout), while exact finite chains report 0.
+    sites).  truncated marks a trajectory of an open-ended array or a
+    family.  The tail_mass of an open-ended array is the largest
+    probability, over the grid, in its last two sites; that of a family is
+    the largest the evolution window held past the reported sites (each
+    site left out has |phi_n| <= TAIL_TOL throughout); a closed array
+    reports 0.
     method is "window" (Chebyshev blocks on a window that follows the
     amplitude) or "closed-form".  A window evolution records the blocks it
     evaluated, the Chebyshev terms summed over them (each block's order
@@ -242,30 +246,21 @@ def _last_site(phi: np.ndarray, threshold: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
-                   open_end: bool, complete: bool) -> AmplitudeTrajectory:
+def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajectory:
     """Chebyshev blocks on a window grown as the amplitude spreads.
 
     source is a family callable or a coefficient array.  The window stops
-    growing at an array's last site.  The end of an exact array is a real
-    wall, so a window that reaches it evolves the finite chain; the end of
-    an open-ended array stands in for the coefficients it does not list,
-    which holds only while the probability in its last two sites stays
-    below tail_tol.  A complete array is reported whole, its output
-    allocated before the first block.
+    growing at an array's last site.  The end of a closed array is a real
+    wall; the end of an open-ended one stands in for the coefficients it
+    does not list, which holds only while the probability in its last two
+    sites stays below TAIL_TOL.  An array is reported whole, its output
+    allocated before the first block; a family's rows are collected and
+    cut past the last site whose amplitude exceeds TAIL_TOL.
     """
     family = callable(source)
     end = None if family else source.size + 1
     b = np.empty(0) if family else source
-    cap = MAX_TRUNCATION if end is None else min(end, MAX_TRUNCATION)
-    if end is not None:
-        min_sites = min(min_sites, end)
-    if min_sites > MAX_TRUNCATION:
-        raise NumericalError(
-            f"truncation = {min_sites - 1} asks for a window of {min_sites} "
-            f"sites, past MAX_TRUNCATION = {MAX_TRUNCATION}"
-        )
-    walled = False
+    cap = MAX_TRUNCATION if family else min(end, MAX_TRUNCATION)
     wall_mass = 0.0
     blocks = terms = widest = 0
 
@@ -296,7 +291,7 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
         the tail has reached the ceiling, and ever shorter steps would only
         creep toward it.
         """
-        sites = min(max(min_sites, reach + 2), cap)
+        sites = min(reach + 2, cap)
         top = min(2 * sites + 64, cap)
         steps, x = offsets, None
 
@@ -329,25 +324,25 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
             else:
                 steps = shorten(steps)
 
-    out = output_array(times.size, end) if complete else None
+    out = None if family else output_array(times.size, end)
     rows = [None] * times.size
 
     def record(k: int, row: np.ndarray) -> int:
         """Keep row as phi(times[k]) up to its last occupied site; return that site."""
         nonlocal wall_mass
         reach = _last_site(row, _OCCUPIED)
-        if complete:
-            out[k, :reach + 1] = row[:reach + 1]
-        else:
+        if family:
             rows[k] = row[:reach + 1].copy()
+        else:
+            out[k, :reach + 1] = row[:reach + 1]
         if open_end:
             last = row[:reach + 1][end - 2:]
             wall_mass = max(wall_mass, float(last @ last))
-            if wall_mass >= tail_tol:
+            if wall_mass >= TAIL_TOL:
                 raise NumericalError(
                     f"the chain lists {end - 1} coefficients, and by t = "
                     f"{times[k]:g} its last two sites hold probability "
-                    f"{wall_mass:.3e}, past tail_tol = {tail_tol:g}; list "
+                    f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
                     "more coefficients or shorten the grid"
                 )
         return reach
@@ -359,9 +354,9 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
         next point and those after it within _BLOCK_ARG of the state's time
         at the a of the smallest window, which only grows as plan widens it.
         """
-        nonlocal walled, blocks, terms, widest
+        nonlocal blocks, terms, widest
         order = np.asarray(order, dtype=np.intp)
-        phi = np.zeros(max(min_sites, 2))
+        phi = np.zeros(2)
         phi[0] = 1.0
         reach, t_now, i = 0, 0.0, 0
         while i < order.size:
@@ -370,7 +365,7 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
                 reach = record(order[i], phi)
                 i += 1
                 continue
-            a = 2.0 * float(coefficients(min(max(min_sites, reach + 2), cap)).max())
+            a = 2.0 * float(coefficients(min(reach + 2, cap)).max())
             j = i + 1
             while j < order.size and a * abs(times[order[j]] - t_now) <= _BLOCK_ARG:
                 j += 1
@@ -380,7 +375,6 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
             if m > 1:
                 head = _neumann(jv(np.arange(coef.size), a * np.abs(steps[:-1, None])))
                 coef = np.vstack([head, coef])
-            walled = walled or sites == end
             blocks += 1
             terms += coef.shape[-1]
             widest = max(widest, sites)
@@ -407,104 +401,71 @@ def _evolve_window(source, times: np.ndarray, min_sites: int, tail_tol: float,
     march(range(start, times.size))
 
     stats = ("window", blocks, terms, widest)
-    if complete:
-        return AmplitudeTrajectory(times, out, b, False, 0.0, *stats)
-    if walled and not open_end:
-        # The window met the array's own end: the whole array was evolved.
-        n_sites, truncated = end, False
-    else:
-        edge = max(_last_site(row, tail_tol * tail_tol) for row in rows)
-        n_sites, truncated = max(min_sites, edge + 2), True
-        if end is not None:
-            n_sites = min(n_sites, end)
+    if not family:
+        return AmplitudeTrajectory(times, out, b, open_end, wall_mass, *stats)
+    n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in rows) + 2
     phi = output_array(times.size, n_sites)
-    tail = wall_mass
+    tail = 0.0
     for k, row in enumerate(rows):
         keep = min(row.size, n_sites)
         phi[k, :keep] = row[:keep]
         tail = max(tail, float(row[keep:] @ row[keep:]))
-    return AmplitudeTrajectory(times, phi, b[:n_sites - 1].copy(), truncated,
-                               tail if truncated else 0.0, *stats)
+    return AmplitudeTrajectory(times, phi, b[:n_sites - 1].copy(), True, tail, *stats)
 
 
-def evolve_amplitudes(
-    b,
-    times,
-    truncation: int | None = None,
-    tail_tol: float = TAIL_TOL,
-    open_end: bool = False,
-) -> AmplitudeTrajectory:
+def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
     """Integrate the chain amplitudes phi_n(t) for a coefficient chain.
 
     Parameters
     ----------
     b : array-like or callable
-        Either the complete coefficient chain of a finite-D problem (length
-        D - 1, all positive), or a callable n -> b_n representing an
-        infinite family (called with a 1-based integer array of the
-        coefficients new to the window, each requested once; a scalar
-        fallback is attempted).
+        Either the coefficient array of a chain (length N - 1 for N sites,
+        all positive), or a callable n -> b_n representing an infinite
+        family (called with a 1-based integer array of the coefficients new
+        to the window, each requested once; a scalar fallback is
+        attempted).
     times : array-like
         Strictly increasing, may include negative values.
-    truncation : int, optional
-        A floor on the reported chain: a trajectory cut from a longer chain
-        keeps at least this many coefficients (truncation + 1 sites).
-        Without it, or for an array no longer than it, the array is the
-        complete chain and is reported whole.  Every chain is evolved on a
-        window (method "window"): before each block of Chebyshev order K it
-        spans truncation + 1 sites or the last occupied site
-        (phi_n^2 > 1e-30) + K + 2, whichever is more.  A window that
-        reaches the end of a cut array evolves the exact finite chain,
-        which is reported whole with truncated False.  A step that needs a
-        window wider than MAX_TRUNCATION sites is split, and one of
-        a |h| = 1 that still does not fit raises NumericalError; no
-        coefficient past the ceiling is fetched.
-    tail_tol : float
-        A truncated trajectory reports max(truncation + 1, r + 2) sites,
-        r the last site whose amplitude |phi_r| exceeds tail_tol somewhere
-        on the grid, so every amplitude it leaves out stays within
-        tail_tol; tail_mass is the largest probability the window held
-        past the reported sites.
     open_end : bool
         The array lists only the first coefficients of a longer chain (a
-        Lanczos run cut short, or a family's listed coefficients).  It is
-        evolved whatever its truncation, and the window stops at the
-        array's end, whose wall is allowed while the probability in the
-        last two sites stays below tail_tol over the grid: the result is
-        truncated, with tail_mass at least that probability, and a grid
-        that moves more there raises NumericalError.
+        Lanczos run cut short, or a family's listed coefficients).  Its end
+        stands in for the rest while the probability in its last two sites
+        stays below TAIL_TOL over the grid: the result is truncated, with
+        tail_mass that probability, and a grid that moves more there raises
+        NumericalError.  Ignored for a family.
 
     Notes
     -----
-    Exact finite chains (array input, no cut) are closed systems:
-    amplitudes reflect off the end and the tail is reported as 0.  A grid
-    point at exactly t = 0 (also an interior one of a grid with negative
-    times) carries the initial condition e_0 exactly, so K and Delta K are
-    exactly 0 there.  An output the machine cannot allocate raises
-    NumericalError naming its size.
+    Every chain is evolved on a window (method "window"): before each block
+    of Chebyshev order K it spans the last occupied site (phi_n^2 > 1e-30)
+    + K + 2 sites.  A step that needs a window wider than MAX_TRUNCATION
+    sites is split, and one of a |h| = 1 that still does not fit raises
+    NumericalError; no coefficient past the ceiling is fetched.
+
+    An array, closed or open-ended, is reported whole; a closed one is a
+    closed system whose amplitudes reflect off its end, with tail_mass 0.
+    A family is reported up to r + 2 sites, r the last site whose amplitude
+    |phi_r| exceeds TAIL_TOL somewhere on the grid, so every amplitude it
+    leaves out stays within TAIL_TOL; its tail_mass is the largest
+    probability the window held past the reported sites.  A grid point at
+    exactly t = 0 (also an interior one of a grid with negative times)
+    carries the initial condition e_0 exactly, so K and Delta K are exactly
+    0 there.  An output the machine cannot allocate raises NumericalError
+    naming its size.
     """
     t = validate_times(times)
-    if truncation is not None:
-        truncation = int(truncation)
-        if truncation < 1:
-            raise ValidationError(f"truncation must be >= 1, got {truncation}")
-    tail_tol = float(tail_tol)
-    # A family lists no end to stand in for.
-    open_end = bool(open_end) and not callable(b)
-
-    complete = False
-    if not callable(b):
-        b = _validate_coefficients(b)
-        if open_end and b.size == 0:
+    if callable(b):
+        return _evolve_window(b, t, False)
+    b = _validate_coefficients(b)
+    open_end = bool(open_end)
+    if b.size == 0:
+        if open_end:
             raise ValidationError("an open-ended chain must list a coefficient")
-        complete = not open_end and (truncation is None or truncation >= b.size)
-        if b.size == 0:
-            # D = 1: nothing moves.
-            phi = output_array(t.size, 1)
-            phi[:] = 1.0
-            return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
-    min_sites = 1 if complete else 1 + (truncation or 0)
-    return _evolve_window(b, t, min_sites, tail_tol, open_end, complete)
+        # D = 1: nothing moves.
+        phi = output_array(t.size, 1)
+        phi[:] = 1.0
+        return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
+    return _evolve_window(b, t, open_end)
 
 
 def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:

@@ -157,10 +157,11 @@ class _Frame:
             spec.require_hamiltonian()
             energies, vectors = spec._energies, spec._vectors
             w = spec._weights
+            # Weights that underflow to 0 carry no mass: the fold drops them.
             weights = np.outer(w, w) / spec._partition
-            if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
+            if not np.all(np.isfinite(weights)):
                 raise NumericalError(
-                    "thermal weights underflowed; beta * spectral width too large"
+                    "thermal weights are not finite; beta * spectral width too large"
                 )
         self.dim = dim
         self.vectors = vectors
@@ -254,7 +255,9 @@ def run_lanczos(
         exhaustion, not truncation.
     store_basis : bool
         Rebuild the Krylov operators (and their Gram diagnostics) in the
-        result.
+        result.  The rebuild divides by the inner-product weights, so a
+        thermal product with weights that underflow to 0 raises
+        NumericalError; the chain alone (store_basis=False) drops them.
 
     Raises
     ------
@@ -298,11 +301,18 @@ def run_lanczos(
 
     d = H.dim
     frame = _Frame(spec, d, H)
+    sqrt_weights = frame.sqrt_weights.ravel(order="F")
+    if store_basis and not np.all(sqrt_weights > 0.0):
+        raise NumericalError(
+            "thermal weights underflowed to 0, and the stored basis is rebuilt "
+            "by dividing by them; pass store_basis=False for the chain alone"
+        )
     x = frame.to_frame(op.components)
     # The change of frame rounds each entry by about d eps of the seed's
     # norm, before the inner-product weights scale it.
     rounding = _ROUNDING * d
-    unweighted = np.abs(x) / frame.sqrt_weights.ravel(order="F")
+    unweighted = np.divide(np.abs(x), sqrt_weights, out=np.zeros(x.size),
+                           where=sqrt_weights > 0.0)
     x[unweighted <= rounding * np.linalg.norm(unweighted)] = 0.0
     norm0 = float(np.linalg.norm(x))
     if norm0 == 0.0:

@@ -177,8 +177,7 @@ def test_linear_family_matches_exponential_growth():
     np.testing.assert_array_equal(model.b(np.arange(1, 9)),
                                   np.arange(1.0, 9.0))
     grid = np.linspace(0.0, 3.0, 301)
-    traj = evolve_amplitudes(lambda n: model.b(np.asarray(n)), grid,
-                             truncation=400)
+    traj = evolve_amplitudes(lambda n: model.b(np.asarray(n)), grid)
     assert traj.tail_mass < 1e-12
     prof = complexity_profile(traj)
     K = np.sinh(grid) ** 2

@@ -296,13 +296,13 @@ class TestModelAmplitudes:
         np.testing.assert_allclose(closed.phi, evolved.phi, atol=1e-12)
 
     def test_matches_chain_evolution_hw(self):
-        # Pad the evolved chain: a hard truncation distorts amplitudes near
-        # its edge, and the closed form is the infinite-chain answer.
+        # The closed form stops where its probability tail falls below its
+        # tolerance; the family's window reports the wider amplitude tail.
         m = AlgebraModel.hw(0.9)
         t = np.linspace(0.0, 3.0, 25)
         closed = model_amplitudes(m, t)
-        evolved = evolve_amplitudes(lambda n: m.b(np.asarray(n)), t,
-                                    truncation=closed.sites + 200)
+        evolved = evolve_amplitudes(lambda n: m.b(np.asarray(n)), t)
+        assert evolved.sites >= closed.sites
         np.testing.assert_allclose(
             closed.phi, evolved.phi[:, :closed.sites], atol=1e-12
         )
@@ -311,8 +311,8 @@ class TestModelAmplitudes:
         m = AlgebraModel.sl2r(2.5, 0.8)
         t = np.linspace(0.0, 2.5, 21)
         closed = model_amplitudes(m, t)
-        evolved = evolve_amplitudes(lambda n: m.b(np.asarray(n)), t,
-                                    truncation=closed.sites + 200)
+        evolved = evolve_amplitudes(lambda n: m.b(np.asarray(n)), t)
+        assert evolved.sites >= closed.sites
         np.testing.assert_allclose(
             closed.phi, evolved.phi[:, :closed.sites], atol=1e-12
         )

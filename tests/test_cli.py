@@ -58,6 +58,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("numerical error:")
 
+    @pytest.mark.parametrize("command", ["evolve", "bound"])
+    def test_truncation_flag_is_gone(self, tmp_path, capsys, command):
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({"b": [1.0, 1.5, 2.0]}))
+        code, _, err = run_cli(capsys, command, str(chain), "--truncation", "5")
+        assert code == 1
+        assert "--truncation" in err
+
     @pytest.mark.parametrize("payload, extra, field", [
         ({"realizations": [1, 2]}, ["--realization", "0"], "realization 0"),
         ({"b": "x"}, [], "field 'b'"),
@@ -207,6 +215,8 @@ class TestEvolveCommand:
         assert d["method"] == "window"
         assert d["truncated"] is True
         assert 0.0 <= d["tail_mass"] < 1e-12
+        # The window follows the amplitude, not the 65 listed sites.
+        assert d["window"] < 64
 
     def test_exhausted_artifact_chain(self, tmp_path, capsys):
         # 10 listed coefficients cannot cover the spread at t = 10.

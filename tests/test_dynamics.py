@@ -127,22 +127,6 @@ class TestEvolution:
             complexity_profile(traj).complexity, traj.times**2, atol=1e-10
         )
 
-    def test_array_truncation_grows_back_to_exact(self):
-        # Asking for a 4-site cut of a 21-site chain at t where the wave
-        # passes site 4 must fall back to the full chain and mark it exact.
-        b = np.ones(20)
-        traj = evolve_amplitudes(b, np.linspace(0.0, 3.0, 16), truncation=4)
-        assert traj.b.size == 20
-        assert not traj.truncated
-        assert traj.tail_mass == 0.0
-
-    def test_array_truncation_kept_when_tail_is_clear(self):
-        b = np.ones(30)
-        traj = evolve_amplitudes(b, np.linspace(0.0, 0.5, 6), truncation=12)
-        assert traj.truncated
-        assert traj.b.size == 12
-        assert traj.tail_mass < 1e-12
-
     def test_family_exhaustion_cap(self, monkeypatch):
         # A family too spread out to materialize: b_n = n moves mass to
         # ~sinh^2(t) sites, far past any ceiling at large t.  The ceiling is
@@ -185,15 +169,15 @@ class TestEvolution:
 
     def test_open_ended_array_stops_at_its_end(self):
         # 256 listed coefficients of b_n = n: their end stands in for the
-        # rest while the last two sites hold less than tail_tol, as they do
+        # rest while the last two sites hold less than TAIL_TOL, as they do
         # up to t = 1.8, and a grid that moves more there is refused.  Up
         # to then the amplitudes are those of the closed 257-site chain,
         # whose reflection moves them by up to 2.4e-7 from the infinite
-        # chain's, within the amplitude of 1e-6 that tail_tol lets the wall
+        # chain's, within the amplitude of 1e-6 that TAIL_TOL lets the wall
         # carry.
         b = np.arange(1.0, 257.0)
         times = np.linspace(0.0, 1.8, 301)
-        traj = evolve_amplitudes(b, times, truncation=256, open_end=True)
+        traj = evolve_amplitudes(b, times, open_end=True)
         assert traj.method == "window"
         assert traj.truncated
         assert traj.sites == 257
@@ -228,8 +212,8 @@ class TestEvolution:
             evolve_amplitudes(QUBIT_B, [])
         with pytest.raises(ValidationError):
             evolve_amplitudes([1.0, -1.0], [0.0, 1.0])
-        with pytest.raises(ValidationError):
-            evolve_amplitudes(QUBIT_B, [0.0, 1.0], truncation=0)
+        with pytest.raises(ValidationError, match="must list a coefficient"):
+            evolve_amplitudes([], [0.0, 1.0], open_end=True)
 
 
 @pytest.mark.parametrize("grid, problem", [
@@ -269,9 +253,9 @@ class TestInitialCondition:
 
     def test_truncated_window(self, rng):
         b = rng.uniform(0.3, 2.0, size=300)
-        traj = evolve_amplitudes(b, np.linspace(0.0, 0.5, 11), truncation=40)
+        traj = evolve_amplitudes(b[:40], np.linspace(0.0, 0.5, 11), open_end=True)
         assert traj.truncated
-        assert traj.b.size < b.size
+        assert traj.sites == 41
         self._check_seed_row(traj)
 
     def test_callable_family(self):
@@ -327,13 +311,13 @@ class TestAgainstExpmOracle:
         # mirrored by the chain's chirality, loses it.
         self._check(np.array([0.01, 3.0] * 15)[:bonds], np.linspace(0.0, 60.0, 31))
 
-    def _check_window(self, b, times, chain, truncation=None):
+    def _check_window(self, b, times, chain, open_end=False):
         """A windowed trajectory against the oracle on the finite chain.
 
         chain holds the coefficients of the oracle's chain; the sites the
         trajectory leaves out must hold nothing above TOL either.
         """
-        traj = evolve_amplitudes(b, times, truncation=truncation)
+        traj = evolve_amplitudes(b, times, open_end=open_end)
         assert traj.method == "window"
         ref = chain_amplitudes(chain, times)
         assert traj.sites <= ref.shape[1]
@@ -352,20 +336,20 @@ class TestAgainstExpmOracle:
         assert traj.truncated
         assert traj.tail_mass < 1e-20
 
-    @pytest.mark.parametrize("tmax, exact", [(4.0, False), (200.0, True)])
-    def test_cut_array(self, rng, tmax, exact):
-        # 300 sites cut to 40: by t = 4 the window has not reached the end of
-        # the array; by t = 200 it has, and the array is the exact chain.
+    def test_cut_array(self, rng):
+        # The first 40 coefficients of a 300-site chain, open-ended: up to
+        # t = 4 their last two sites stay below TAIL_TOL, and the 41 sites
+        # are those of the whole chain.
         b = rng.uniform(0.3, 2.0, size=299)
-        traj = self._check_window(b, np.linspace(0.0, tmax, 21), b, truncation=40)
-        assert traj.truncated is not exact
-        assert (traj.sites == 300) is exact
-        assert traj.sites >= 41
+        traj = self._check_window(b[:40], np.linspace(0.0, 4.0, 21), b, open_end=True)
+        assert traj.truncated
+        assert traj.sites == 41
+        assert traj.tail_mass < 1e-12
 
     def test_negative_times_on_a_window(self, rng):
         b = rng.uniform(0.3, 2.0, size=299)
         times = np.linspace(-3.0, 3.0, 25)
-        traj = self._check_window(b, times, b, truncation=10)
+        traj = self._check_window(b, times, b)
         # phi_n(-t) = (-1)^n phi_n(t), from separate walks forward and back.
         signs = (-1.0) ** np.arange(traj.sites)
         np.testing.assert_allclose(traj.phi[::-1], traj.phi * signs, rtol=0, atol=self.TOL)

@@ -38,6 +38,16 @@ SZ = np.diag([1.0, -1.0])
 SQRT2 = math.sqrt(2.0)
 
 
+def cold_thermal_pair():
+    """H with levels 0, 0.11, 0.23, 0.37, 50, 61 in a random frame, and a
+    random real symmetric seed."""
+    rng = np.random.default_rng(1)
+    Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    H = Q @ np.diag([0.0, 0.11, 0.23, 0.37, 50.0, 61.0]) @ Q.T
+    A = rng.normal(size=(6, 6))
+    return H, A + A.T
+
+
 def heisenberg_chain_z0(n=4):
     """Heisenberg chain on n sites with seed Z on the first site."""
     paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
@@ -226,6 +236,23 @@ class TestWholeChainOracle:
         assert res.b.size == ref.size
         np.testing.assert_allclose(res.b, ref, rtol=0, atol=self.TOL * np.max(ref))
 
+    def test_chain_with_underflowing_thermal_weights(self, recwarn):
+        # Levels at 50 and 61 put e^{-beta (E_i + E_j) / 2} below the
+        # smallest double at beta = 40 for 20 of the 36 slots; those slots
+        # carry no mass, and the chain is that of the other 16.
+        pytest.importorskip("mpmath")
+        H, O = cold_thermal_pair()
+        spec = InnerProductSpec(beta=40.0, hamiltonian=H)
+        weights = np.outer(spec._weights, spec._weights) / spec._partition
+        assert np.count_nonzero(weights == 0.0) == 20
+        res = run_lanczos(H, OperatorVector.from_matrix(O, spec), store_basis=False)
+        nodes, weights, _ = liouvillian_measure(H, O, 40.0)
+        ref = stieltjes_chain(nodes, weights)
+        assert res.D == 13
+        assert res.b.size == ref.size
+        np.testing.assert_allclose(res.b, ref, rtol=0, atol=self.TOL * np.max(ref))
+        assert not recwarn.list
+
 
 class TestReorthogonalization:
     def test_cancelling_pass_is_repeated(self, rng):
@@ -266,6 +293,14 @@ class TestReorthogonalization:
         spec = InnerProductSpec(beta=40.0, hamiltonian=H)
         res = run_lanczos(H, OperatorVector.from_matrix(O, spec))
         assert res.ortho_error <= 1e-13
+
+    def test_stored_basis_with_underflowing_weights_is_refused(self):
+        # The rebuild divides by the weights, so slots whose weight is 0
+        # would fill the basis with NaN.
+        H, O = cold_thermal_pair()
+        spec = InnerProductSpec(beta=40.0, hamiltonian=H)
+        with pytest.raises(NumericalError, match="stored basis.*store_basis=False"):
+            run_lanczos(H, OperatorVector.from_matrix(O, spec))
 
 
 class TestMeasureFold:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from kbound.operators import load_matrix
 
 
 def _load_chain(path):
-    return cli._load_chain(cli.RunConfig("bound", [str(path)]))
+    return cli._load_chain(argparse.Namespace(command="bound", inputs=[str(path)],
+                                              realization=None))
 
 
 @pytest.mark.parametrize("load", [load_matrix, load_result_json,
