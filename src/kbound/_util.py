@@ -21,6 +21,52 @@ def open_write(path_or_file):
             yield fh
 
 
+def _json_pieces(value):
+    """The text of json.dumps(value, allow_nan=False), in pieces.
+
+    Dicts with string keys and lists of lists or dicts are split into their
+    items; everything else is one piece from the C encoder.  A NaN or an
+    infinity raises ValidationError.
+    """
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{"
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(item)
+            sep = ", "
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _json_pieces(item)
+            sep = ", "
+        yield "]"
+    else:
+        try:
+            text = json.dumps(value, allow_nan=False)
+        except ValueError as exc:
+            raise ValidationError(
+                f"cannot write JSON: the payload holds a NaN or an infinity ({exc})"
+            ) from exc
+        yield text
+
+
+def write_json(path_or_file, payload) -> None:
+    """Write payload as one line of JSON to a path or a file-like.
+
+    The text is json.dumps(payload) and a newline.  It is encoded by the C
+    encoder that json.dumps uses (json.dump encodes in pure Python), one
+    row of a nested list at a time and written as it goes, so no more than
+    a row's text is held at once.  A NaN or an infinity, which JSON cannot
+    hold, raises ValidationError.
+    """
+    with open_write(path_or_file) as fh:
+        for piece in _json_pieces(payload):
+            fh.write(piece)
+        fh.write("\n")
+
+
 def load_json_object(path) -> dict:
     """The JSON object stored at ``path``.
 

@@ -21,13 +21,13 @@ tolerance regime.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import finite_or_none, json_bool, json_field, load_json_object, open_write
+from ._util import (finite_or_none, json_bool, json_field, load_json_object,
+                    open_write, write_json)
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["main"]
@@ -63,11 +63,6 @@ def _emit(ns: argparse.Namespace, writer) -> None:
     else:
         with open_write(ns.out) as fh:
             writer(fh)
-
-
-def _dump_json(payload: dict, fh) -> None:
-    json.dump(payload, fh, allow_nan=False)
-    fh.write("\n")
 
 
 def _float_list(arr) -> list:
@@ -166,7 +161,7 @@ def _cmd_model(ns: argparse.Namespace) -> int:
                 "dispersion": _float_list(profile.dispersion),
             },
         }
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     else:
         def write(fh):
             fh.write("t,K,dispersion\n")
@@ -206,7 +201,7 @@ def _cmd_lanczos(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = lanczos.result_to_dict(result, include_basis=ns.store_basis)
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     else:
         _emit(ns, lambda fh: lanczos.save_coefficients_csv(result.b, fh))
     return 0
@@ -229,7 +224,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
             "tail_mass": float(traj.tail_mass),
             "phi": [_float_list(row) for row in traj.phi],
         }
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     return 0
 
 
@@ -262,7 +257,7 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
             "b1": profile.b1,
             "tau_d": finite_or_none(tau_d),
         }
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     return 0
 
 
@@ -282,7 +277,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
             "classification": classification,
             "f_values": _float_list(report.f_values),
         }
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     else:
         def write(fh):
             fh.write("key,value\n")
@@ -312,7 +307,7 @@ def _cmd_goe(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = ensembles.ensemble_to_dict(result)
-        _emit(ns, lambda fh: _dump_json(payload, fh))
+        _emit(ns, lambda fh: write_json(fh, payload))
     else:
         _emit(ns, lambda fh: ensembles.save_ensemble_csv(result, fh))
     if result.failed:

@@ -30,9 +30,11 @@ stays within 32 share one set of vectors R_0 .. R_K, built once for the
 widest offset, and all their rows come from one matrix product with the
 J_k(a h_j).  A gap wider than that is one block of its own, stepped by
 accumulating the series (and split where the window cannot hold it).
-Every series is divided by J_0 + 2 sum_k J_2k, which Neumann's identity
-makes 1; with the fewer steps of the blocks this keeps the norm within a
-few rounding errors.
+Each series J_k(x) comes from Miller's backward recurrence
+J_{k-1} = (2k / x) J_k - J_{k+1} (Gautschi, SIAM Rev. 9, 24, 1967),
+normalized by Neumann's identity J_0 + 2 sum_k J_2k = 1.  Its terms meet
+that identity to rounding, which keeps the norm of the evolved state
+within a few rounding errors over the blocks.
 
 An order-K block moves amplitude at most K sites, so before each one the
 window is sized to the last occupied site + K + 2 and only the
@@ -53,7 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import NumericalError, ValidationError
 from ._util import open_write, output_array, validate_times
@@ -75,6 +76,9 @@ _OCCUPIED = 1e-30
 # Chebyshev terms stop once |J_k| drops below this: every R_k has norm at
 # most 1, and the J_k fall off faster than geometrically past k = a h.
 _SERIES_FLOOR = 1e-17
+# Miller's recurrence for J_k(x) starts at an order where J_N(x) is below
+# this, far enough past _SERIES_FLOOR that the start leaves no error there.
+_START_TOL = 1e-20
 # Widest series argument a |t_j - t_start| of the grid points evaluated from
 # one set of Chebyshev vectors.  On the su2 D = 100 pileup (41 points to
 # t = pi) the norm error is 1.8e-15 at 32, against 5.6e-15 with one step per
@@ -184,24 +188,43 @@ def _tridiag_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _neumann(coef: np.ndarray) -> np.ndarray:
-    """Series J_k(x) along the last axis, divided by J_0 + 2 sum_k J_2k.
-
-    Neumann's identity makes that sum 1 (Abramowitz & Stegun 9.1.46); jv
-    misses it by up to a few 1e-16, and dividing it out keeps the norm of
-    the evolved state within rounding: on sl2r eta = 1 to t = 4 over 200
-    steps the norm error falls from 2.3e-12 to 1.9e-14.
-    """
-    return coef / (coef[..., :1] + 2.0 * coef[..., 2::2].sum(axis=-1, keepdims=True))
-
-
 def _bessel_series(x: float) -> np.ndarray:
-    """J_k(x), k = 0 .. K, for x >= 0, up to the last one above _SERIES_FLOOR."""
-    # Past k = x + 12 x^(1/3) + 32 the J_k are below 1e-20 for every x up to
-    # 1e5, and a window of MAX_TRUNCATION sites splits steps far below that.
-    top = int(x + 12.0 * x ** (1.0 / 3.0) + 32.0)
-    coef = jv(np.arange(top + 1), x)
-    return _neumann(coef[:max(2, np.flatnonzero(np.abs(coef) >= _SERIES_FLOOR)[-1] + 1)])
+    """J_k(x), k = 0 .. K, for x >= 0, up to the last one above _SERIES_FLOOR.
+
+    Miller's backward recurrence from f_{N+1} = 0, f_N = x, divided by
+    f_0 + 2 sum_k f_2k, which Neumann's identity makes the scale of the
+    f_k (Abramowitz & Stegun 9.1.46).  Below x = 20 the start order N is
+    where the bound J_n(x) <= (x/2)^n / n! falls below _START_TOL (at most
+    58); that keeps the f_k, which span about 1 / J_N, within range down to
+    the smallest subnormal x, and the loop that finds it costs less than the
+    recurrence steps it saves.  From x = 20 on, N is x + 12 x^(1/3) + 32,
+    past which the J_k are below 1e-20 for every x up to 1e5 (a window of
+    MAX_TRUNCATION sites splits steps far below that).  The start leaves an
+    error of about J_N^2 / J_k in every J_k kept, under 1e-23.  Each term is
+    within a few 1e-16 of the exact J_k (4.3e-16 at x = 1234.5), and the
+    terms meet Neumann's identity to rounding.
+    """
+    x = float(x)
+    if x == 0.0:
+        return np.array([1.0, 0.0])
+    if x < 20.0:
+        n, bound = 0, 1.0
+        while bound >= _START_TOL:
+            n += 1
+            bound *= 0.5 * x / n
+    else:
+        n = int(x + 12.0 * x ** (1.0 / 3.0) + 32.0)
+    f = [0.0] * (n + 1)
+    nxt, cur = 0.0, x
+    f[n] = cur
+    for k in range(n, 0, -1):
+        nxt, cur = cur, (k + k) * cur / x - nxt
+        f[k - 1] = cur
+    scale = f[0] + 2.0 * math.fsum(f[2::2])
+    floor = _SERIES_FLOOR * abs(scale)
+    while n > 1 and abs(f[n]) < floor:
+        n -= 1
+    return np.array(f[:n + 1]) / scale
 
 
 def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -336,7 +359,8 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
         else:
             out[k, :reach + 1] = row[:reach + 1]
         if open_end:
-            last = row[:reach + 1][end - 2:]
+            # The last two sites, but never the seed's site 0.
+            last = row[max(1, end - 2):]
             wall_mass = max(wall_mass, float(last @ last))
             if wall_mass >= TAIL_TOL:
                 raise NumericalError(
@@ -373,7 +397,10 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
             sites, a, coef, steps = plan(reach, offsets)
             m = steps.size
             if m > 1:
-                head = _neumann(jv(np.arange(coef.size), a * np.abs(steps[:-1, None])))
+                head = np.zeros((m - 1, coef.size))
+                for row, h in zip(head, steps[:-1]):
+                    series = _bessel_series(a * abs(h))
+                    row[:series.size] = series
                 coef = np.vstack([head, coef])
             blocks += 1
             terms += coef.shape[-1]

@@ -17,14 +17,14 @@ processes, and any single realization can be redrawn in isolation.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import finite_or_none, load_json_object, open_write, validate_times
+from ._util import (finite_or_none, load_json_object, open_write, validate_times,
+                    write_json)
 from .operators import InnerProductSpec, OperatorVector, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import ComplexityProfile, complexity_profile, evolve_amplitudes
@@ -280,9 +280,7 @@ def ensemble_to_dict(result: EnsembleResult) -> dict:
 
 
 def save_ensemble_json(result: EnsembleResult, path) -> None:
-    with open_write(path) as fh:
-        json.dump(ensemble_to_dict(result), fh)
-        fh.write("\n")
+    write_json(path, ensemble_to_dict(result))
 
 
 def load_ensemble_dict(path) -> dict:

@@ -44,14 +44,13 @@ block.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import json_bool, json_field, load_json_object, open_write
+from ._util import json_bool, json_field, load_json_object, open_write, write_json
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -461,9 +460,7 @@ def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:
 
 def save_result_json(result: LanczosResult, path, include_basis: bool = False) -> None:
     """Write a LanczosResult as JSON; the basis is opt-in (it is large)."""
-    with open_write(path) as fh:
-        json.dump(result_to_dict(result, include_basis), fh)
-        fh.write("\n")
+    write_json(path, result_to_dict(result, include_basis))
 
 
 def load_result_json(path) -> LanczosResult:

@@ -19,13 +19,12 @@ multiply by E_i - E_j; no dense d^2 x d^2 superoperator is ever formed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from ._util import load_json_object, open_write
+from ._util import load_json_object, write_json
 
 HERMITICITY_TOL = 1e-12
 
@@ -250,12 +249,12 @@ def save_matrix(path, matrix) -> None:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix has non-finite entries, which JSON cannot hold")
     payload = {"dim": int(m.shape[0]), "re": m.real.tolist()}
     if np.any(m.imag != 0.0):
         payload["im"] = m.imag.tolist()
-    with open_write(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -58,6 +58,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("numerical error:")
 
+    def test_one_coefficient_cut_chain_fails_where_its_wall_fills(self, tmp_path, capsys):
+        # The wall of a one-coefficient cut chain is site 1, not the seed's
+        # site 0: it holds sin^2(t), past TAIL_TOL = 1e-12 by t = 0.001.
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({"b": [1.0]}))
+        code, _, err = run_cli(capsys, "evolve", str(chain), "--tmax", "0.001",
+                               "--steps", "2")
+        assert code == 2
+        assert "by t = 0.001 its last two sites hold probability 1.000e-06" in err
+
     @pytest.mark.parametrize("command", ["evolve", "bound"])
     def test_truncation_flag_is_gone(self, tmp_path, capsys, command):
         chain = tmp_path / "c.json"

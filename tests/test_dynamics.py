@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kbound.dynamics import (
     save_amplitudes_csv,
     save_profile_csv,
     short_time_coefficients,
+    _bessel_series,
     _sixth_coefficient,
 )
 from kbound.algebras import AlgebraModel, model_amplitudes, model_observables
@@ -81,10 +83,10 @@ class TestEvolution:
         (lambda n: 10.0 * np.sqrt(np.asarray(n, dtype=float)), 4.0),  # hw, nu = 10
     ], ids=["sl2r", "hw"])
     def test_norm_stays_at_rounding_over_many_steps(self, family, tmax):
-        # Over 200 Chebyshev steps whose series are normalized by Neumann's
-        # identity J_0 + 2 sum J_2k = 1 the norm error stays at 7e-15 and
-        # 3e-15; with scipy's jv values as they come it reaches 8.6e-14 and
-        # 5.2e-14.
+        # Over 85 and 90 Chebyshev blocks the norm error stays at 3.1e-15
+        # and 8e-15: each series meets Neumann's identity
+        # J_0 + 2 sum J_2k = 1 to rounding.  Values that miss it by a few
+        # 1e-16 (scipy's jv, as it comes) drove it to 8.6e-14 and 5.2e-14.
         traj = evolve_amplitudes(family, np.linspace(0.0, tmax, 201))
         assert traj.tail_mass < 1e-20
         assert np.max(np.abs(np.sum(traj.phi**2, axis=1) - 1.0)) <= 2e-14
@@ -189,6 +191,14 @@ class TestEvolution:
         with pytest.raises(NumericalError, match="lists 256 coefficients"):
             evolve_amplitudes(b, np.linspace(0.0, 1.9, 301), open_end=True)
 
+    def test_open_ended_wall_mass_leaves_out_the_seed(self):
+        # One listed coefficient: the last two sites are the seed's site 0
+        # and site 1, and only site 1 is the wall, holding sin^2(t).
+        traj = evolve_amplitudes([1.0], [0.0, 1e-7], open_end=True)
+        assert traj.tail_mass == pytest.approx(1e-14, rel=1e-6)
+        with pytest.raises(NumericalError, match=r"t = 0\.001 .* 1\.000e-06"):
+            evolve_amplitudes([1.0], [0.0, 1e-3], open_end=True)
+
     def test_array_chain_out_of_memory(self, monkeypatch):
         # A complete chain's output is allocated before the first block;
         # where the machine cannot hold it, the error names its size instead
@@ -214,6 +224,73 @@ class TestEvolution:
             evolve_amplitudes([1.0, -1.0], [0.0, 1.0])
         with pytest.raises(ValidationError, match="must list a coefficient"):
             evolve_amplitudes([], [0.0, 1.0], open_end=True)
+
+
+class TestBesselSeries:
+    """The Chebyshev series J_k(x) against 40-digit values of mpmath.besselj."""
+
+    XS = [1e-300, 1e-12, 1e-6, 0.3, 1.0, 5.0, 32.0, 100.0, 1234.5]
+
+    @staticmethod
+    def _series(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _bessel_series(x)
+
+    @pytest.mark.parametrize("x", XS)
+    def test_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        coef = self._series(x)
+        # Every order, and a few past the cut; at 1234.5 (some 10 ms an
+        # order) every 11th and the last few.
+        orders = range(coef.size + 3)
+        if x > 1000.0:
+            orders = sorted({*range(0, coef.size, 11), *orders[-6:]})
+        with mpmath.workdps(40):
+            ref = {k: float(mpmath.besselj(k, mpmath.mpf(x))) for k in orders}
+        tol = 2e-15 if x > 1000.0 else 4e-16
+        for k, value in ref.items():
+            if k < coef.size:
+                assert abs(coef[k] - value) <= tol, (k, coef[k], value)
+            else:
+                assert abs(value) < 1e-17
+        assert abs(coef[-1]) >= 1e-17 or coef.size == 2
+
+    def test_against_normalized_scipy_at_large_argument(self):
+        from scipy.special import jv
+
+        coef = self._series(1e4)
+        ref = jv(np.arange(coef.size + 40), 1e4)
+        ref /= ref[0] + 2.0 * ref[2::2].sum()
+        np.testing.assert_allclose(coef, ref[:coef.size], rtol=0, atol=1e-13)
+        assert np.max(np.abs(ref[coef.size:])) < 1e-17
+
+    @pytest.mark.parametrize("x", XS + [5e-324, 1e4])
+    def test_neumann_identity_holds_to_rounding(self, x):
+        coef = self._series(x)
+        eps = np.finfo(np.float64).eps
+        assert abs(coef[0] + 2.0 * coef[2::2].sum() - 1.0) <= 4 * eps
+
+    def test_tiny_step_gives_the_seed(self):
+        # a h = 4e-300: phi_1 = 1e-300 is below the occupied threshold, so
+        # both rows are e_0 exactly, with no overflow on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_amplitudes([1.0, 2.0], [0.0, 1e-300])
+        np.testing.assert_array_equal(traj.phi, [[1.0, 0.0, 0.0]] * 2)
+
+    def test_block_rows_match_their_own_series(self):
+        # Constant b = 1 has a = 2 on every window.  Once the state has
+        # spread over the chain (t = 20), the 40 points after it are one
+        # block whose rows have x = 2 (t - 20) from 0.01 to 32.  Each row
+        # must be the single step from t = 20 with its own series.
+        b = np.ones(80)
+        offsets = np.geomspace(0.005, 16.0, 40)
+        traj = evolve_amplitudes(b, np.concatenate([[0.0, 20.0], 20.0 + offsets]))
+        assert traj.blocks == evolve_amplitudes(b, [0.0, 20.0]).blocks + 1
+        for row, h in zip(traj.phi[2:], offsets):
+            alone = evolve_amplitudes(b, [0.0, 20.0, 20.0 + h])
+            np.testing.assert_allclose(row, alone.phi[2], rtol=0, atol=2e-15)
 
 
 @pytest.mark.parametrize("grid, problem", [

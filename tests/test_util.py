@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -12,11 +13,11 @@ import pytest
 
 import kbound
 from kbound import cli
-from kbound._util import finite_or_none
+from kbound._util import finite_or_none, write_json
 from kbound.ensembles import GoeSpec, ensemble_to_dict, load_ensemble_dict, run_ensemble
 from kbound.errors import ValidationError
 from kbound.lanczos import load_result_json
-from kbound.operators import load_matrix
+from kbound.operators import load_matrix, save_matrix
 
 
 def _load_chain(path):
@@ -40,6 +41,33 @@ def test_finite_or_none():
         assert finite_or_none(x) is None
     out = finite_or_none(np.float64(1.5))
     assert out == 1.5 and type(out) is float
+
+
+@pytest.mark.parametrize("payload", [
+    {"b": [0.1, 1.0 / 3.0, 2.5e-300], "D": 4, "name": "x\u00e9", "n": None},
+    {"basis": {"re": [[1.0, 2.0], [3.0, 4.0]], "im": [[0.0, -1.0], [1e-300, 0.0]]},
+     "rows": [{"a": 1}, {}, {"b": [[]]}], "empty": {}, "none": [], "ints": {1: 2}},
+    [[1.5, 2.5], [3.5]],
+    3.25,
+])
+def test_write_json_matches_json_dumps(tmp_path, payload):
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    assert path.read_text() == json.dumps(payload) + "\n"
+    handle = io.StringIO()
+    write_json(handle, payload)
+    assert handle.getvalue() == path.read_text()
+
+
+def test_write_json_refuses_nan(tmp_path):
+    path = tmp_path / "out.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="NaN or an infinity"):
+            write_json(path, {"b": [[1.0], [bad]]})
+    path.write_text("before\n")
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        save_matrix(path, np.array([[1.0, np.nan], [np.nan, 0.0]]))
+    assert path.read_text() == "before\n"
 
 
 def test_ensemble_json_has_no_infinity():
