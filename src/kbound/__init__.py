@@ -14,7 +14,6 @@ from .operators import (
     InnerProductSpec,
     OperatorVector,
     as_hermitian,
-    inner_product,
     load_hamiltonian,
     load_matrix,
     save_matrix,
@@ -35,11 +34,10 @@ from .lanczos import (
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
-    anticommutator_expectation,
     complexity_profile,
     deviation_time,
     evolve_amplitudes,
-    liouvillian_moments,
+    profile_to_dict,
     save_amplitudes_csv,
     save_profile_csv,
     short_time_coefficients,
@@ -58,7 +56,6 @@ from .ensembles import (
     GoeSpec,
     ensemble_to_dict,
     goe_sample,
-    load_ensemble_dict,
     run_ensemble,
     save_ensemble_csv,
     save_ensemble_json,
@@ -82,7 +79,6 @@ __all__ = [
     "OrthogonalityReport",
     "ReorthPolicy",
     "ValidationError",
-    "anticommutator_expectation",
     "as_hermitian",
     "classify_algebra",
     "closure_test",
@@ -92,9 +88,6 @@ __all__ = [
     "ensemble_to_dict",
     "evolve_amplitudes",
     "goe_sample",
-    "inner_product",
-    "liouvillian_moments",
-    "load_ensemble_dict",
     "load_hamiltonian",
     "load_matrix",
     "load_result_json",
@@ -103,6 +96,7 @@ __all__ = [
     "model_observables",
     "orthogonality_report",
     "parse_model_spec",
+    "profile_to_dict",
     "result_to_dict",
     "run_ensemble",
     "run_lanczos",

@@ -67,6 +67,30 @@ def write_json(path_or_file, payload) -> None:
         fh.write("\n")
 
 
+def _csv_cell(x) -> str:
+    if isinstance(x, (str, int)):
+        return str(x)
+    return f"{float(x):.17g}"
+
+
+def write_csv(path_or_file, header, rows, comment=None) -> None:
+    """Write a CSV table to a path or a file-like.
+
+    header names the columns; each row is an iterable of cells.  A str or
+    int cell is written as it is, any other as float(x) to 17 significant
+    digits, which gives nan and inf for undefined values.  comment, when
+    given, is written first as a line "# comment".
+    """
+    with open_write(path_or_file) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            # Python floats, the bulk of every table, skip the type tests.
+            cells = [f"{x:.17g}" if type(x) is float else _csv_cell(x) for x in row]
+            fh.write(",".join(cells) + "\n")
+
+
 def load_json_object(path) -> dict:
     """The JSON object stored at ``path``.
 
@@ -99,6 +123,22 @@ def json_bool(value) -> bool:
     """A JSON boolean as itself; TypeError for anything else (such as "false")."""
     if not isinstance(value, bool):
         raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
+def json_int(value, minimum: int = 1) -> int:
+    """A JSON integer (or integral number such as 3.0) as an int.
+
+    TypeError for a bool or anything else that is not an integer (such as
+    3.9, which int() would truncate); ValueError below ``minimum``, which
+    defaults to 1 for the sizes and lengths most fields hold.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value}")
     return value
 
 

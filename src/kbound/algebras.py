@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, nbdtrik, pdtrc, pdtrik
 
 from .errors import NumericalError, ValidationError
 from ._util import output_array, validate_times
@@ -378,6 +377,9 @@ def _infinite_family_length(model: AlgebraModel, x: float) -> tuple[int, float]:
     at 1 - TAIL_TOL covers sites 0 .. ceil(k); one more site absorbs the
     root finder's tolerance on k.
     """
+    # Imported here: scipy.special is most of a cold `import kbound`.
+    from scipy.special import betainc, nbdtrik, pdtrc, pdtrik
+
     if model.kind == "hw":
         k = pdtrik(1.0 - TAIL_TOL, x * x)
     else:
@@ -414,6 +416,8 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
+    from scipy.special import gammaln
+
     t = validate_times(times)
 
     x = model.nu * t

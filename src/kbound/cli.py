@@ -26,17 +26,13 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (finite_or_none, json_bool, json_field, load_json_object,
-                    open_write, write_json)
+from ._util import (finite_or_none, json_bool, json_field, json_int,
+                    load_json_object, write_csv, write_json)
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["main"]
 
 _FORMATS = ("json", "csv")
-
-
-def _fmt17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _time_grid(ns: argparse.Namespace) -> np.ndarray:
@@ -56,13 +52,9 @@ def _resolve_format(ns: argparse.Namespace, default: str) -> str:
     return suffix if ns.out != "-" and suffix in _FORMATS else default
 
 
-def _emit(ns: argparse.Namespace, writer) -> None:
-    """Call writer(handle) on the chosen output (stdout for '-')."""
-    if ns.out == "-":
-        writer(sys.stdout)
-    else:
-        with open_write(ns.out) as fh:
-            writer(fh)
+def _output(ns: argparse.Namespace):
+    """The chosen output: stdout for '-', else the path."""
+    return sys.stdout if ns.out == "-" else ns.out
 
 
 def _float_list(arr) -> list:
@@ -109,7 +101,7 @@ def _load_chain(ns: argparse.Namespace) -> tuple[np.ndarray, int | None, bool]:
         raise ValidationError(f"{path}: field 'b' must be a non-empty list")
     D = None
     if payload.get("D") is not None:
-        D = json_field(payload, "D", int, path, "an integer")
+        D = json_field(payload, "D", json_int, path, "an integer >= 1")
         # Fewer coefficients than D - 1 are the head of the chain.
         if b.size > D - 1:
             raise ValidationError(
@@ -161,16 +153,10 @@ def _cmd_model(ns: argparse.Namespace) -> int:
                 "dispersion": _float_list(profile.dispersion),
             },
         }
-        _emit(ns, lambda fh: write_json(fh, payload))
+        write_json(_output(ns), payload)
     else:
-        def write(fh):
-            fh.write("t,K,dispersion\n")
-            for k in range(times.size):
-                fh.write(
-                    f"{_fmt17(times[k])},{_fmt17(profile.complexity[k])},"
-                    f"{_fmt17(profile.dispersion[k])}\n"
-                )
-        _emit(ns, write)
+        rows = zip(times, profile.complexity, profile.dispersion)
+        write_csv(_output(ns), ("t", "K", "dispersion"), rows)
     if ns.coeffs_out:
         lanczos.save_coefficients_csv(bchain, ns.coeffs_out)
     return 0
@@ -201,9 +187,9 @@ def _cmd_lanczos(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = lanczos.result_to_dict(result, include_basis=ns.store_basis)
-        _emit(ns, lambda fh: write_json(fh, payload))
+        write_json(_output(ns), payload)
     else:
-        _emit(ns, lambda fh: lanczos.save_coefficients_csv(result.b, fh))
+        lanczos.save_coefficients_csv(result.b, _output(ns))
     return 0
 
 
@@ -211,7 +197,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
     traj = _evolve_chain(ns)
     fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
-        _emit(ns, lambda fh: dynamics.save_amplitudes_csv(traj, fh))
+        dynamics.save_amplitudes_csv(traj, _output(ns))
     else:
         payload = {
             "t": _float_list(traj.times),
@@ -224,7 +210,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
             "tail_mass": float(traj.tail_mass),
             "phi": [_float_list(row) for row in traj.phi],
         }
-        _emit(ns, lambda fh: write_json(fh, payload))
+        write_json(_output(ns), payload)
     return 0
 
 
@@ -244,20 +230,10 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     profile, tau_d = _profile_and_tau(ns)
     fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
-        _emit(ns, lambda fh: dynamics.save_profile_csv(profile, fh, tau_d=tau_d))
+        dynamics.save_profile_csv(profile, _output(ns), tau_d=tau_d)
     else:
-        payload = {
-            "t": _float_list(profile.times),
-            "K": _float_list(profile.complexity),
-            "rate": _float_list(profile.rate),
-            "dispersion": _float_list(profile.dispersion),
-            "bound": _float_list(profile.bound),
-            "ratio": [finite_or_none(x) for x in profile.ratio],
-            "tau_K": [finite_or_none(x) for x in profile.tau_k],
-            "b1": profile.b1,
-            "tau_d": finite_or_none(tau_d),
-        }
-        _emit(ns, lambda fh: write_json(fh, payload))
+        payload = {**dynamics.profile_to_dict(profile), "tau_d": finite_or_none(tau_d)}
+        write_json(_output(ns), payload)
     return 0
 
 
@@ -277,17 +253,13 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
             "classification": classification,
             "f_values": _float_list(report.f_values),
         }
-        _emit(ns, lambda fh: write_json(fh, payload))
+        write_json(_output(ns), payload)
     else:
-        def write(fh):
-            fh.write("key,value\n")
-            fh.write(f"closed,{int(report.closed)}\n")
-            fh.write(f"alpha,{_fmt17(report.alpha)}\n")
-            fh.write(f"gamma,{_fmt17(report.gamma)}\n")
-            fh.write(f"max_residual,{_fmt17(report.max_residual)}\n")
-            fh.write(f"trivial,{int(report.trivial)}\n")
-            fh.write(f"classification,{classification or ''}\n")
-        _emit(ns, write)
+        rows = [("closed", int(report.closed)), ("alpha", report.alpha),
+                ("gamma", report.gamma), ("max_residual", report.max_residual),
+                ("trivial", int(report.trivial)),
+                ("classification", classification or "")]
+        write_csv(_output(ns), ("key", "value"), rows)
     return 0
 
 
@@ -307,9 +279,9 @@ def _cmd_goe(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = ensembles.ensemble_to_dict(result)
-        _emit(ns, lambda fh: write_json(fh, payload))
+        write_json(_output(ns), payload)
     else:
-        _emit(ns, lambda fh: ensembles.save_ensemble_csv(result, fh))
+        ensembles.save_ensemble_csv(result, _output(ns))
     if result.failed:
         print(f"warning: {len(result.failed)} of {spec.count} realizations failed",
               file=sys.stderr)

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import open_write, output_array, validate_times
+from ._util import finite_or_none, output_array, validate_times, write_csv
 
 TAIL_TOL = 1e-12
 # Dispersion below max(this, 16 sqrt(eps) * the peak rms position) marks
@@ -86,9 +86,6 @@ _START_TOL = 1e-20
 # blocks' up to ~100 vectors of MAX_TRUNCATION sites take 52 MB.
 _BLOCK_ARG = 32.0
 
-# i^n, exact by table lookup
-_PHASE_POS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
 __all__ = [
     "TAIL_TOL",
     "UNDEFINED_CUTOFF",
@@ -96,8 +93,7 @@ __all__ = [
     "ComplexityProfile",
     "evolve_amplitudes",
     "complexity_profile",
-    "anticommutator_expectation",
-    "liouvillian_moments",
+    "profile_to_dict",
     "short_time_coefficients",
     "deviation_time",
     "save_profile_csv",
@@ -158,6 +154,14 @@ class ComplexityProfile:
     b1: float
 
 
+# The CSV column / JSON key of each ComplexityProfile array, in output order.
+_PROFILE_COLUMNS = {"t": "times", "K": "complexity", "rate": "rate",
+                    "dispersion": "dispersion", "bound": "bound",
+                    "ratio": "ratio", "tau_K": "tau_k"}
+# Columns that are NaN where undefined: null in JSON.
+_UNDEFINED_COLUMNS = ("ratio", "tau_K")
+
+
 def _validate_coefficients(b) -> np.ndarray:
     arr = np.asarray(b, dtype=np.float64).ravel()
     if not np.all(np.isfinite(arr)):
@@ -177,15 +181,6 @@ def _eval_family(bfun, first: int, stop: int) -> np.ndarray:
     except (TypeError, ValueError):
         vals = np.asarray([float(bfun(int(n))) for n in ns])
     return _validate_coefficients(vals)
-
-
-def _tridiag_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = T x for the symmetric zero-diagonal tridiagonal T with offdiag b."""
-    y = np.zeros_like(x)
-    if b.size:
-        y[1:] = b * x[:-1]
-        y[:-1] += b * x[1:]
-    return y
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -541,39 +536,22 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     )
 
 
-def _complex_state(trajectory: AmplitudeTrajectory, k: int) -> np.ndarray:
-    if not 0 <= k < trajectory.times.size:
-        raise ValidationError(
-            f"time index must lie in [0, {trajectory.times.size}), got {k}"
-        )
-    n_sites = trajectory.phi.shape[1]
-    return trajectory.phi[k] * _PHASE_POS[np.arange(n_sites) % 4]
+def _profile_columns(profile: ComplexityProfile) -> dict[str, list]:
+    """Every profile column as a list of floats, by name, in output order."""
+    return {name: np.asarray(getattr(profile, attr), dtype=np.float64).tolist()
+            for name, attr in _PROFILE_COLUMNS.items()}
 
 
-def anticommutator_expectation(trajectory: AmplitudeTrajectory, k: int) -> float:
-    """Re <O(t)| {K, L} |O(t)> at time index k; vanishes identically.
+def profile_to_dict(profile: ComplexityProfile) -> dict:
+    """JSON-ready dict of a profile: one list per column, then b1.
 
-    K is the chain-position operator and L the hopping (Liouvillian) matrix.
-    The cancellation is structural (position is even under the chain's
-    conserved parity while the current is odd), so the return value measures
-    accumulated rounding, not physics.
+    ratio and tau_K are null where undefined, never NaN.
     """
-    psi = _complex_state(trajectory, k)
-    ns = np.arange(psi.size, dtype=np.float64)
-    val = 2.0 * np.vdot(psi, ns * _tridiag_apply(trajectory.b, psi)).real
-    return float(val)
-
-
-def liouvillian_moments(trajectory: AmplitudeTrajectory, k: int) -> tuple[float, float]:
-    """(<L>, <L^2>) in the evolved state at time index k.
-
-    Both are conserved: <L> = 0 and <L^2> = b_1^2 for all t.
-    """
-    psi = _complex_state(trajectory, k)
-    tpsi = _tridiag_apply(trajectory.b, psi)
-    first = float(np.vdot(psi, tpsi).real)
-    second = float(np.vdot(tpsi, tpsi).real)
-    return first, second
+    out = _profile_columns(profile)
+    for name in _UNDEFINED_COLUMNS:
+        out[name] = [finite_or_none(x) for x in out[name]]
+    out["b1"] = profile.b1
+    return out
 
 
 def _check_positive(**kwargs) -> None:
@@ -631,39 +609,20 @@ def deviation_time(b1: float, b2: float, b3: float) -> float:
     return math.sqrt(abs(4.0 * c4) / abs(6.0 * c6))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def save_profile_csv(profile: ComplexityProfile, path, tau_d: float | None = None) -> None:
     """CSV with columns t, K, rate, dispersion, bound, ratio, tau_K.
 
     Undefined entries are written as nan.  When ``tau_d`` is given (possibly
     NaN for "undefined"), it is recorded in a leading comment line.
     """
-    with open_write(path) as fh:
-        if tau_d is not None:
-            fh.write(f"# tau_d = {_fmt(float(tau_d))}\n")
-        fh.write("t,K,rate,dispersion,bound,ratio,tau_K\n")
-        for k in range(profile.times.size):
-            row = (
-                profile.times[k],
-                profile.complexity[k],
-                profile.rate[k],
-                profile.dispersion[k],
-                profile.bound[k],
-                profile.ratio[k],
-                profile.tau_k[k],
-            )
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+    comment = None if tau_d is None else f"tau_d = {float(tau_d):.17g}"
+    columns = _profile_columns(profile)
+    write_csv(path, list(columns), zip(*columns.values()), comment)
 
 
 def save_amplitudes_csv(trajectory: AmplitudeTrajectory, path) -> None:
     """CSV with columns t, phi_0 ... phi_{N-1}."""
-    with open_write(path) as fh:
-        header = ",".join(["t"] + [f"phi_{n}" for n in range(trajectory.sites)])
-        fh.write(header + "\n")
-        for k in range(trajectory.times.size):
-            cells = [_fmt(float(trajectory.times[k]))]
-            cells += [_fmt(float(x)) for x in trajectory.phi[k]]
-            fh.write(",".join(cells) + "\n")
+    header = ["t"] + [f"phi_{n}" for n in range(trajectory.sites)]
+    rows = ([t] + row for t, row in zip(trajectory.times.tolist(),
+                                         trajectory.phi.tolist()))
+    write_csv(path, header, rows)

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import json_bool, json_field, load_json_object, open_write, write_json
+from ._util import (json_bool, json_field, json_int, load_json_object, write_csv,
+                    write_json)
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -480,8 +481,8 @@ def load_result_json(path) -> LanczosResult:
             return default
         return json_field(payload, key, convert, path, expected)
 
-    dim = json_field(payload, "dim", int, path, "an integer")
-    D = json_field(payload, "D", int, path, "an integer")
+    dim = json_field(payload, "dim", json_int, path, "an integer >= 1")
+    D = json_field(payload, "D", json_int, path, "an integer >= 1")
     beta = field("beta", float, "a finite number >= 0", 0.0)
     if not 0.0 <= beta < math.inf:
         raise ValidationError(f"{path}: field 'beta' must be a finite number >= 0")
@@ -518,14 +519,12 @@ def load_result_json(path) -> LanczosResult:
         ortho_error=field("ortho_error", float, "a number or null"),
         truncated=field("truncated", json_bool, "true or false", False),
         halt_tol=field("halt_tol", float, "a number", DEFAULT_HALT_TOL),
-        reorth_passes=field("reorth_passes", int, "an integer or null"),
+        reorth_passes=field("reorth_passes", lambda v: json_int(v, 0),
+                            "an integer >= 0 or null"),
     )
 
 
 def save_coefficients_csv(b, path) -> None:
     """Two-column CSV of the chain: n, b_n (n starting at 1)."""
     arr = np.asarray(b, dtype=np.float64).ravel()
-    with open_write(path) as fh:
-        fh.write("n,b\n")
-        for i, val in enumerate(arr, start=1):
-            fh.write(f"{i},{val:.17g}\n")
+    write_csv(path, ("n", "b"), enumerate(arr.tolist(), start=1))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from ._util import load_json_object, write_json
+from ._util import json_field, json_int, load_json_object, write_json
 
 HERMITICITY_TOL = 1e-12
 
@@ -41,7 +41,6 @@ __all__ = [
     "InnerProductSpec",
     "OperatorVector",
     "as_hermitian",
-    "inner_product",
     "load_matrix",
     "save_matrix",
     "load_hamiltonian",
@@ -209,40 +208,6 @@ class OperatorVector:
     def to_matrix(self) -> np.ndarray:
         return self.components.reshape((self.dim, self.dim), order="F")
 
-    def norm(self) -> float:
-        val = inner_product(self, self)
-        return float(np.sqrt(max(val.real, 0.0)))
-
-
-def _thermal_product(spec: InnerProductSpec, A: np.ndarray, B: np.ndarray) -> complex:
-    V = spec._vectors
-    w = spec._weights
-    At = V.conj().T @ A @ V
-    Bt = V.conj().T @ B @ V
-    S = np.sqrt(np.outer(w, w))
-    return complex(np.vdot(S * At, S * Bt) / spec._partition)
-
-
-def inner_product(a: OperatorVector, b: OperatorVector,
-                  spec: InnerProductSpec | None = None) -> complex:
-    """<A|B> under ``spec`` (defaults to the spec carried by ``a``).
-
-    Conjugate-linear in the first argument.
-    """
-    if a.dim != b.dim:
-        raise ValidationError(f"operand dims differ: {a.dim} vs {b.dim}")
-    if spec is None:
-        spec = a.spec
-    if spec.beta == 0.0:
-        return complex(spec.norm_factor(a.dim) * np.vdot(a.components, b.components))
-    spec.require_hamiltonian()
-    if spec.hamiltonian.dim != a.dim:
-        raise ValidationError(
-            f"inner-product hamiltonian dim {spec.hamiltonian.dim} "
-            f"does not match operand dim {a.dim}"
-        )
-    return _thermal_product(spec, a.to_matrix(), b.to_matrix())
-
 
 def save_matrix(path, matrix) -> None:
     """Write a matrix as JSON: {"dim": d, "re": [[..]], "im": [[..]]}."""
@@ -264,9 +229,7 @@ def load_matrix(path) -> np.ndarray:
         raise ValidationError(f"{path}: missing field 'dim'")
     if "re" not in payload:
         raise ValidationError(f"{path}: missing field 're'")
-    d = payload["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError(f"{path}: field 'dim' must be a positive integer")
+    d = json_field(payload, "dim", json_int, path, "an integer >= 1")
     try:
         re = np.array(payload["re"], dtype=np.float64)
         im = np.array(payload.get("im", np.zeros((d, d))), dtype=np.float64)

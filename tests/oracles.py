@@ -177,6 +177,25 @@ def chain_amplitudes(b, times):
     return np.array([scipy.linalg.expm(t * A)[:, 0] for t in np.ravel(times)])
 
 
+def chain_moments(b, phi):
+    """(<{K, L}>, <L>, <L^2>) in the state psi_n = i^n phi_n of the chain b.
+
+    L is the dense Hermitian hopping matrix (b on both off-diagonals) and
+    K = diag(0, 1, 2, ...) the chain position.  All three are real:
+    <{K, L}> and <L> vanish, and <L^2> = b_1^2, for every amplitude vector
+    of the recursion.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    L = np.diag(b, 1) + np.diag(b, -1)
+    K = np.diag(np.arange(phi.size, dtype=np.float64))
+    psi = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(phi.size) % 4] * phi
+    anti = np.vdot(psi, (K @ L + L @ K) @ psi)
+    first = np.vdot(psi, L @ psi)
+    second = np.vdot(psi, L @ L @ psi)
+    return float(anti.real), float(first.real), float(second.real)
+
+
 def spectral_amplitudes(b, times):
     """phi[k, n] = phi_n(times[k]) from the eigenpairs of the hopping matrix.
 

@@ -10,19 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_hermitian, superoperator_heisenberg
+from oracles import chain_moments, random_hermitian, superoperator_heisenberg, trace_product
 from kbound.algebras import AlgebraModel
 from kbound.dynamics import (
-    anticommutator_expectation,
     complexity_profile,
     deviation_time,
     evolve_amplitudes,
-    liouvillian_moments,
     short_time_coefficients,
 )
 from kbound.ensembles import GoeSpec, run_ensemble, save_ensemble_json
 from kbound.lanczos import run_lanczos
-from kbound.operators import InnerProductSpec, OperatorVector, inner_product
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -81,8 +78,8 @@ def test_dispersion_bound_holds_for_random_chains():
         defined = ~np.isnan(prof.ratio)
         assert np.all(prof.ratio[defined] <= 1.0 + 1e-8)
         for k in range(grid.size):
-            assert abs(anticommutator_expectation(traj, k)) < 1e-10
-            m1, m2 = liouvillian_moments(traj, k)
+            anti, m1, m2 = chain_moments(b, traj.phi[k])
+            assert abs(anti) < 1e-10
             assert abs(m1) < 1e-9
             assert abs(m2 - b[0] ** 2) < 1e-9
     assert _report("random chains", t0) < 150.0
@@ -161,12 +158,12 @@ def test_tridiagonal_evolution_matches_dense_superoperator():
         O = random_hermitian(rng, d)
         res = run_lanczos(H, O, store_basis=True)
         traj = evolve_amplitudes(res.b, grid)
-        seed_norm = OperatorVector.from_matrix(O, res.spec).norm()
+        seed_norm = np.sqrt(trace_product(O, O, 1.0 / d).real)
         for k, t in enumerate(grid):
-            heis = OperatorVector.from_matrix(
-                superoperator_heisenberg(H, O, t), res.spec)
+            heis = superoperator_heisenberg(H, O, t)
             for n in range(res.D):
-                proj = inner_product(res.basis_operator(n), heis) / seed_norm
+                basis = res.basis_operator(n).to_matrix()
+                proj = trace_product(basis, heis, 1.0 / d) / seed_norm
                 assert abs(proj - (1j) ** n * traj.phi[k, n]) < 1e-8
     _report("superoperator oracle", t0)
 

@@ -356,6 +356,15 @@ class TestClosureCommand:
         assert code == 1
         assert "'b'" in err
 
+    def test_fractional_D_is_an_input_error(self, tmp_path, capsys):
+        # int() would read D = 3.5 as a complete D = 3 chain.
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({"b": [1, 2], "D": 3.5}))
+        code, out, err = run_cli(capsys, "closure", str(chain))
+        assert code == 1
+        assert out == ""
+        assert "field 'D' must be an integer >= 1" in err
+
 
 class TestGoeCommand:
     def test_json_summary(self, capsys):

@@ -8,15 +8,16 @@ from kbound.ensembles import (
     GoeSpec,
     ensemble_to_dict,
     goe_sample,
-    load_ensemble_dict,
     run_ensemble,
     save_ensemble_csv,
     save_ensemble_json,
     uniform_observable,
 )
+from kbound import cli
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import max_chain_length, run_lanczos
 from kbound.operators import InnerProductSpec
+from oracles import trace_product
 
 
 class TestGoeSample:
@@ -60,7 +61,8 @@ class TestGoeSample:
 class TestUniformObservable:
     def test_unit_norm(self):
         obs = uniform_observable(goe_sample(9, 1.0, seed=2))
-        assert obs.norm() == pytest.approx(1.0, abs=1e-13)
+        O = obs.to_matrix()
+        assert trace_product(O, O, 1.0 / 9).real == pytest.approx(1.0, abs=1e-13)
 
     def test_all_ones_in_eigenbasis(self):
         H = goe_sample(7, 1.0, seed=4)
@@ -181,7 +183,7 @@ class TestSerialization:
                            profile_times=t)
         path = tmp_path / "ens.json"
         save_ensemble_json(res, path)
-        assert load_ensemble_dict(path) == ensemble_to_dict(res)
+        assert json.loads(path.read_text()) == ensemble_to_dict(res)
 
     def test_csv_summary(self, tmp_path):
         res = run_ensemble(GoeSpec(dim=4, sigma=1.0, count=3, seed=2))
@@ -194,14 +196,15 @@ class TestSerialization:
         assert first[0] == "1"
         assert float(first[1]) == res.mean_b_sq[0]
 
-    def test_load_rejects_wrong_payload(self, tmp_path):
+    def test_load_rejects_wrong_payload(self, tmp_path, capsys):
+        # Ensemble files are read by the CLI's --realization.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 4}))
-        with pytest.raises(ValidationError, match="realizations"):
-            load_ensemble_dict(path)
+        assert cli.main(["bound", str(path), "--realization", "0"]) == 1
+        assert "not an ensemble file" in capsys.readouterr().err
 
-    def test_load_rejects_non_json(self, tmp_path):
+    def test_load_rejects_non_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
-        with pytest.raises(ValidationError, match="JSON"):
-            load_ensemble_dict(path)
+        assert cli.main(["bound", str(path), "--realization", "0"]) == 1
+        assert "not valid JSON" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from kbound.lanczos import (
     save_coefficients_csv,
     save_result_json,
 )
-from kbound.operators import InnerProductSpec, OperatorVector, inner_product
+from kbound.operators import InnerProductSpec, OperatorVector
 from kbound.ensembles import goe_sample, uniform_observable
 from oracles import (
     gauss_rule_mismatch,
@@ -367,19 +367,24 @@ class TestMeasureFold:
 
 
 class TestOrthogonalityReport:
-    def _loop_gram(self, res):
-        ops = [res.basis_operator(i) for i in range(res.D)]
-        return np.array([[inner_product(a, b, res.spec) for b in ops] for a in ops])
+    def _loop_gram(self, res, product):
+        ops = [res.basis_operator(i).to_matrix() for i in range(res.D)]
+        return np.array([[product(a, b) for b in ops] for a in ops])
 
     def test_matches_pairwise_products(self, rng):
         d = 4
         H = random_hermitian(rng, d)
         O = random_hermitian(rng, d)
         thermal = InnerProductSpec(beta=0.7, hamiltonian=H)
-        for res in (run_lanczos(H, O, spec=InnerProductSpec(normalization=2.0)),
-                    run_lanczos(H, OperatorVector.from_matrix(O, thermal))):
+        cases = [
+            (run_lanczos(H, O, spec=InnerProductSpec(normalization=2.0)),
+             lambda A, B: trace_product(A, B, 2.0)),
+            (run_lanczos(H, OperatorVector.from_matrix(O, thermal)),
+             lambda A, B: thermal_trace_product(H, 0.7, A, B)),
+        ]
+        for res, product in cases:
             report = orthogonality_report(res)
-            np.testing.assert_allclose(report.gram, self._loop_gram(res),
+            np.testing.assert_allclose(report.gram, self._loop_gram(res, product),
                                        rtol=0, atol=1e-12)
             assert report.drift[0] == 0.0
             assert report.drift[-1] == np.max(
@@ -397,8 +402,6 @@ class TestOrthogonalityReport:
         assert back.spec.hamiltonian is None
         with pytest.raises(ValidationError, match="Hamiltonian"):
             orthogonality_report(back)
-        with pytest.raises(ValidationError, match="Hamiltonian"):
-            inner_product(back.basis_operator(0), back.basis_operator(1))
 
 
 class TestArgumentHandling:
@@ -491,6 +494,13 @@ class TestSerialization:
         ({"b": [1.0], "D": 2, "dim": 2, "truncated": "false"}, "'truncated'"),
         ({"b": [1.0], "D": 2, "dim": 2, "ortho_error": "x"}, "'ortho_error'"),
         ({"b": [[1.0, 2.0]], "D": 3, "dim": 2}, "'b'"),
+        ({"b": [1, 2], "D": 3.9, "dim": 2}, "'D'"),
+        ({"b": [1, 2], "D": 3, "dim": 2.7}, "'dim'"),
+        ({"b": [1.0], "D": True, "dim": 2}, "'D'"),
+        ({"b": [1.0], "D": 2, "dim": 0}, "'dim'"),
+        ({"b": [], "D": 0, "dim": 2}, "'D'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "reorth_passes": 1.5}, "'reorth_passes'"),
+        ({"b": [1.0], "D": 2, "dim": 2, "reorth_passes": -1}, "'reorth_passes'"),
     ])
     def test_malformed_fields_name_file_and_field(self, tmp_path, payload, field):
         path = tmp_path / "res.json"

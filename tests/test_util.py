@@ -13,20 +13,24 @@ import pytest
 
 import kbound
 from kbound import cli
-from kbound._util import finite_or_none, write_json
-from kbound.ensembles import GoeSpec, ensemble_to_dict, load_ensemble_dict, run_ensemble
+from kbound._util import finite_or_none, json_int, write_csv, write_json
+from kbound.ensembles import GoeSpec, ensemble_to_dict, run_ensemble
 from kbound.errors import ValidationError
 from kbound.lanczos import load_result_json
 from kbound.operators import load_matrix, save_matrix
 
 
-def _load_chain(path):
+def _load_chain(path, realization=None):
     return cli._load_chain(argparse.Namespace(command="bound", inputs=[str(path)],
-                                              realization=None))
+                                              realization=realization))
+
+
+def _load_realization(path):
+    return _load_chain(path, realization=0)
 
 
 @pytest.mark.parametrize("load", [load_matrix, load_result_json,
-                                  load_ensemble_dict, _load_chain])
+                                  _load_realization, _load_chain])
 @pytest.mark.parametrize("payload", [[1, 2], "b D dim"])
 def test_loaders_reject_json_that_is_not_an_object(load, payload, tmp_path):
     # A string holding every field name passes `"b" in payload` checks.
@@ -34,6 +38,37 @@ def test_loaders_reject_json_that_is_not_an_object(load, payload, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="expected a JSON object"):
         load(path)
+
+
+def test_write_csv_cells(tmp_path):
+    rows = [
+        (math.nan, math.inf, -math.inf),
+        (-0.0, 5e-324, np.float64(0.1)),
+        (3, "x", ""),
+        (np.float64(-2.5e-300), 1.0 / 3.0, 2**53 + 1),
+    ]
+    want = [
+        "# tau_d = nan",
+        "a,b,c",
+        "nan,inf,-inf",
+        "-0,4.9406564584124654e-324,0.10000000000000001",
+        "3,x,",
+        "-2.5e-300,0.33333333333333331,9007199254740993",
+    ]
+    path = tmp_path / "out.csv"
+    write_csv(path, ("a", "b", "c"), rows, comment="tau_d = nan")
+    assert path.read_text() == "\n".join(want) + "\n"
+    handle = io.StringIO()
+    write_csv(handle, ["a", "b", "c"], iter(rows[:1]))
+    assert handle.getvalue() == "a,b,c\nnan,inf,-inf\n"
+
+
+@pytest.mark.parametrize("value, want", [(0, 0), (7, 7), (3.0, 3), (2**70, 2**70)])
+def test_json_int_accepts_integers(value, want):
+    # Integral floats such as 3.0 are integers too; fractional ones, bools and
+    # negative counts are refused (see the malformed-field tests).
+    out = json_int(value, 0)
+    assert out == want and type(out) is int
 
 
 def test_finite_or_none():
@@ -89,11 +124,14 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special"])
+def test_import_leaves_scipy_linalg_unloaded(module):
     # scipy.linalg adds roughly 0.1 s to a fresh `import kbound`; the
     # package evolves chains without an eigensolve and needs none of it.
+    # scipy.special is most of the rest, and only the closed-form family
+    # amplitudes need it: they import it when called.
     env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
-    code = "import sys, kbound; print('scipy.linalg' in sys.modules)"
+    code = f"import sys, kbound; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
