@@ -126,20 +126,61 @@ def json_bool(value) -> bool:
     return value
 
 
-def json_int(value, minimum: int = 1) -> int:
-    """A JSON integer (or integral number such as 3.0) as an int.
+def integer(value, name: str, minimum: int = 1) -> int:
+    """value as an int: a Python or numpy integer, or an integral float.
 
-    TypeError for a bool or anything else that is not an integer (such as
-    3.9, which int() would truncate); ValueError below ``minimum``, which
-    defaults to 1 for the sizes and lengths most fields hold.
+    Raises ValidationError naming ``name`` for a bool, a number with a
+    fraction (which int() would truncate), anything that is not a number,
+    and a value below ``minimum``.  A JSON field reads through
+    :func:`json_field`, whose message names the file instead.
     """
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"expected an integer >= {minimum}, got {value}")
-    return value
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def positive(value, name: str) -> float:
+    """value as a finite float > 0.
+
+    Raises ValidationError naming ``name`` for a bool, a string, anything
+    else float() cannot convert, NaN, an infinity and a value <= 0.
+    """
+    x = math.nan
+    if not isinstance(value, (bool, np.bool_, str)):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not 0.0 < x < math.inf:
+        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+    return x
+
+
+def coefficients(b, name: str = "b") -> np.ndarray:
+    """A chain b_1, b_2, ... as a flat float64 array of finite entries > 0.
+
+    Raises ValidationError naming ``name`` for a scalar or nested input
+    (ravel would flatten it into a different chain), entries that are not
+    numbers (bools and strings included), and entries that are NaN,
+    infinite or <= 0.  An empty list is the chain of a single site.
+    """
+    expected = f"{name} must be a flat list of finite numbers > 0"
+    try:
+        arr = np.asarray(b)
+    except ValueError as exc:     # ragged nesting
+        raise ValidationError(f"{expected}; it is nested unevenly") from exc
+    if arr.ndim != 1:
+        raise ValidationError(f"{expected}, got an array of shape {arr.shape}")
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{expected}, got entries of type {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    bad = np.flatnonzero(~((arr > 0.0) & (arr < math.inf)))
+    if bad.size:
+        raise ValidationError(f"{expected}; it holds {float(arr[bad[0]])!r}")
+    return arr
 
 
 def finite_or_none(x) -> float | None:

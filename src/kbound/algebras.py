@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import output_array, validate_times
+from ._util import coefficients, integer, output_array, positive, validate_times
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
@@ -81,30 +81,17 @@ class AlgebraModel:
             raise ValidationError(
                 f"kind must be 'su2', 'hw' or 'sl2r', got {self.kind!r}"
             )
-        nu = float(self.nu)
-        if not np.isfinite(nu) or nu <= 0.0:
-            raise ValidationError(f"nu must be positive and finite, got {self.nu}")
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", positive(self.nu, "nu"))
+        j = eta = None
         if self.kind == "su2":
-            if self.j is None:
-                raise ValidationError("su2 requires j")
-            j = float(self.j)
-            twoj = 2.0 * j
-            if not np.isfinite(j) or j <= 0.0 or abs(twoj - round(twoj)) > _HALF_INTEGER_TOL:
+            twoj = 2.0 * positive(self.j, "j")
+            if round(twoj) < 1 or abs(twoj - round(twoj)) > _HALF_INTEGER_TOL:
                 raise ValidationError(f"j must be a positive half-integer, got {self.j}")
-            object.__setattr__(self, "j", round(twoj) / 2.0)
-            object.__setattr__(self, "eta", None)
+            j = round(twoj) / 2.0
         elif self.kind == "sl2r":
-            if self.eta is None:
-                raise ValidationError("sl2r requires eta")
-            eta = float(self.eta)
-            if not np.isfinite(eta) or eta <= 0.0:
-                raise ValidationError(f"eta must be positive and finite, got {self.eta}")
-            object.__setattr__(self, "eta", eta)
-            object.__setattr__(self, "j", None)
-        else:
-            object.__setattr__(self, "j", None)
-            object.__setattr__(self, "eta", None)
+            eta = positive(self.eta, "eta")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "eta", eta)
 
     @classmethod
     def su2(cls, j: float, nu: float = 1.0) -> "AlgebraModel":
@@ -128,11 +115,9 @@ class AlgebraModel:
         gamma * 2^-104 gives hw, whose chain it equals to double precision.
         """
         alpha = float(alpha)
-        gamma = float(gamma)
         if not np.isfinite(alpha):
             raise ValidationError(f"alpha must be finite, got {alpha}")
-        if not np.isfinite(gamma) or gamma <= 0.0:
-            raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+        gamma = positive(gamma, "gamma")
         if alpha < 0.0:
             j = gamma / (-alpha)
             twoj = 2.0 * j
@@ -142,7 +127,7 @@ class AlgebraModel:
                     f"got j = {j}"
                 )
             model = cls.su2(round(twoj) / 2.0, math.sqrt(-alpha) / 2.0)
-            if D is not None and int(D) != model.D:
+            if D is not None and integer(D, "D") != model.D:
                 raise ValidationError(
                     f"D = {D} inconsistent with alpha, gamma (expected {model.D})"
                 )
@@ -255,7 +240,7 @@ def parse_model_spec(text: str) -> AlgebraModel:
         alpha = take("alpha")
         gamma = take("gamma")
         D = keys.pop("d", None)
-        model = AlgebraModel.from_rates(alpha, gamma, None if D is None else int(D))
+        model = AlgebraModel.from_rates(alpha, gamma, D)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     if keys:
@@ -300,17 +285,12 @@ def closure_test(b, D: int | None = None, tol: float = CLOSURE_TOL) -> ClosureRe
         Constancy tolerance, applied relative to max(1, b_1^2): the f values
         carry the squared scale of b.
     """
-    arr = np.asarray(b, dtype=np.float64).ravel()
+    arr = coefficients(b)
     if arr.size < 1:
         raise ValidationError("b must contain at least one coefficient")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValidationError("b entries must all be positive and finite")
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    tol = positive(tol, "tol")
     if D is not None:
-        D = int(D)
-        if D != arr.size + 1:
+        if integer(D, "D") != arr.size + 1:
             raise ValidationError(
                 f"finite D must equal len(b) + 1 = {arr.size + 1}, got {D}"
             )
@@ -344,7 +324,7 @@ def classify_algebra(alpha: float, tol: float = CLOSURE_TOL) -> str:
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
-    if abs(alpha) <= float(tol):
+    if abs(alpha) <= positive(tol, "tol"):
         return "hw"
     return "su2" if alpha < 0.0 else "sl2r"
 

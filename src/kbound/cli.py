@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (finite_or_none, json_bool, json_field, json_int,
-                    load_json_object, write_csv, write_json)
+from ._util import (coefficients, finite_or_none, integer, json_bool, json_field,
+                    load_json_object, positive, write_csv, write_json)
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["main"]
@@ -36,12 +36,8 @@ _FORMATS = ("json", "csv")
 
 
 def _time_grid(ns: argparse.Namespace) -> np.ndarray:
-    tmax = 3.0 if ns.tmax is None else float(ns.tmax)
-    steps = 301 if ns.steps is None else int(ns.steps)
-    if not np.isfinite(tmax) or tmax <= 0.0:
-        raise ValidationError(f"--tmax must be positive, got {tmax}")
-    if steps < 2:
-        raise ValidationError(f"--steps must be >= 2, got {steps}")
+    tmax = 3.0 if ns.tmax is None else positive(ns.tmax, "--tmax")
+    steps = 301 if ns.steps is None else integer(ns.steps, "--steps", 2)
     return np.linspace(0.0, tmax, steps)
 
 
@@ -81,7 +77,7 @@ def _load_chain(ns: argparse.Namespace) -> tuple[np.ndarray, int | None, bool]:
         entries = payload["realizations"]
         if not isinstance(entries, list):
             raise ValidationError(f"{path}: field 'realizations' must be a list")
-        idx = int(ns.realization)
+        idx = ns.realization
         if not 0 <= idx < len(entries):
             raise ValidationError(
                 f"--realization must lie in [0, {len(entries)}), got {idx}"
@@ -95,13 +91,12 @@ def _load_chain(ns: argparse.Namespace) -> tuple[np.ndarray, int | None, bool]:
         raise ValidationError(f"{path} is not an ensemble file; drop --realization")
     if "b" not in payload:
         raise ValidationError(f"{path}: missing field 'b'")
-    b = json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
-                   "a numeric list")
-    if b.ndim != 1 or b.size == 0:
+    b = json_field(payload, "b", coefficients, path, "a flat list of finite numbers > 0")
+    if b.size == 0:
         raise ValidationError(f"{path}: field 'b' must be a non-empty list")
     D = None
     if payload.get("D") is not None:
-        D = json_field(payload, "D", json_int, path, "an integer >= 1")
+        D = json_field(payload, "D", lambda v: integer(v, "D"), path, "an integer >= 1")
         # Fewer coefficients than D - 1 are the head of the chain.
         if b.size > D - 1:
             raise ValidationError(
@@ -135,9 +130,7 @@ def _cmd_model(ns: argparse.Namespace) -> int:
     if model.D is not None:
         bchain = model.b(np.arange(1, model.D))
     else:
-        if ns.coeffs < 1:
-            raise ValidationError(f"--coeffs must be >= 1, got {ns.coeffs}")
-        bchain = model.b(np.arange(1, ns.coeffs + 1))
+        bchain = model.b(np.arange(1, integer(ns.coeffs, "--coeffs") + 1))
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = {

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import finite_or_none, output_array, validate_times, write_csv
+from ._util import (coefficients, finite_or_none, output_array, positive, validate_times,
+                    write_csv)
 
 TAIL_TOL = 1e-12
 # Dispersion below max(this, 16 sqrt(eps) * the peak rms position) marks
@@ -162,15 +163,6 @@ _PROFILE_COLUMNS = {"t": "times", "K": "complexity", "rate": "rate",
 _UNDEFINED_COLUMNS = ("ratio", "tau_K")
 
 
-def _validate_coefficients(b) -> np.ndarray:
-    arr = np.asarray(b, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("b contains non-finite values")
-    if np.any(arr <= 0.0):
-        raise ValidationError("b entries must all be positive")
-    return arr
-
-
 def _eval_family(bfun, first: int, stop: int) -> np.ndarray:
     """b_n for first <= n < stop from a family callable."""
     ns = np.arange(first, stop)
@@ -180,7 +172,7 @@ def _eval_family(bfun, first: int, stop: int) -> np.ndarray:
             raise TypeError
     except (TypeError, ValueError):
         vals = np.asarray([float(bfun(int(n))) for n in ns])
-    return _validate_coefficients(vals)
+    return coefficients(vals, "the family's b_n")
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -282,7 +274,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
     wall_mass = 0.0
     blocks = terms = widest = 0
 
-    def coefficients(sites: int) -> np.ndarray:
+    def chain(sites: int) -> np.ndarray:
         """b_1 .. b_{sites-1}; a family is asked only for ones not yet held."""
         nonlocal b
         if family and b.size < sites - 1:
@@ -317,7 +309,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
             return steps[:-1] if steps.size > 1 else 0.5 * steps
 
         while True:
-            a = 2.0 * float(coefficients(sites).max())
+            a = 2.0 * float(chain(sites).max())
             while steps.size > 1 and a * abs(steps[-1]) > _BLOCK_ARG:
                 steps = steps[:-1]
             if a * abs(steps[-1]) > top:
@@ -384,7 +376,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
                 reach = record(order[i], phi)
                 i += 1
                 continue
-            a = 2.0 * float(coefficients(min(reach + 2, cap)).max())
+            a = 2.0 * float(chain(min(reach + 2, cap)).max())
             j = i + 1
             while j < order.size and a * abs(times[order[j]] - t_now) <= _BLOCK_ARG:
                 j += 1
@@ -478,7 +470,7 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
     t = validate_times(times)
     if callable(b):
         return _evolve_window(b, t, False)
-    b = _validate_coefficients(b)
+    b = coefficients(b)
     open_end = bool(open_end)
     if b.size == 0:
         if open_end:
@@ -554,13 +546,6 @@ def profile_to_dict(profile: ComplexityProfile) -> dict:
     return out
 
 
-def _check_positive(**kwargs) -> None:
-    for name, val in kwargs.items():
-        v = float(val)
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValidationError(f"{name} must be positive and finite, got {val}")
-
-
 def short_time_coefficients(b1: float, b2: float) -> tuple[float, float]:
     """Coefficients (c2, c4) of K(t) = c2 t^2 + c4 t^4 + O(t^6).
 
@@ -568,9 +553,8 @@ def short_time_coefficients(b1: float, b2: float) -> tuple[float, float]:
     expansion of the amplitude recursion; c4 changes sign at b_2^2 = 2 b_1^2
     (negative for chains that bend down, positive for growing ones).
     """
-    _check_positive(b1=b1, b2=b2)
-    b1 = float(b1)
-    b2 = float(b2)
+    b1 = positive(b1, "b1")
+    b2 = positive(b2, "b2")
     c2 = b1 * b1
     c4 = c2 * (b2 * b2 - 2.0 * c2) / 6.0
     return c2, c4
@@ -595,10 +579,10 @@ def deviation_time(b1: float, b2: float, b3: float) -> float:
     saturation recursion; for saturating families the value is returned
     verbatim but marks no departure.
     """
-    _check_positive(b1=b1, b2=b2, b3=b3)
+    b1, b2, b3 = positive(b1, "b1"), positive(b2, "b2"), positive(b3, "b3")
     _, c4 = short_time_coefficients(b1, b2)
-    c6 = _sixth_coefficient(float(b1), float(b2), float(b3))
-    p1, p2, p3 = float(b1) ** 2, float(b2) ** 2, float(b3) ** 2
+    c6 = _sixth_coefficient(b1, b2, b3)
+    p1, p2, p3 = b1 ** 2, b2 ** 2, b3 ** 2
     c4_scale = p1 * max(p2, 2.0 * p1) / 6.0
     c6_scale = p1 * (8.0 * p1 * p1 + p1 * p2 + 7.0 * p2 * p2 + 3.0 * p2 * p3) / 180.0
     if abs(c4) <= 1e-12 * c4_scale or abs(c6) <= 1e-12 * c6_scale:

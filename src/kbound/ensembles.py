@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import validate_times, write_csv, write_json
+from ._util import integer, positive, validate_times, write_csv, write_json
 from .operators import InnerProductSpec, OperatorVector, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import (ComplexityProfile, complexity_profile, evolve_amplitudes,
@@ -55,35 +55,27 @@ class GoeSpec:
     halt_tol: float = DEFAULT_HALT_TOL
 
     def __post_init__(self):
-        if int(self.dim) < 2:
-            raise ValidationError(f"dim must be >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
-        object.__setattr__(self, "sigma", sigma)
-        if int(self.count) < 1:
-            raise ValidationError(f"count must be >= 1, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "dim", integer(self.dim, "dim", 2))
+        object.__setattr__(self, "sigma", positive(self.sigma, "sigma"))
+        object.__setattr__(self, "count", integer(self.count, "count"))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
 
 def goe_sample(dim: int, sigma: float = 1.0, seed=None) -> np.ndarray:
     """One symmetric draw H = (X + X^T)/2, X i.i.d. N(0, sigma^2).
 
-    seed may be an int, a numpy SeedSequence, a Generator, or None for
-    fresh entropy.  Equal seeds give bit-equal matrices.
+    seed may be an int >= 0, a numpy SeedSequence, a Generator, or None
+    for fresh entropy.  Equal seeds give bit-equal matrices.
     """
-    if int(dim) < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
+    dim = integer(dim, "dim")
+    sigma = positive(sigma, "sigma")
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
+        if not (seed is None or isinstance(seed, np.random.SeedSequence)):
+            seed = integer(seed, "seed", 0)
         rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.normal(0.0, sigma, size=(int(dim), int(dim)))
+    x = rng.normal(0.0, sigma, size=(dim, dim))
     return 0.5 * (x + x.T)
 
 
@@ -134,6 +126,11 @@ class EnsembleResult:
 
 
 def _one_realization(args):
+    """One realization's chain (and profile), or the numerical error it met.
+
+    A ValidationError is not caught: it comes from the spec or the grid,
+    which every realization shares, so it is the run's error.
+    """
     dim, sigma, ss, index, halt_tol, times = args
     try:
         H = goe_sample(dim, sigma, ss)
@@ -143,7 +140,7 @@ def _one_realization(args):
         if times is not None:
             out["profile"] = complexity_profile(evolve_amplitudes(res.b, times))
         return out
-    except (ValidationError, NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -160,9 +157,7 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         Process count.  Results are aggregated in realization order, so the
         outcome is identical for any worker count, bit for bit.
     """
-    workers = int(workers)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = integer(workers, "workers")
     times = None
     if profile_times is not None:
         times = validate_times(profile_times, "profile_times")

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (json_bool, json_field, json_int, load_json_object, write_csv,
-                    write_json)
+from ._util import (coefficients, integer, json_bool, json_field, load_json_object,
+                    write_csv, write_json)
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -82,8 +82,7 @@ __all__ = [
 
 def max_chain_length(dim: int) -> int:
     """Largest possible Krylov dimension for a d-dimensional Hilbert space."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
+    dim = integer(dim, "dim")
     return dim * dim - dim + 1
 
 
@@ -131,7 +130,8 @@ class LanczosResult:
         """O_n as an OperatorVector (requires a stored basis)."""
         if self.basis is None:
             raise ValidationError("result was produced without a stored basis")
-        if not 0 <= n < self.D:
+        n = integer(n, "n", 0)
+        if n >= self.D:
             raise ValidationError(f"n must lie in [0, {self.D}), got {n}")
         return OperatorVector(self.basis[n], self.dim, self.spec)
 
@@ -293,10 +293,8 @@ def run_lanczos(
     structural_cap = max_chain_length(H.dim) - 1
     if max_steps is None:
         max_steps = structural_cap
-    elif max_steps < 1:
-        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     else:
-        max_steps = min(int(max_steps), structural_cap)
+        max_steps = min(integer(max_steps, "max_steps"), structural_cap)
     user_capped = max_steps < structural_cap
 
     d = H.dim
@@ -481,8 +479,8 @@ def load_result_json(path) -> LanczosResult:
             return default
         return json_field(payload, key, convert, path, expected)
 
-    dim = json_field(payload, "dim", json_int, path, "an integer >= 1")
-    D = json_field(payload, "D", json_int, path, "an integer >= 1")
+    dim = json_field(payload, "dim", lambda v: integer(v, "dim"), path, "an integer >= 1")
+    D = json_field(payload, "D", lambda v: integer(v, "D"), path, "an integer >= 1")
     beta = field("beta", float, "a finite number >= 0", 0.0)
     if not 0.0 <= beta < math.inf:
         raise ValidationError(f"{path}: field 'beta' must be a finite number >= 0")
@@ -501,10 +499,7 @@ def load_result_json(path) -> LanczosResult:
         raise ValidationError(
             f"{path}: field 'basis' has shape {basis.shape}, expected ({D}, {dim * dim})"
         )
-    b = json_field(payload, "b", lambda v: np.asarray(v, dtype=np.float64), path,
-                   "a numeric list")
-    if b.ndim != 1:
-        raise ValidationError(f"{path}: field 'b' must be a flat numeric list")
+    b = json_field(payload, "b", coefficients, path, "a flat list of finite numbers > 0")
     if b.size != D - 1:
         raise ValidationError(
             f"{path}: field 'b' lists {b.size} coefficients, but field 'D' = {D} "
@@ -519,12 +514,11 @@ def load_result_json(path) -> LanczosResult:
         ortho_error=field("ortho_error", float, "a number or null"),
         truncated=field("truncated", json_bool, "true or false", False),
         halt_tol=field("halt_tol", float, "a number", DEFAULT_HALT_TOL),
-        reorth_passes=field("reorth_passes", lambda v: json_int(v, 0),
+        reorth_passes=field("reorth_passes", lambda v: integer(v, "reorth_passes", 0),
                             "an integer >= 0 or null"),
     )
 
 
 def save_coefficients_csv(b, path) -> None:
     """Two-column CSV of the chain: n, b_n (n starting at 1)."""
-    arr = np.asarray(b, dtype=np.float64).ravel()
-    write_csv(path, ("n", "b"), enumerate(arr.tolist(), start=1))
+    write_csv(path, ("n", "b"), enumerate(coefficients(b).tolist(), start=1))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from ._util import json_field, json_int, load_json_object, write_json
+from ._util import integer, json_field, load_json_object, positive, write_json
 
 HERMITICITY_TOL = 1e-12
 
@@ -111,11 +111,7 @@ class InnerProductSpec:
         if not np.isfinite(beta) or beta < 0.0:
             raise ValidationError(f"beta must be finite and >= 0, got {beta}")
         if normalization is not None:
-            normalization = float(normalization)
-            if not np.isfinite(normalization) or normalization <= 0.0:
-                raise ValidationError(
-                    f"normalization must be finite and > 0, got {normalization}"
-                )
+            normalization = positive(normalization, "normalization")
         self.beta = beta
         self.normalization = normalization
         self.hamiltonian = None
@@ -144,11 +140,8 @@ class InnerProductSpec:
     def unbound(cls, beta: float, normalization: float | None = None) -> "InnerProductSpec":
         """A beta > 0 spec without its Hamiltonian, as results reloaded from
         JSON carry it: bookkeeping only, inner products raise ValidationError."""
-        beta = float(beta)
-        if not np.isfinite(beta) or beta <= 0.0:
-            raise ValidationError(f"an unbound spec needs a finite beta > 0, got {beta}")
         spec = cls(0.0, normalization)
-        spec.beta = beta
+        spec.beta = positive(beta, "beta")
         return spec
 
     def require_hamiltonian(self) -> None:
@@ -185,13 +178,13 @@ class OperatorVector:
     spec: InnerProductSpec = field(default_factory=InnerProductSpec)
 
     def __post_init__(self):
-        v = np.array(self.components, dtype=np.complex128).ravel()
-        d = int(self.dim)
-        if d < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if v.size != d * d:
+        v = np.array(self.components, dtype=np.complex128)
+        d = integer(self.dim, "dim")
+        if v.shape != (d * d,):
+            # A matrix raveled row by row would be read as its transpose.
             raise ValidationError(
-                f"components must have length dim^2 = {d * d}, got {v.size}"
+                f"components must be a flat vector of length dim^2 = {d * d}, got "
+                f"shape {v.shape}; a matrix goes through OperatorVector.from_matrix"
             )
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValidationError("components contain non-finite values")
@@ -229,7 +222,7 @@ def load_matrix(path) -> np.ndarray:
         raise ValidationError(f"{path}: missing field 'dim'")
     if "re" not in payload:
         raise ValidationError(f"{path}: missing field 're'")
-    d = json_field(payload, "dim", json_int, path, "an integer >= 1")
+    d = json_field(payload, "dim", lambda v: integer(v, "dim"), path, "an integer >= 1")
     try:
         re = np.array(payload["re"], dtype=np.float64)
         im = np.array(payload.get("im", np.zeros((d, d))), dtype=np.float64)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,15 @@ import pytest
 
 import kbound
 from kbound import cli
-from kbound._util import finite_or_none, json_int, write_csv, write_json
-from kbound.ensembles import GoeSpec, ensemble_to_dict, run_ensemble
+from kbound._util import finite_or_none, integer, write_csv, write_json
+from kbound.algebras import (AlgebraModel, classify_algebra, closure_test,
+                             parse_model_spec)
+from kbound.dynamics import deviation_time, evolve_amplitudes, short_time_coefficients
+from kbound.ensembles import GoeSpec, ensemble_to_dict, goe_sample, run_ensemble
 from kbound.errors import ValidationError
-from kbound.lanczos import load_result_json
-from kbound.operators import load_matrix, save_matrix
+from kbound.lanczos import load_result_json, max_chain_length, run_lanczos
+from kbound.operators import (SIGMA_X, SIGMA_Z, InnerProductSpec, OperatorVector,
+                              load_matrix, save_matrix)
 
 
 def _load_chain(path, realization=None):
@@ -63,12 +68,136 @@ def test_write_csv_cells(tmp_path):
     assert handle.getvalue() == "a,b,c\nnan,inf,-inf\n"
 
 
-@pytest.mark.parametrize("value, want", [(0, 0), (7, 7), (3.0, 3), (2**70, 2**70)])
-def test_json_int_accepts_integers(value, want):
-    # Integral floats such as 3.0 are integers too; fractional ones, bools and
-    # negative counts are refused (see the malformed-field tests).
-    out = json_int(value, 0)
-    assert out == want and type(out) is int
+def _cli(*argv):
+    """Run kbound; an input error (exit 1, "error: ...") is raised again here."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    if code == 1 and err.getvalue().startswith("error: "):
+        raise ValidationError(err.getvalue())
+    return code
+
+
+def _file(tmp_path, payload):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _hamiltonian(tmp_path):
+    path = tmp_path / "H.json"
+    save_matrix(path, SIGMA_Z)
+    return path
+
+
+_BAD_B = {"b": [1.0, -2.0], "D": 3, "dim": 2}
+_NAN_B = {"b": [1.0, math.nan], "D": 3, "dim": 2}
+_T = [0.0, 1.0]
+
+# (call, want): call(tmp_path) returns want, an int; or, where want is a
+# str, raises ValidationError whose message names the argument want.
+_ARGUMENTS = [
+    # Integers, integral floats and numpy integers are integers.
+    pytest.param(lambda _: integer(0, "n", 0), 0, id="integer-0"),
+    pytest.param(lambda _: integer(7, "n", 0), 7, id="integer-7"),
+    pytest.param(lambda _: integer(3.0, "n", 0), 3, id="integer-3.0"),
+    pytest.param(lambda _: integer(2**70, "n", 0), 2**70, id="integer-2**70"),
+    pytest.param(lambda _: integer(np.int64(5), "n", 0), 5, id="integer-int64"),
+    pytest.param(lambda _: integer(np.float64(4.0), "n", 0), 4, id="integer-float64"),
+    # Fractions were truncated, bools read as 0 or 1, nested chains ravelled.
+    pytest.param(lambda _: GoeSpec(dim=3.9), "dim", id="GoeSpec-dim"),
+    pytest.param(lambda _: GoeSpec(dim=4, count=2.5), "count", id="GoeSpec-count"),
+    pytest.param(lambda _: GoeSpec(dim=4, seed=1.7), "seed", id="GoeSpec-seed"),
+    pytest.param(lambda _: GoeSpec(dim=4, seed=-1), "seed", id="GoeSpec-seed-negative"),
+    pytest.param(lambda _: GoeSpec(dim=4, sigma=math.nan), "sigma", id="GoeSpec-sigma"),
+    pytest.param(lambda _: goe_sample(2.9), "dim", id="goe_sample-dim"),
+    pytest.param(lambda _: goe_sample(3, seed=1.5), "seed", id="goe_sample-seed"),
+    pytest.param(lambda _: run_ensemble(GoeSpec(dim=2), workers=1.5), "workers",
+                 id="run_ensemble-workers"),
+    pytest.param(lambda _: run_ensemble(GoeSpec(dim=2, halt_tol=2.0)), "halt_tol",
+                 id="run_ensemble-halt_tol"),
+    pytest.param(lambda _: run_lanczos(SIGMA_Z, SIGMA_X + SIGMA_Z, max_steps=1.5),
+                 "max_steps", id="run_lanczos-max_steps"),
+    pytest.param(lambda _: max_chain_length(2.5), "dim", id="max_chain_length-dim"),
+    pytest.param(lambda _: OperatorVector(np.ones(4), 2.7), "dim", id="OperatorVector-dim"),
+    pytest.param(lambda _: OperatorVector(np.eye(2), 2), "components",
+                 id="OperatorVector-nested-components"),
+    pytest.param(lambda _: InnerProductSpec(0.0, math.inf), "normalization",
+                 id="InnerProductSpec-normalization"),
+    pytest.param(lambda _: closure_test([1.0], D=2.9), "D", id="closure_test-D"),
+    pytest.param(lambda _: closure_test([1.0], D=True), "D", id="closure_test-D-bool"),
+    pytest.param(lambda _: closure_test([[1.0, 2.0]]), "b", id="closure_test-nested-b"),
+    pytest.param(lambda _: closure_test([1.0, 2.0], tol=math.nan), "tol",
+                 id="closure_test-tol-nan"),
+    pytest.param(lambda _: closure_test([1.0, 2.0], tol=math.inf), "tol",
+                 id="closure_test-tol-inf"),
+    pytest.param(lambda _: classify_algebra(0.0, tol=math.nan), "tol",
+                 id="classify_algebra-tol"),
+    pytest.param(lambda _: parse_model_spec("sat:alpha=-4,gamma=4,D=3.5"), "D",
+                 id="parse_model_spec-D"),
+    pytest.param(lambda _: AlgebraModel.from_rates(-4.0, 4.0, D=True), "D",
+                 id="from_rates-D-bool"),
+    pytest.param(lambda _: AlgebraModel.from_rates(-4.0, math.nan), "gamma",
+                 id="from_rates-gamma"),
+    pytest.param(lambda _: AlgebraModel.su2(1.0, nu=math.inf), "nu", id="su2-nu"),
+    pytest.param(lambda _: AlgebraModel("su2", 1.0), "j", id="su2-j-missing"),
+    pytest.param(lambda _: AlgebraModel.sl2r(-1.0), "eta", id="sl2r-eta"),
+    pytest.param(lambda _: evolve_amplitudes([[1.0, 2.0]], _T), "b",
+                 id="evolve_amplitudes-nested-b"),
+    pytest.param(lambda _: evolve_amplitudes(True, _T), "b", id="evolve_amplitudes-bool"),
+    pytest.param(lambda _: evolve_amplitudes([1.0, math.nan], _T), "b",
+                 id="evolve_amplitudes-nan"),
+    pytest.param(lambda _: evolve_amplitudes(lambda n: -1.0 * n, _T), "b_n",
+                 id="evolve_amplitudes-family"),
+    pytest.param(lambda _: short_time_coefficients(1.0, -1.0), "b2",
+                 id="short_time_coefficients-b2"),
+    pytest.param(lambda _: deviation_time(1.0, 2.0, math.nan), "b3",
+                 id="deviation_time-b3"),
+    pytest.param(lambda tmp: load_result_json(_file(tmp, _BAD_B)), "field 'b'",
+                 id="load_result_json-negative-b"),
+    pytest.param(lambda tmp: load_result_json(_file(tmp, _NAN_B)), "field 'b'",
+                 id="load_result_json-nan-b"),
+    # The command line exits 1 with "error: ..." naming the option or field.
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--seed", -1), "seed",
+                 id="cli-goe-seed"),
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--workers", 0), "workers",
+                 id="cli-goe-workers"),
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--sigma", "nan"), "sigma",
+                 id="cli-goe-sigma"),
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--tol-halt", 2), "halt_tol",
+                 id="cli-goe-tol-halt"),
+    pytest.param(lambda _: _cli("model", "sat:alpha=-4,gamma=4,D=3.5"), "D",
+                 id="cli-model-D"),
+    pytest.param(lambda _: _cli("model", "hw:nu=1", "--coeffs", 0), "--coeffs",
+                 id="cli-model-coeffs"),
+    pytest.param(lambda _: _cli("model", "hw:nu=1", "--tmax", "inf"), "--tmax",
+                 id="cli-model-tmax"),
+    pytest.param(lambda _: _cli("model", "hw:nu=1", "--steps", 1), "--steps",
+                 id="cli-model-steps"),
+    pytest.param(lambda tmp: _cli("bound", _file(tmp, _BAD_B)), "field 'b'",
+                 id="cli-bound-negative-b"),
+    pytest.param(lambda tmp: _cli("bound", _file(tmp, _NAN_B)), "field 'b'",
+                 id="cli-bound-nan-b"),
+    pytest.param(lambda tmp: _cli("closure", _file(tmp, {"b": [1.0, 2.0]}),
+                                  "--tol-closure", "inf"), "tol", id="cli-closure-tol"),
+    pytest.param(lambda tmp: _cli("lanczos", _hamiltonian(tmp), "--max-steps", 0),
+                 "max_steps", id="cli-lanczos-max_steps"),
+    pytest.param(lambda tmp: _cli("lanczos", _hamiltonian(tmp), "--normalization", -1),
+                 "normalization", id="cli-lanczos-normalization"),
+]
+
+
+@pytest.mark.parametrize("call, want", _ARGUMENTS)
+def test_argument_table(tmp_path, call, want):
+    if not isinstance(want, str):
+        out = call(tmp_path)
+        assert out == want and type(out) is int
+        return
+    with pytest.raises(ValidationError) as info:
+        call(tmp_path)
+    # The name stands as a word of its own: "b" in "number" does not count.
+    assert re.search(rf"(?<![\w-]){re.escape(want)}(?![\w-])", str(info.value)), \
+        str(info.value)
 
 
 def test_finite_or_none():
