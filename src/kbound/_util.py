@@ -24,10 +24,13 @@ def open_write(path_or_file):
 def _json_pieces(value):
     """The text of json.dumps(value, allow_nan=False), in pieces.
 
-    Dicts with string keys and lists of lists or dicts are split into their
-    items; everything else is one piece from the C encoder.  A NaN or an
-    infinity raises ValidationError.
+    Numpy arrays and scalars are first converted by tolist().  Dicts with
+    string keys and lists of lists or dicts are split into their items;
+    everything else is one piece from the C encoder.  A NaN or an infinity
+    raises ValidationError.
     """
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         sep = "{"
         for key, item in value.items():
@@ -55,7 +58,8 @@ def _json_pieces(value):
 def write_json(path_or_file, payload) -> None:
     """Write payload as one line of JSON to a path or a file-like.
 
-    The text is json.dumps(payload) and a newline.  It is encoded by the C
+    The text is json.dumps(payload) and a newline, with numpy arrays and
+    scalars written as their tolist().  It is encoded by the C
     encoder that json.dumps uses (json.dump encodes in pure Python), one
     row of a nested list at a time and written as it goes, so no more than
     a row's text is held at once.  A NaN or an infinity, which JSON cannot
@@ -107,22 +111,85 @@ def load_json_object(path) -> dict:
     return payload
 
 
-def json_field(payload: dict, key: str, convert, path, expected: str):
-    """convert(payload[key]) for a field of the JSON file at ``path``.
+def json_field(payload: dict, key: str, check, path, *args, default=...):
+    """Field ``key`` of the JSON object ``payload`` read from ``path``.
 
-    Raises ValidationError naming the file and the field when the value
-    does not convert; ``expected`` says what it should have been.
+    An absent or null field is ``default``; without one (``...``) it raises
+    ValidationError "PATH: missing field 'KEY'".  Any other value goes to
+    ``check(value, "field 'KEY'", *args)``, one of the checks below, whose
+    ValidationError is raised again as "PATH: field 'KEY' must be ...".
     """
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    value = payload.get(key)
+    if value is None:
+        if default is ...:
+            raise ValidationError(f"{path}: missing field {key!r}")
+        return default
     try:
-        return convert(payload[key])
-    except (TypeError, ValueError, OverflowError, KeyError) as exc:
-        raise ValidationError(f"{path}: field {key!r} must be {expected}") from exc
+        return check(value, f"field {key!r}", *args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def json_bool(value) -> bool:
-    """A JSON boolean as itself; TypeError for anything else (such as "false")."""
+def json_chain(payload: dict, path, complete: bool = False):
+    """Fields 'b', 'D' (None where absent) and 'truncated' of a chain artifact.
+
+    b may list fewer than D - 1 coefficients (the head of the chain) unless
+    ``complete``, which also makes D required; more is always an error.
+    """
+    b = json_field(payload, "b", coefficients, path)
+    D = json_field(payload, "D", integer, path, default=... if complete else None)
+    if D is not None and (b.size > D - 1 or complete and b.size < D - 1):
+        raise ValidationError(
+            f"{path}: field 'b' lists {b.size} coefficients, but field 'D' = {D} "
+            f"needs D - 1 = {D - 1}"
+        )
+    return b, D, json_field(payload, "truncated", boolean, path, default=False)
+
+
+def json_entry(value, name: str, index: int):
+    """Entry ``index`` of the JSON list ``value``."""
+    if not (isinstance(value, list) and 0 <= index < len(value)):
+        raise ValidationError(f"{name} must be a list with an entry {index}")
+    return value[index]
+
+
+def complex_array(value, name: str, shape: tuple) -> np.ndarray:
+    """The object {"re": [..], "im": [..]} as a complex array of ``shape``;
+    "im" may be absent or null.  Each part is an array of finite numbers."""
+    re = json_field(value, "re", _real_array, name, shape)
+    im = json_field(value, "im", _real_array, name, shape, default=0.0)
+    return re + 1j * im
+
+
+def _real_array(value, name: str, shape: tuple) -> np.ndarray:
+    return _numbers(value, f"{name} must be an array of finite numbers of shape {shape}",
+                    shape)
+
+
+def _numbers(value, expected: str, shape=None, inside=np.isfinite) -> np.ndarray:
+    """value as a float64 array of numbers x with inside(x), of ``shape`` where
+    given; ValidationError "EXPECTED..." for anything else (ragged nesting too)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:     # ragged nesting
+        raise ValidationError(f"{expected}; it is nested unevenly") from exc
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{expected}, got shape {arr.shape}")
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{expected}, got entries of type {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    bad = np.flatnonzero(~inside(arr))
+    if bad.size:
+        raise ValidationError(f"{expected}; it holds {float(arr.flat[bad[0]])!r}")
+    return arr
+
+
+def boolean(value, name: str) -> bool:
+    """value if it is a bool; ValidationError naming ``name`` otherwise."""
     if not isinstance(value, bool):
-        raise TypeError(f"expected a JSON boolean, got {value!r}")
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -131,8 +198,7 @@ def integer(value, name: str, minimum: int = 1) -> int:
 
     Raises ValidationError naming ``name`` for a bool, a number with a
     fraction (which int() would truncate), anything that is not a number,
-    and a value below ``minimum``.  A JSON field reads through
-    :func:`json_field`, whose message names the file instead.
+    and a value below ``minimum``.
     """
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         value = int(value)
@@ -142,21 +208,33 @@ def integer(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def positive(value, name: str) -> float:
-    """value as a finite float > 0.
-
-    Raises ValidationError naming ``name`` for a bool, a string, anything
-    else float() cannot convert, NaN, an infinity and a value <= 0.
-    """
+def _real(value, name: str, inside, expected: str) -> float:
+    """value as a float x with inside(x); ValidationError naming ``name`` for a
+    bool, a string, anything else float() cannot convert, and any other x."""
     x = math.nan
     if not isinstance(value, (bool, np.bool_, str)):
         try:
             x = float(value)
         except (TypeError, ValueError):
             pass
-    if not 0.0 < x < math.inf:
-        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+    if not inside(x):
+        raise ValidationError(f"{name} must be {expected}, got {value!r}")
     return x
+
+
+def positive(value, name: str) -> float:
+    """value as a finite float > 0 (see :func:`_real`)."""
+    return _real(value, name, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+
+
+def nonnegative(value, name: str) -> float:
+    """value as a finite float >= 0 (see :func:`_real`)."""
+    return _real(value, name, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+
+
+def fraction(value, name: str) -> float:
+    """value as a float in the open interval (0, 1) (see :func:`_real`)."""
+    return _real(value, name, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 
 
 def coefficients(b, name: str = "b") -> np.ndarray:
@@ -168,18 +246,9 @@ def coefficients(b, name: str = "b") -> np.ndarray:
     infinite or <= 0.  An empty list is the chain of a single site.
     """
     expected = f"{name} must be a flat list of finite numbers > 0"
-    try:
-        arr = np.asarray(b)
-    except ValueError as exc:     # ragged nesting
-        raise ValidationError(f"{expected}; it is nested unevenly") from exc
+    arr = _numbers(b, expected, inside=lambda a: (a > 0.0) & (a < math.inf))
     if arr.ndim != 1:
         raise ValidationError(f"{expected}, got an array of shape {arr.shape}")
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{expected}, got entries of type {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
-    bad = np.flatnonzero(~((arr > 0.0) & (arr < math.inf)))
-    if bad.size:
-        raise ValidationError(f"{expected}; it holds {float(arr[bad[0]])!r}")
     return arr
 
 

@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (coefficients, finite_or_none, integer, json_bool, json_field,
-                    load_json_object, positive, write_csv, write_json)
+from ._util import (finite_or_none, fraction, integer, json_chain, json_entry, json_field,
+                    load_json_object, nonnegative, positive, write_csv, write_json)
 from . import algebras, dynamics, ensembles, lanczos, operators
 
 __all__ = ["main"]
@@ -36,9 +36,8 @@ _FORMATS = ("json", "csv")
 
 
 def _time_grid(ns: argparse.Namespace) -> np.ndarray:
-    tmax = 3.0 if ns.tmax is None else positive(ns.tmax, "--tmax")
-    steps = 301 if ns.steps is None else integer(ns.steps, "--steps", 2)
-    return np.linspace(0.0, tmax, steps)
+    return np.linspace(0.0, 3.0 if ns.tmax is None else ns.tmax,
+                       301 if ns.steps is None else ns.steps)
 
 
 def _resolve_format(ns: argparse.Namespace, default: str) -> str:
@@ -53,61 +52,28 @@ def _output(ns: argparse.Namespace):
     return sys.stdout if ns.out == "-" else ns.out
 
 
-def _float_list(arr) -> list:
-    return [float(x) for x in np.asarray(arr, dtype=np.float64)]
-
-
 # ---------------------------------------------------------------- chain I/O
 
-def _load_chain(ns: argparse.Namespace) -> tuple[np.ndarray, int | None, bool]:
+def _load_chain(path, realization: int | None = None):
     """(b, D or None, cut_flag) from a chain JSON artifact.
 
     Accepts model artifacts, Lanczos results, closure inputs ({"b": ...}),
-    and ensemble files via --realization.  cut_flag means the listed
-    coefficients continue past the list (truncated result or infinite
-    family), so the chain end is not a physical boundary.
+    and entry ``realization`` of an ensemble file.  cut_flag means the
+    listed coefficients continue past the list (truncated result or
+    infinite family), so the chain end is not a physical boundary.
     """
-    path = ns.inputs[0]
     payload = load_json_object(path)
-    if "realizations" in payload:
-        if ns.realization is None:
-            raise ValidationError(
-                f"{path} is an ensemble file; pick one entry with --realization"
-            )
-        entries = payload["realizations"]
-        if not isinstance(entries, list):
-            raise ValidationError(f"{path}: field 'realizations' must be a list")
-        idx = ns.realization
-        if not 0 <= idx < len(entries):
-            raise ValidationError(
-                f"--realization must lie in [0, {len(entries)}), got {idx}"
-            )
-        payload = entries[idx]
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                f"{path}: realization {idx} must be a JSON object"
-            )
-    elif ns.realization is not None:
-        raise ValidationError(f"{path} is not an ensemble file; drop --realization")
-    if "b" not in payload:
-        raise ValidationError(f"{path}: missing field 'b'")
-    b = json_field(payload, "b", coefficients, path, "a flat list of finite numbers > 0")
+    if realization is not None:
+        if "realizations" not in payload:
+            raise ValidationError(f"{path} is not an ensemble file; drop --realization")
+        payload = json_field(payload, "realizations", json_entry, path, realization)
+        path = f"{path}: realization {realization}"
+    elif "realizations" in payload:
+        raise ValidationError(f"{path} is an ensemble file; pick one with --realization")
+    b, D, truncated = json_chain(payload, path)
     if b.size == 0:
         raise ValidationError(f"{path}: field 'b' must be a non-empty list")
-    D = None
-    if payload.get("D") is not None:
-        D = json_field(payload, "D", lambda v: integer(v, "D"), path, "an integer >= 1")
-        # Fewer coefficients than D - 1 are the head of the chain.
-        if b.size > D - 1:
-            raise ValidationError(
-                f"{path}: field 'b' lists {b.size} coefficients, more than field "
-                f"'D' = {D} allows (D - 1 = {D - 1})"
-            )
-    truncated = False
-    if payload.get("truncated") is not None:
-        truncated = json_field(payload, "truncated", json_bool, path, "true or false")
-    cut = truncated or D is None or D != b.size + 1
-    return b, D, cut
+    return b, D, truncated or D is None or D != b.size + 1
 
 
 def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
@@ -117,7 +83,7 @@ def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
     grid that carries probability onto their last two sites is a
     NumericalError.
     """
-    b, _, cut = _load_chain(ns)
+    b, _, cut = _load_chain(ns.inputs[0], ns.realization)
     return dynamics.evolve_amplitudes(b, _time_grid(ns), open_end=cut)
 
 
@@ -130,7 +96,7 @@ def _cmd_model(ns: argparse.Namespace) -> int:
     if model.D is not None:
         bchain = model.b(np.arange(1, model.D))
     else:
-        bchain = model.b(np.arange(1, integer(ns.coeffs, "--coeffs") + 1))
+        bchain = model.b(np.arange(1, ns.coeffs + 1))
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = {
@@ -139,11 +105,11 @@ def _cmd_model(ns: argparse.Namespace) -> int:
             "alpha": model.alpha,
             "gamma": model.gamma,
             "D": model.D,
-            "b": _float_list(bchain),
+            "b": bchain,
             "curve": {
-                "t": _float_list(times),
-                "K": _float_list(profile.complexity),
-                "dispersion": _float_list(profile.dispersion),
+                "t": times,
+                "K": profile.complexity,
+                "dispersion": profile.dispersion,
             },
         }
         write_json(_output(ns), payload)
@@ -193,15 +159,15 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
         dynamics.save_amplitudes_csv(traj, _output(ns))
     else:
         payload = {
-            "t": _float_list(traj.times),
-            "b": _float_list(traj.b),
+            "t": traj.times,
+            "b": traj.b,
             "method": traj.method,
             "blocks": traj.blocks,
             "terms": traj.terms,
             "window": traj.window,
             "truncated": bool(traj.truncated),
             "tail_mass": float(traj.tail_mass),
-            "phi": [_float_list(row) for row in traj.phi],
+            "phi": traj.phi,
         }
         write_json(_output(ns), payload)
     return 0
@@ -231,7 +197,7 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> int:
-    b, D, cut = _load_chain(ns)
+    b, D, cut = _load_chain(ns.inputs[0], ns.realization)
     report = algebras.closure_test(b, D=None if cut else D, tol=ns.tol_closure)
     classification = algebras.classify_algebra(report.alpha) if report.closed else None
     fmt = _resolve_format(ns, "json")
@@ -244,7 +210,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
             "trivial": report.trivial,
             "tol": report.tol,
             "classification": classification,
-            "f_values": _float_list(report.f_values),
+            "f_values": report.f_values,
         }
         write_json(_output(ns), payload)
     else:
@@ -300,6 +266,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _option(check, *args):
+    """An argparse type: the number in the text through a _util check, whose
+    error argparse reports as "argument --FLAG: value must be ..."."""
+    def number(text):
+        value = int(text) if text.lstrip("+-").isdigit() else float(text)
+        try:
+            return check(value, "value", *args)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return number
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -310,27 +288,27 @@ def _build_parser() -> _Parser:
                        help="output format (default: by extension, else per command)")
 
     def add_grid(p):
-        p.add_argument("--tmax", type=float, default=None,
+        p.add_argument("--tmax", type=_option(positive), default=None,
                        help="end of the time grid [0, tmax] (default 3)")
-        p.add_argument("--steps", type=int, default=None,
+        p.add_argument("--steps", type=_option(integer, 2), default=None,
                        help="number of grid points (default 301)")
 
     def add_halt(p):
-        p.add_argument("--tol-halt", dest="tol_halt", type=float,
+        p.add_argument("--tol-halt", dest="tol_halt", type=_option(fraction),
                        default=lanczos.DEFAULT_HALT_TOL,
                        help="halting tolerance relative to b_1")
 
     def add_chain_input(p):
         p.add_argument("inputs", nargs=1, metavar="CHAIN_JSON",
                        help="chain artifact (model/lanczos/ensemble JSON)")
-        p.add_argument("--realization", type=int, default=None,
+        p.add_argument("--realization", type=_option(integer, 0), default=None,
                        help="entry to pick when the input is an ensemble file")
 
     p = sub.add_parser("model", help="analytic family: coefficients and curves")
     p.add_argument("model_spec", metavar="SPEC",
                    help="su2:j=..,nu=.. | hw:nu=.. | syk:eta=..,nu=.. | "
                         "sat:alpha=..,gamma=..[,D=..]")
-    p.add_argument("--coeffs", type=int, default=256,
+    p.add_argument("--coeffs", type=_option(integer), default=256,
                    help="coefficients to materialize for infinite families")
     p.add_argument("--coeffs-out", dest="coeffs_out", default=None,
                    help="also write the coefficients as CSV here")
@@ -342,11 +320,11 @@ def _build_parser() -> _Parser:
                    help='matrix file {"dim": d, "re": [[..]], "im": [[..]]}')
     p.add_argument("--observable", default=None,
                    help="seed operator matrix JSON (default: uniform observable)")
-    p.add_argument("--beta", type=float, default=0.0,
+    p.add_argument("--beta", type=_option(nonnegative), default=0.0,
                    help="inverse temperature of the inner product (default 0)")
-    p.add_argument("--normalization", type=float, default=None,
+    p.add_argument("--normalization", type=_option(positive), default=None,
                    help="beta = 0 normalization (default 1/d)")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
+    p.add_argument("--max-steps", dest="max_steps", type=_option(integer), default=None)
     p.add_argument("--store-basis", dest="store_basis", action="store_true",
                    help="keep the Krylov basis in the JSON output")
     add_halt(p)
@@ -364,17 +342,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("closure", help="saturation test of a chain")
     add_chain_input(p)
-    p.add_argument("--tol-closure", dest="tol_closure", type=float,
+    p.add_argument("--tol-closure", dest="tol_closure", type=_option(positive),
                    default=algebras.CLOSURE_TOL,
                    help="constancy tolerance (relative to max(1, b_1^2))")
     add_out(p)
 
     p = sub.add_parser("goe", help="random-matrix ensemble pipeline")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--dim", type=_option(integer, 2), required=True)
+    p.add_argument("--sigma", type=_option(positive), default=1.0)
+    p.add_argument("--count", type=_option(integer), default=1)
+    p.add_argument("--seed", type=_option(integer, 0), default=0)
+    p.add_argument("--workers", type=_option(integer), default=1)
     add_halt(p)
     add_grid(p)
     add_out(p)

@@ -234,14 +234,14 @@ def ensemble_to_dict(result: EnsembleResult) -> dict:
         "seed": spec.seed,
         "halt_tol": spec.halt_tol,
         "D_histogram": {str(k): v for k, v in sorted(result.D_histogram.items())},
-        "mean_b_sq": [float(x) for x in result.mean_b_sq],
-        "std_b_sq": [float(x) for x in result.std_b_sq],
+        "mean_b_sq": result.mean_b_sq.tolist(),
+        "std_b_sq": result.std_b_sq.tolist(),
         "realizations": [
             {
                 "index": int(idx),
                 "D": int(D),
                 "truncated": bool(tr),
-                "b": [float(x) for x in b],
+                "b": b.tolist(),
             }
             for idx, D, tr, b in zip(result.indices, result.D_values,
                                      result.truncated_flags, result.b_list)

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (coefficients, integer, json_bool, json_field, load_json_object,
-                    write_csv, write_json)
+from ._util import (coefficients, complex_array, fraction, integer, json_chain, json_field,
+                    load_json_object, nonnegative, positive, write_csv, write_json)
 from .operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -287,9 +287,7 @@ def run_lanczos(
             raise ValidationError(
                 "inner-product hamiltonian differs from the evolution hamiltonian"
             )
-    halt_tol = float(halt_tol)
-    if not (0.0 < halt_tol < 1.0):
-        raise ValidationError(f"halt_tol must lie in (0, 1), got {halt_tol}")
+    halt_tol = fraction(halt_tol, "halt_tol")
     structural_cap = max_chain_length(H.dim) - 1
     if max_steps is None:
         max_steps = structural_cap
@@ -438,7 +436,7 @@ def orthogonality_report(result: LanczosResult) -> OrthogonalityReport:
 
 def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:
     out = {
-        "b": [float(x) for x in result.b],
+        "b": result.b.tolist(),
         "D": int(result.D),
         "dim": int(result.dim),
         "beta": float(result.spec.beta),
@@ -470,52 +468,22 @@ def load_result_json(path) -> LanczosResult:
     for bookkeeping but not to take new inner products.
     """
     payload = load_json_object(path)
-    for key in ("b", "D", "dim"):
-        if key not in payload:
-            raise ValidationError(f"{path}: missing field {key!r}")
-
-    def field(key, convert, expected, default=None):
-        if payload.get(key) is None:
-            return default
-        return json_field(payload, key, convert, path, expected)
-
-    dim = json_field(payload, "dim", lambda v: integer(v, "dim"), path, "an integer >= 1")
-    D = json_field(payload, "D", lambda v: integer(v, "D"), path, "an integer >= 1")
-    beta = field("beta", float, "a finite number >= 0", 0.0)
-    if not 0.0 <= beta < math.inf:
-        raise ValidationError(f"{path}: field 'beta' must be a finite number >= 0")
-    normalization = field("normalization", float, "a number or null")
-    if beta > 0.0:
-        spec = InnerProductSpec.unbound(beta, normalization)
-    else:
-        spec = InnerProductSpec(0.0, normalization)
-    basis = field(
-        "basis",
-        lambda v: (np.array(v["re"], dtype=np.float64)
-                   + 1j * np.array(v["im"], dtype=np.float64)),
-        "an object of numeric arrays 're' and 'im'",
-    )
-    if basis is not None and basis.shape != (D, dim * dim):
-        raise ValidationError(
-            f"{path}: field 'basis' has shape {basis.shape}, expected ({D}, {dim * dim})"
-        )
-    b = json_field(payload, "b", coefficients, path, "a flat list of finite numbers > 0")
-    if b.size != D - 1:
-        raise ValidationError(
-            f"{path}: field 'b' lists {b.size} coefficients, but field 'D' = {D} "
-            f"needs D - 1 = {D - 1}"
-        )
+    b, D, truncated = json_chain(payload, path, complete=True)
+    dim = json_field(payload, "dim", integer, path)
     return LanczosResult(
         b=b,
         D=D,
         dim=dim,
-        spec=spec,
-        basis=basis,
-        ortho_error=field("ortho_error", float, "a number or null"),
-        truncated=field("truncated", json_bool, "true or false", False),
-        halt_tol=field("halt_tol", float, "a number", DEFAULT_HALT_TOL),
-        reorth_passes=field("reorth_passes", lambda v: integer(v, "reorth_passes", 0),
-                            "an integer >= 0 or null"),
+        spec=InnerProductSpec.unbound(
+            json_field(payload, "beta", nonnegative, path, default=0.0),
+            json_field(payload, "normalization", positive, path, default=None),
+        ),
+        basis=json_field(payload, "basis", complex_array, path, (D, dim * dim),
+                         default=None),
+        ortho_error=json_field(payload, "ortho_error", nonnegative, path, default=None),
+        truncated=truncated,
+        halt_tol=json_field(payload, "halt_tol", fraction, path, default=DEFAULT_HALT_TOL),
+        reorth_passes=json_field(payload, "reorth_passes", integer, path, 0, default=None),
     )
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from ._util import integer, json_field, load_json_object, positive, write_json
+from ._util import (complex_array, integer, json_field, load_json_object, nonnegative,
+                    positive, write_json)
 
 HERMITICITY_TOL = 1e-12
 
@@ -107,9 +108,7 @@ class InnerProductSpec:
         normalization: float | None = None,
         hamiltonian: HermitianMatrix | np.ndarray | None = None,
     ):
-        beta = float(beta)
-        if not np.isfinite(beta) or beta < 0.0:
-            raise ValidationError(f"beta must be finite and >= 0, got {beta}")
+        beta = nonnegative(beta, "beta")
         if normalization is not None:
             normalization = positive(normalization, "normalization")
         self.beta = beta
@@ -138,10 +137,10 @@ class InnerProductSpec:
 
     @classmethod
     def unbound(cls, beta: float, normalization: float | None = None) -> "InnerProductSpec":
-        """A beta > 0 spec without its Hamiltonian, as results reloaded from
-        JSON carry it: bookkeeping only, inner products raise ValidationError."""
+        """A spec without its Hamiltonian, as results reloaded from JSON carry
+        it: at beta > 0 bookkeeping only, inner products raise ValidationError."""
         spec = cls(0.0, normalization)
-        spec.beta = positive(beta, "beta")
+        spec.beta = nonnegative(beta, "beta")
         return spec
 
     def require_hamiltonian(self) -> None:
@@ -218,25 +217,8 @@ def save_matrix(path, matrix) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`; "im" may be omitted."""
     payload = load_json_object(path)
-    if "dim" not in payload:
-        raise ValidationError(f"{path}: missing field 'dim'")
-    if "re" not in payload:
-        raise ValidationError(f"{path}: missing field 're'")
-    d = json_field(payload, "dim", lambda v: integer(v, "dim"), path, "an integer >= 1")
-    try:
-        re = np.array(payload["re"], dtype=np.float64)
-        im = np.array(payload.get("im", np.zeros((d, d))), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: fields 're'/'im' must be numeric arrays") from exc
-    if re.shape != (d, d):
-        raise ValidationError(
-            f"{path}: field 're' has shape {re.shape}, expected ({d}, {d})"
-        )
-    if im.shape != (d, d):
-        raise ValidationError(
-            f"{path}: field 'im' has shape {im.shape}, expected ({d}, {d})"
-        )
-    return re + 1j * im
+    d = json_field(payload, "dim", integer, path)
+    return complex_array(payload, path, (d, d))
 
 
 def load_hamiltonian(path) -> HermitianMatrix:

@@ -1,4 +1,4 @@
-import argparse
+import ast
 import io
 import json
 import math
@@ -25,9 +25,7 @@ from kbound.operators import (SIGMA_X, SIGMA_Z, InnerProductSpec, OperatorVector
                               load_matrix, save_matrix)
 
 
-def _load_chain(path, realization=None):
-    return cli._load_chain(argparse.Namespace(command="bound", inputs=[str(path)],
-                                              realization=realization))
+_load_chain = cli._load_chain
 
 
 def _load_realization(path):
@@ -43,6 +41,94 @@ def test_loaders_reject_json_that_is_not_an_object(load, payload, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="expected a JSON object"):
         load(path)
+
+
+_ABSENT = object()
+_MATRIX = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+_RESULT = {"b": [1.0], "D": 2, "dim": 2}
+_CHAIN = {"b": [1.0, 2.0], "D": 3}
+_BASIS = {"re": [[math.nan, 0.0, 0.0, 0.0], [0.0] * 4], "im": [[0.0] * 4] * 2}
+_LOADERS = {
+    "load_matrix": (load_matrix, _MATRIX, lambda p: p),
+    "load_result_json": (load_result_json, _RESULT, lambda p: p),
+    "_load_chain": (_load_chain, _CHAIN, lambda p: p),
+    "_load_chain-realization": (_load_realization, _CHAIN,
+                                lambda p: {"realizations": [p]}),
+}
+_CHAIN_FIELDS = [("b", _ABSENT), ("b", None), ("b", [1.0, math.nan]), ("b", "x"),
+                 ("D", math.nan), ("D", "two"), ("truncated", "false")]
+_FIELD_CASES = [
+    ("load_matrix", "dim", _ABSENT), ("load_matrix", "dim", None),
+    ("load_matrix", "dim", math.nan), ("load_matrix", "dim", "2"),
+    ("load_matrix", "re", _ABSENT), ("load_matrix", "re", None),
+    ("load_matrix", "re", [[1.0, math.nan], [0.0, 1.0]]), ("load_matrix", "re", "x"),
+    ("load_matrix", "im", [[0.0, math.inf], [-math.inf, 0.0]]),
+    ("load_matrix", "im", [[0.0, 1.0], [0.0, "1"]]),
+    ("load_result_json", "D", _ABSENT), ("load_result_json", "D", None),
+    ("load_result_json", "dim", _ABSENT), ("load_result_json", "dim", math.inf),
+    ("load_result_json", "halt_tol", math.nan), ("load_result_json", "halt_tol", 2.0),
+    ("load_result_json", "ortho_error", -3), ("load_result_json", "ortho_error", math.nan),
+    ("load_result_json", "normalization", -1), ("load_result_json", "beta", math.nan),
+    ("load_result_json", "basis", _BASIS), ("load_result_json", "basis", [1.0]),
+    ("load_result_json", "reorth_passes", math.nan),
+    *[(name, key, value) for name in ("load_result_json", "_load_chain",
+                                      "_load_chain-realization")
+      for key, value in _CHAIN_FIELDS],
+]
+
+
+@pytest.mark.parametrize("name, key, value", _FIELD_CASES)
+def test_loaders_name_file_and_field(tmp_path, name, key, value):
+    # Absent, null, NaN, an infinity, out of range or of the wrong type: each
+    # refused field is named after the file it came from.
+    load, base, wrap = _LOADERS[name]
+    payload = {k: v for k, v in base.items() if k != key}
+    if value is not _ABSENT:
+        payload[key] = value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(wrap(payload)))
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and f"field {key!r}" in message, message
+    if value is _ABSENT or value is None:
+        assert f"missing field {key!r}" in message
+
+
+def _parsed_json_reads(tree):
+    """Lines where a module reads JSON text or a field of a parsed payload:
+    json.load(s), and [..] or .get on `payload` or on a name assigned from
+    load_json_object(...)."""
+    names = {"payload"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "load_json_object"):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in {("json", "load"), ("json", "loads")}):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "get"
+                and getattr(node.value, "id", None) in names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_json_is_read_in_one_place():
+    # Every artifact field goes through _util.json_field, so that each
+    # absent, null or refused field is reported the same way.
+    package = Path(kbound.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "_util.py":
+            lines = _parsed_json_reads(ast.parse(path.read_text()))
+            if lines:
+                found[path.name] = lines
+    assert found == {}
 
 
 def test_write_csv_cells(tmp_path):
@@ -158,14 +244,17 @@ _ARGUMENTS = [
     pytest.param(lambda tmp: load_result_json(_file(tmp, _NAN_B)), "field 'b'",
                  id="load_result_json-nan-b"),
     # The command line exits 1 with "error: ..." naming the option or field.
-    pytest.param(lambda _: _cli("goe", "--dim", 4, "--seed", -1), "seed",
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--seed", -1), "--seed",
                  id="cli-goe-seed"),
-    pytest.param(lambda _: _cli("goe", "--dim", 4, "--workers", 0), "workers",
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--workers", 0), "--workers",
                  id="cli-goe-workers"),
-    pytest.param(lambda _: _cli("goe", "--dim", 4, "--sigma", "nan"), "sigma",
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--sigma", "nan"), "--sigma",
                  id="cli-goe-sigma"),
-    pytest.param(lambda _: _cli("goe", "--dim", 4, "--tol-halt", 2), "halt_tol",
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--tol-halt", 2), "--tol-halt",
                  id="cli-goe-tol-halt"),
+    pytest.param(lambda _: _cli("goe", "--dim", 1), "--dim", id="cli-goe-dim"),
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--count", 0), "--count",
+                 id="cli-goe-count"),
     pytest.param(lambda _: _cli("model", "sat:alpha=-4,gamma=4,D=3.5"), "D",
                  id="cli-model-D"),
     pytest.param(lambda _: _cli("model", "hw:nu=1", "--coeffs", 0), "--coeffs",
@@ -179,11 +268,14 @@ _ARGUMENTS = [
     pytest.param(lambda tmp: _cli("bound", _file(tmp, _NAN_B)), "field 'b'",
                  id="cli-bound-nan-b"),
     pytest.param(lambda tmp: _cli("closure", _file(tmp, {"b": [1.0, 2.0]}),
-                                  "--tol-closure", "inf"), "tol", id="cli-closure-tol"),
+                                  "--tol-closure", "inf"), "--tol-closure",
+                 id="cli-closure-tol"),
     pytest.param(lambda tmp: _cli("lanczos", _hamiltonian(tmp), "--max-steps", 0),
-                 "max_steps", id="cli-lanczos-max_steps"),
+                 "--max-steps", id="cli-lanczos-max_steps"),
     pytest.param(lambda tmp: _cli("lanczos", _hamiltonian(tmp), "--normalization", -1),
-                 "normalization", id="cli-lanczos-normalization"),
+                 "--normalization", id="cli-lanczos-normalization"),
+    pytest.param(lambda tmp: _cli("lanczos", _hamiltonian(tmp), "--beta", "nan"),
+                 "--beta", id="cli-lanczos-beta"),
 ]
 
 
@@ -221,6 +313,16 @@ def test_write_json_matches_json_dumps(tmp_path, payload):
     handle = io.StringIO()
     write_json(handle, payload)
     assert handle.getvalue() == path.read_text()
+
+
+def test_write_json_takes_numpy():
+    # Arrays are written as their tolist(), a 2-D array row by row.
+    payload = {"phi": np.arange(6.0).reshape(2, 3) / 3.0, "b": np.array([0.1, 2.5]),
+               "n": np.int64(4), "ok": np.bool_(True), "x": np.float64(1.0 / 3.0)}
+    handle = io.StringIO()
+    write_json(handle, payload)
+    want = {key: value.tolist() for key, value in payload.items()}
+    assert handle.getvalue() == json.dumps(want) + "\n"
 
 
 def test_write_json_refuses_nan(tmp_path):
