@@ -168,20 +168,23 @@ def _real_array(value, name: str, shape: tuple) -> np.ndarray:
                     shape)
 
 
-def _numbers(value, expected: str, shape=None, inside=np.isfinite) -> np.ndarray:
-    """value as a float64 array of numbers x with inside(x), of ``shape`` where
-    given; ValidationError "EXPECTED..." for anything else (ragged nesting too)."""
+def _numbers(value, expected: str, shape=None, inside=np.isfinite,
+             dtype=np.float64) -> np.ndarray:
+    """value as an array of ``dtype`` (float64, or complex128, which also takes
+    complex numbers) of numbers x with inside(x) (any number where inside is
+    None), of ``shape`` where given; ValidationError "EXPECTED..." for anything
+    else (ragged nesting too)."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:     # ragged nesting
         raise ValidationError(f"{expected}; it is nested unevenly") from exc
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{expected}, got shape {arr.shape}")
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" + np.dtype(dtype).kind:
         raise ValidationError(f"{expected}, got entries of type {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
-    bad = np.flatnonzero(~inside(arr))
-    if bad.size:
+    arr = arr.astype(dtype, copy=False)
+    bad = np.flatnonzero(~inside(arr)) if inside is not None else ()
+    if len(bad):
         raise ValidationError(f"{expected}; it holds {float(arr.flat[bad[0]])!r}")
     return arr
 
@@ -222,6 +225,11 @@ def _real(value, name: str, inside, expected: str) -> float:
     return x
 
 
+def finite(value, name: str) -> float:
+    """value as a finite float (see :func:`_real`)."""
+    return _real(value, name, math.isfinite, "a finite number")
+
+
 def positive(value, name: str) -> float:
     """value as a finite float > 0 (see :func:`_real`)."""
     return _real(value, name, lambda x: 0.0 < x < math.inf, "a finite number > 0")
@@ -252,6 +260,19 @@ def coefficients(b, name: str = "b") -> np.ndarray:
     return arr
 
 
+def square_matrix(value, name: str) -> np.ndarray:
+    """value as a new complex128 square matrix of finite numbers, at least 1 x 1;
+    ValidationError naming ``name`` for anything else (ragged nesting, bools
+    and strings too)."""
+    expected = f"{name} must be a square matrix of numbers, at least 1 x 1"
+    m = _numbers(value, expected, inside=None, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{expected}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return m.copy()
+
+
 def finite_or_none(x) -> float | None:
     """x as a float for JSON, or None where it is None, NaN or infinite."""
     if x is None:
@@ -263,9 +284,13 @@ def finite_or_none(x) -> float | None:
 def validate_times(times, name: str = "times") -> np.ndarray:
     """A time grid as a flat float64 array: non-empty, finite, strictly increasing.
 
-    ``name`` is the argument name the error messages cite.
+    ``name`` is the argument name the error messages cite.  Like a chain, a
+    grid may not be a scalar, nested, or hold bools or strings.
     """
-    t = np.asarray(times, dtype=np.float64).ravel()
+    expected = f"{name} must be a flat list of numbers"
+    t = _numbers(times, expected, inside=None)
+    if t.ndim != 1:
+        raise ValidationError(f"{expected}, got an array of shape {t.shape}")
     if t.size == 0:
         raise ValidationError(f"{name} must be a non-empty finite array: it has no points")
     if not np.all(np.isfinite(t)):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import coefficients, integer, output_array, positive, validate_times
+from ._util import coefficients, finite, integer, output_array, positive, validate_times
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
@@ -114,9 +114,7 @@ class AlgebraModel:
         infinite, so finite D is rejected there.  An alpha > 0 below
         gamma * 2^-104 gives hw, whose chain it equals to double precision.
         """
-        alpha = float(alpha)
-        if not np.isfinite(alpha):
-            raise ValidationError(f"alpha must be finite, got {alpha}")
+        alpha = finite(alpha, "alpha")
         gamma = positive(gamma, "gamma")
         if alpha < 0.0:
             j = gamma / (-alpha)
@@ -321,9 +319,7 @@ def classify_algebra(alpha: float, tol: float = CLOSURE_TOL) -> str:
 
     |alpha| <= tol counts as zero.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
+    alpha = finite(alpha, "alpha")
     if abs(alpha) <= positive(tol, "tol"):
         return "hw"
     return "su2" if alpha < 0.0 else "sl2r"

@@ -123,9 +123,7 @@ def _cmd_model(ns: argparse.Namespace) -> int:
 
 def _cmd_lanczos(ns: argparse.Namespace) -> int:
     H = operators.load_hamiltonian(ns.inputs[0])
-    spec = operators.InnerProductSpec(
-        ns.beta, ns.normalization, H if ns.beta > 0.0 else None
-    )
+    spec = operators.InnerProductSpec(ns.beta, ns.normalization)
     if ns.observable is not None:
         obs_matrix = operators.load_matrix(ns.observable)
         obs = operators.OperatorVector.from_matrix(obs_matrix, spec)

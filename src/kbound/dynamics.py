@@ -141,8 +141,11 @@ class ComplexityProfile:
     """Complexity observables on a time grid.
 
     ratio is |rate| / bound and tau_k is dispersion / |rate|; both are NaN
-    where their denominators fall below UNDEFINED_CUTOFF * b1 (undefined,
-    not zero or infinite).
+    where undefined, not zero or infinite.  complexity_profile leaves ratio
+    undefined where the dispersion is at most f = max(UNDEFINED_CUTOFF,
+    16 sqrt(eps) * the peak rms position), and tau_k where |rate| is at most
+    2 b1 f.  model_observables leaves ratio undefined where the bound is at
+    most UNDEFINED_CUTOFF * b1, and tau_k where |rate| is.
     """
 
     times: np.ndarray

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import integer, positive, validate_times, write_csv, write_json
-from .operators import InnerProductSpec, OperatorVector, as_hermitian
+from ._util import fraction, integer, positive, validate_times, write_csv, write_json
+from .operators import InnerProductSpec, OperatorVector, _Frame, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, run_lanczos
 from .dynamics import (ComplexityProfile, complexity_profile, evolve_amplitudes,
                        profile_to_dict)
@@ -59,6 +59,7 @@ class GoeSpec:
         object.__setattr__(self, "sigma", positive(self.sigma, "sigma"))
         object.__setattr__(self, "count", integer(self.count, "count"))
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
+        object.__setattr__(self, "halt_tol", fraction(self.halt_tol, "halt_tol"))
 
 
 def goe_sample(dim: int, sigma: float = 1.0, seed=None) -> np.ndarray:
@@ -87,13 +88,11 @@ def uniform_observable(hamiltonian, spec: InnerProductSpec | None = None) -> Ope
     returns u u^dag / (d sqrt(nu0)), which has <O|O> = 1 exactly.
     """
     H = as_hermitian(hamiltonian)
-    if spec is None:
-        spec = InnerProductSpec()
+    spec = InnerProductSpec() if spec is None else spec
     if spec.beta != 0.0:
         raise ValidationError("uniform observable requires a beta = 0 inner product")
     d = H.dim
-    _, vectors = np.linalg.eigh(H.entries)
-    u = vectors.sum(axis=1)
+    u = _Frame(spec, d, H).vectors.sum(axis=1)
     nu0 = spec.norm_factor(d)
     mat = np.outer(u, u.conj()) / (d * np.sqrt(nu0))
     return OperatorVector.from_matrix(mat, spec)

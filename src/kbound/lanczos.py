@@ -52,12 +52,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from ._util import (coefficients, complex_array, fraction, integer, json_chain, json_field,
                     load_json_object, nonnegative, positive, write_csv, write_json)
-from .operators import (
-    HermitianMatrix,
-    InnerProductSpec,
-    OperatorVector,
-    as_hermitian,
-)
+from .operators import InnerProductSpec, OperatorVector, _Frame, as_hermitian
 
 DEFAULT_HALT_TOL = 1e-10
 DIAGONAL_TOL = 1e-8
@@ -134,51 +129,6 @@ class LanczosResult:
         if n >= self.D:
             raise ValidationError(f"n must lie in [0, {self.D}), got {n}")
         return OperatorVector(self.basis[n], self.dim, self.spec)
-
-
-class _Frame:
-    """H eigenbasis representation with the inner-product weights folded in.
-
-    Frame vectors satisfy <A|B>_spec = vdot(x_A, x_B), and the Liouvillian
-    is the elementwise multiply by omega[i, j] = E_i - E_j.  The maps take
-    one column-major vector or a stack of them as rows.  Without H the
-    frame serves a beta = 0 product only (identity basis, no frequencies).
-    """
-
-    def __init__(self, spec: InnerProductSpec, dim: int,
-                 H: HermitianMatrix | None = None):
-        if spec.beta == 0.0:
-            if H is None:
-                energies, vectors = np.zeros(dim), np.eye(dim)
-            else:
-                energies, vectors = np.linalg.eigh(H.entries)
-            weights = np.full((dim, dim), spec.norm_factor(dim))
-        else:
-            spec.require_hamiltonian()
-            energies, vectors = spec._energies, spec._vectors
-            w = spec._weights
-            # Weights that underflow to 0 carry no mass: the fold drops them.
-            weights = np.outer(w, w) / spec._partition
-            if not np.all(np.isfinite(weights)):
-                raise NumericalError(
-                    "thermal weights are not finite; beta * spectral width too large"
-                )
-        self.dim = dim
-        self.vectors = vectors
-        self.sqrt_weights = np.sqrt(weights)
-        self.omega = energies[:, None] - energies[None, :]
-
-    # A column-major vector read row-major is the transpose A^T, and the
-    # frame change V^dag A V transposes to V^T A^T conj(V).
-
-    def to_frame(self, components: np.ndarray) -> np.ndarray:
-        At = components.reshape(-1, self.dim, self.dim)
-        x = (self.vectors.T @ At @ self.vectors.conj()) * self.sqrt_weights
-        return x.reshape(components.shape)
-
-    def from_frame(self, x: np.ndarray) -> np.ndarray:
-        At = x.reshape(-1, self.dim, self.dim) / self.sqrt_weights
-        return (self.vectors.conj() @ At @ self.vectors.T).reshape(x.shape)
 
 
 def _check_symmetric(s: np.ndarray, below: np.ndarray, above: np.ndarray,
@@ -268,14 +218,9 @@ def run_lanczos(
         two-term recursion under this inner product.
     """
     H = as_hermitian(hamiltonian)
-    if isinstance(operator, OperatorVector):
-        op = operator
-        if spec is None:
-            spec = op.spec
-    else:
-        op = OperatorVector.from_matrix(operator)
-        if spec is None:
-            spec = InnerProductSpec()
+    op = operator if isinstance(operator, OperatorVector) else \
+        OperatorVector.from_matrix(operator)
+    spec = op.spec if spec is None else spec
     if H.dim != op.dim:
         raise ValidationError(
             f"hamiltonian dim {H.dim} does not match operator dim {op.dim}"
@@ -464,8 +409,9 @@ def load_result_json(path) -> LanczosResult:
     """Reload a result written by :func:`save_result_json`.
 
     A beta > 0 result comes back with its beta but without the weighting
-    Hamiltonian (matrices are not serialized here); such a spec can be used
-    for bookkeeping but not to take new inner products.
+    Hamiltonian (matrices are not serialized here): its spec weights a new
+    run_lanczos by that run's Hamiltonian, but orthogonality_report of the
+    result raises ValidationError.
     """
     payload = load_json_object(path)
     b, D, truncated = json_chain(payload, path, complete=True)
@@ -474,7 +420,7 @@ def load_result_json(path) -> LanczosResult:
         b=b,
         D=D,
         dim=dim,
-        spec=InnerProductSpec.unbound(
+        spec=InnerProductSpec(
             json_field(payload, "beta", nonnegative, path, default=0.0),
             json_field(payload, "normalization", positive, path, default=None),
         ),

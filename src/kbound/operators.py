@@ -15,6 +15,8 @@ Both members of the family make the Liouvillian L = [H, .] self-adjoint,
 which is what keeps the Lanczos recursion two-term with real coefficients.
 ``lanczos`` applies L in the eigenbasis of H, where it is the elementwise
 multiply by E_i - E_j; no dense d^2 x d^2 superoperator is ever formed.
+That eigenbasis, with the product's weights folded in, is built here and
+nowhere else (``_Frame``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from ._util import (complex_array, integer, json_field, load_json_object, nonnegative,
-                    positive, write_json)
+                    positive, square_matrix, write_json)
 
 HERMITICITY_TOL = 1e-12
 
@@ -50,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A square complex matrix validated to be Hermitian.
+    """A square complex matrix of finite entries validated to be Hermitian.
 
     The deviation ``max |M - M^dag|`` must stay below ``HERMITICITY_TOL``
     relative to max(1, max|M|); the matrix is stored as given (complex128
@@ -60,15 +62,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(
-                f"entries must be a square matrix, got shape {m.shape}"
-            )
-        if m.shape[0] == 0:
-            raise ValidationError("entries must be at least 1 x 1")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise ValidationError("entries contain non-finite values")
+        m = square_matrix(self.entries, "entries")
         scale = max(1.0, float(np.max(np.abs(m))))
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_TOL * scale:
@@ -87,70 +81,33 @@ def as_hermitian(matrix) -> HermitianMatrix:
     """Coerce an array or HermitianMatrix to HermitianMatrix."""
     if isinstance(matrix, HermitianMatrix):
         return matrix
-    return HermitianMatrix(np.asarray(matrix))
+    return HermitianMatrix(matrix)
 
 
+@dataclass(frozen=True, eq=False)
 class InnerProductSpec:
     """One member of the inner-product family: (beta, normalization).
 
     beta = 0 is the flat Hilbert-Schmidt product scaled by ``normalization``
     (default 1/d, fixed at evaluation time from the operand dimension).
-    beta > 0 needs the Hamiltonian it is weighted by; its eigendecomposition
-    is taken once here and reused by every product.
+    beta > 0 is weighted by ``hamiltonian``, or without it by the one that
+    ``run_lanczos`` binds.  The spec holds these three values only.
 
     The thermal normalization 1/Z is built in; ``normalization`` only scales
     the beta = 0 member.
     """
 
-    def __init__(
-        self,
-        beta: float = 0.0,
-        normalization: float | None = None,
-        hamiltonian: HermitianMatrix | np.ndarray | None = None,
-    ):
-        beta = nonnegative(beta, "beta")
-        if normalization is not None:
-            normalization = positive(normalization, "normalization")
-        self.beta = beta
-        self.normalization = normalization
-        self.hamiltonian = None
-        self._energies = None
-        self._vectors = None
-        self._weights = None
-        self._partition = None
-        if beta > 0.0:
-            if hamiltonian is None:
-                raise ValidationError(
-                    "beta > 0 requires the hamiltonian the product is weighted by"
-                )
-            H = as_hermitian(hamiltonian)
-            self.hamiltonian = H
-            energies, vectors = np.linalg.eigh(H.entries)
-            # Shift before exponentiating; Z and the weights rescale together.
-            shifted = energies - energies.min()
-            self._energies = energies
-            self._vectors = vectors
-            self._weights = np.exp(-beta * shifted / 2.0)
-            self._partition = float(np.sum(np.exp(-beta * shifted)))
-        elif hamiltonian is not None:
-            self.hamiltonian = as_hermitian(hamiltonian)
+    beta: float = 0.0
+    normalization: float | None = None
+    hamiltonian: HermitianMatrix | np.ndarray | None = field(default=None, repr=False)
 
-    @classmethod
-    def unbound(cls, beta: float, normalization: float | None = None) -> "InnerProductSpec":
-        """A spec without its Hamiltonian, as results reloaded from JSON carry
-        it: at beta > 0 bookkeeping only, inner products raise ValidationError."""
-        spec = cls(0.0, normalization)
-        spec.beta = nonnegative(beta, "beta")
-        return spec
-
-    def require_hamiltonian(self) -> None:
-        """Raise ValidationError if a beta > 0 spec lacks its Hamiltonian."""
-        if self.beta > 0.0 and self.hamiltonian is None:
-            raise ValidationError(
-                f"the beta = {self.beta:g} inner product is missing its weighting "
-                "Hamiltonian (a result reloaded from JSON does not carry it); "
-                "rebuild the spec with InnerProductSpec(beta, normalization, H)"
-            )
+    def __post_init__(self):
+        object.__setattr__(self, "beta", nonnegative(self.beta, "beta"))
+        if self.normalization is not None:
+            object.__setattr__(self, "normalization",
+                               positive(self.normalization, "normalization"))
+        if self.hamiltonian is not None:
+            object.__setattr__(self, "hamiltonian", as_hermitian(self.hamiltonian))
 
     def norm_factor(self, dim: int) -> float:
         """Scale applied to Tr(A^dag B) when beta = 0."""
@@ -158,11 +115,60 @@ class InnerProductSpec:
             return self.normalization
         return 1.0 / dim
 
-    def __repr__(self):
-        return (
-            f"InnerProductSpec(beta={self.beta!r}, "
-            f"normalization={self.normalization!r})"
-        )
+
+class _Frame:
+    """The eigenbasis of H with the inner-product weights folded in.
+
+    Frame vectors satisfy <A|B>_spec = vdot(x_A, x_B), and the Liouvillian
+    is the elementwise multiply by omega[i, j] = E_i - E_j.  The maps take
+    one column-major vector or a stack of them as rows.  A beta > 0 frame is
+    that of the spec's Hamiltonian, a beta = 0 one that of ``H``; without H
+    it is the identity basis, which serves the product only.
+    """
+
+    def __init__(self, spec: InnerProductSpec, dim: int,
+                 H: HermitianMatrix | None = None):
+        if spec.beta > 0.0:
+            H = spec.hamiltonian
+            if H is None:
+                raise ValidationError(
+                    f"the beta = {spec.beta:g} inner product is missing its weighting "
+                    "Hamiltonian (a result reloaded from JSON does not carry it); "
+                    "rebuild the spec with InnerProductSpec(beta, normalization, H)"
+                )
+        if H is None:
+            energies, vectors = np.zeros(dim), np.eye(dim)
+        else:
+            energies, vectors = np.linalg.eigh(H.entries)
+        if spec.beta == 0.0:
+            weights = np.full((dim, dim), spec.norm_factor(dim))
+        else:
+            # Shift before exponentiating; Z and the weights rescale together.
+            shifted = energies - energies.min()
+            w = np.exp(-spec.beta * shifted / 2.0)
+            partition = float(np.sum(np.exp(-spec.beta * shifted)))
+            # Weights that underflow to 0 carry no mass: the fold drops them.
+            weights = np.outer(w, w) / partition
+            if not np.all(np.isfinite(weights)):
+                raise NumericalError(
+                    "thermal weights are not finite; beta * spectral width too large"
+                )
+        self.dim = dim
+        self.vectors = vectors
+        self.sqrt_weights = np.sqrt(weights)
+        self.omega = energies[:, None] - energies[None, :]
+
+    # A column-major vector read row-major is the transpose A^T, and the
+    # frame change V^dag A V transposes to V^T A^T conj(V).
+
+    def to_frame(self, components: np.ndarray) -> np.ndarray:
+        At = components.reshape(-1, self.dim, self.dim)
+        x = (self.vectors.T @ At @ self.vectors.conj()) * self.sqrt_weights
+        return x.reshape(components.shape)
+
+    def from_frame(self, x: np.ndarray) -> np.ndarray:
+        At = x.reshape(-1, self.dim, self.dim) / self.sqrt_weights
+        return (self.vectors.conj() @ At @ self.vectors.T).reshape(x.shape)
 
 
 @dataclass(eq=False)
@@ -192,9 +198,7 @@ class OperatorVector:
 
     @classmethod
     def from_matrix(cls, matrix, spec: InnerProductSpec | None = None) -> "OperatorVector":
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"matrix must be square, got shape {m.shape}")
+        m = square_matrix(matrix, "matrix")
         return cls(m.ravel(order="F"), m.shape[0], spec or InnerProductSpec())
 
     def to_matrix(self) -> np.ndarray:
@@ -203,11 +207,7 @@ class OperatorVector:
 
 def save_matrix(path, matrix) -> None:
     """Write a matrix as JSON: {"dim": d, "re": [[..]], "im": [[..]]}."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries, which JSON cannot hold")
+    m = square_matrix(matrix, "matrix")
     payload = {"dim": int(m.shape[0]), "re": m.real.tolist()}
     if np.any(m.imag != 0.0):
         payload["im"] = m.imag.tolist()

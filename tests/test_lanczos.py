@@ -21,7 +21,7 @@ from kbound.lanczos import (
     save_coefficients_csv,
     save_result_json,
 )
-from kbound.operators import InnerProductSpec, OperatorVector
+from kbound.operators import InnerProductSpec, OperatorVector, _Frame
 from kbound.ensembles import goe_sample, uniform_observable
 from oracles import (
     gauss_rule_mismatch,
@@ -243,8 +243,7 @@ class TestWholeChainOracle:
         pytest.importorskip("mpmath")
         H, O = cold_thermal_pair()
         spec = InnerProductSpec(beta=40.0, hamiltonian=H)
-        weights = np.outer(spec._weights, spec._weights) / spec._partition
-        assert np.count_nonzero(weights == 0.0) == 20
+        assert np.count_nonzero(_Frame(spec, 6).sqrt_weights == 0.0) == 20
         res = run_lanczos(H, OperatorVector.from_matrix(O, spec), store_basis=False)
         nodes, weights, _ = liouvillian_measure(H, O, 40.0)
         ref = stieltjes_chain(nodes, weights)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kbound.errors import ValidationError
+from kbound.lanczos import run_lanczos
 from kbound.operators import (
     HermitianMatrix,
     InnerProductSpec,
@@ -59,9 +60,16 @@ class TestInnerProductSpec:
         with pytest.raises(ValidationError):
             InnerProductSpec(beta=-1.0)
 
-    def test_thermal_requires_hamiltonian(self):
-        with pytest.raises(ValidationError):
-            InnerProductSpec(beta=1.0)
+    def test_thermal_spec_without_hamiltonian_is_bound_by_run_lanczos(self, rng):
+        spec = InnerProductSpec(beta=1.0)
+        assert spec.hamiltonian is None
+        H = random_hermitian(rng, 3)
+        O = OperatorVector.from_matrix(random_hermitian(rng, 3), spec)
+        res = run_lanczos(H, O)
+        np.testing.assert_array_equal(res.spec.hamiltonian.entries, H)
+        bound = run_lanczos(H, O, spec=InnerProductSpec(1.0, hamiltonian=H))
+        np.testing.assert_array_equal(res.b, bound.b)
+        np.testing.assert_array_equal(res.basis, bound.basis)
 
     def test_bad_normalization(self):
         with pytest.raises(ValidationError):

@@ -16,13 +16,13 @@ import kbound
 from kbound import cli
 from kbound._util import finite_or_none, integer, write_csv, write_json
 from kbound.algebras import (AlgebraModel, classify_algebra, closure_test,
-                             parse_model_spec)
+                             model_observables, parse_model_spec)
 from kbound.dynamics import deviation_time, evolve_amplitudes, short_time_coefficients
 from kbound.ensembles import GoeSpec, ensemble_to_dict, goe_sample, run_ensemble
 from kbound.errors import ValidationError
 from kbound.lanczos import load_result_json, max_chain_length, run_lanczos
-from kbound.operators import (SIGMA_X, SIGMA_Z, InnerProductSpec, OperatorVector,
-                              load_matrix, save_matrix)
+from kbound.operators import (SIGMA_X, SIGMA_Z, HermitianMatrix, InnerProductSpec,
+                              OperatorVector, load_matrix, save_matrix)
 
 
 _load_chain = cli._load_chain
@@ -131,6 +131,32 @@ def test_json_is_read_in_one_place():
     assert found == {}
 
 
+def _eigh_and_spec_reads(tree) -> list[str]:
+    """Calls of eigh and reads of a private attribute of a spec in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            name = getattr(owner, "id", getattr(owner, "attr", None))
+            if node.attr == "eigh":
+                found.append(f"{node.lineno}: eigh")
+            elif name == "spec" and node.attr.startswith("_"):
+                found.append(f"{node.lineno}: spec.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "eigh":
+            found.append(f"{node.lineno}: eigh")
+    return found
+
+
+def test_eigh_in_one_place():
+    # operators._Frame builds the weighted eigenframe of H; no other module
+    # decomposes H or reads what a spec holds privately.
+    package = Path(kbound.__file__).parent
+    found = {path.name: _eigh_and_spec_reads(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py"))}
+    assert [line.split(": ")[1] for line in found.pop("operators.py")] == ["eigh"]
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_write_csv_cells(tmp_path):
     rows = [
         (math.nan, math.inf, -math.inf),
@@ -196,6 +222,9 @@ _ARGUMENTS = [
     pytest.param(lambda _: GoeSpec(dim=4, seed=1.7), "seed", id="GoeSpec-seed"),
     pytest.param(lambda _: GoeSpec(dim=4, seed=-1), "seed", id="GoeSpec-seed-negative"),
     pytest.param(lambda _: GoeSpec(dim=4, sigma=math.nan), "sigma", id="GoeSpec-sigma"),
+    pytest.param(lambda _: GoeSpec(dim=3, halt_tol=2.0), "halt_tol", id="GoeSpec-halt_tol"),
+    pytest.param(lambda _: GoeSpec(dim=3, halt_tol="x"), "halt_tol",
+                 id="GoeSpec-halt_tol-str"),
     pytest.param(lambda _: goe_sample(2.9), "dim", id="goe_sample-dim"),
     pytest.param(lambda _: goe_sample(3, seed=1.5), "seed", id="goe_sample-seed"),
     pytest.param(lambda _: run_ensemble(GoeSpec(dim=2), workers=1.5), "workers",
@@ -225,6 +254,9 @@ _ARGUMENTS = [
                  id="from_rates-D-bool"),
     pytest.param(lambda _: AlgebraModel.from_rates(-4.0, math.nan), "gamma",
                  id="from_rates-gamma"),
+    pytest.param(lambda _: AlgebraModel.from_rates("-4", 4.0), "alpha",
+                 id="from_rates-alpha-str"),
+    pytest.param(lambda _: classify_algebra(True), "alpha", id="classify_algebra-bool"),
     pytest.param(lambda _: AlgebraModel.su2(1.0, nu=math.inf), "nu", id="su2-nu"),
     pytest.param(lambda _: AlgebraModel("su2", 1.0), "j", id="su2-j-missing"),
     pytest.param(lambda _: AlgebraModel.sl2r(-1.0), "eta", id="sl2r-eta"),
@@ -239,6 +271,29 @@ _ARGUMENTS = [
                  id="short_time_coefficients-b2"),
     pytest.param(lambda _: deviation_time(1.0, 2.0, math.nan), "b3",
                  id="deviation_time-b3"),
+    # Time grids were read by float(): strings parsed, nested grids ravelled.
+    pytest.param(lambda _: evolve_amplitudes([1.0], ["0", "1"]), "times",
+                 id="evolve_amplitudes-times-str"),
+    pytest.param(lambda _: evolve_amplitudes([1.0], [[0.0, 0.5], [1.0, 2.0]]), "times",
+                 id="evolve_amplitudes-times-nested"),
+    pytest.param(lambda _: evolve_amplitudes([1.0], [False, True]), "times",
+                 id="evolve_amplitudes-times-bool"),
+    pytest.param(lambda _: evolve_amplitudes([1.0], 0.5), "times",
+                 id="evolve_amplitudes-times-scalar"),
+    pytest.param(lambda _: run_ensemble(GoeSpec(dim=3), profile_times=["0", "1"]),
+                 "profile_times", id="run_ensemble-profile_times"),
+    pytest.param(lambda _: model_observables(AlgebraModel.hw(), ["0", "1"]), "times",
+                 id="model_observables-times"),
+    # Matrices: a string entry ended in a bare ValueError, a bool was read as 1.
+    pytest.param(lambda _: HermitianMatrix(np.array([["a"]])), "entries",
+                 id="HermitianMatrix-str"),
+    pytest.param(lambda _: HermitianMatrix([[True]]), "entries", id="HermitianMatrix-bool"),
+    pytest.param(lambda _: HermitianMatrix([[1.0, 0.0], [0.0]]), "entries",
+                 id="HermitianMatrix-ragged"),
+    pytest.param(lambda _: run_lanczos(np.eye(2), [["a", "b"], ["c", "d"]]), "matrix",
+                 id="run_lanczos-operator-str"),
+    pytest.param(lambda tmp: save_matrix(tmp / "m.json", [["a"]]), "matrix",
+                 id="save_matrix-str"),
     pytest.param(lambda tmp: load_result_json(_file(tmp, _BAD_B)), "field 'b'",
                  id="load_result_json-negative-b"),
     pytest.param(lambda tmp: load_result_json(_file(tmp, _NAN_B)), "field 'b'",
