@@ -185,7 +185,7 @@ def _numbers(value, expected: str, shape=None, inside=np.isfinite,
     arr = arr.astype(dtype, copy=False)
     bad = np.flatnonzero(~inside(arr)) if inside is not None else ()
     if len(bad):
-        raise ValidationError(f"{expected}; it holds {float(arr.flat[bad[0]])!r}")
+        raise ValidationError(f"{expected}; it holds {arr.flat[bad[0]].item()!r}")
     return arr
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (complex_array, integer, json_field, load_json_object, nonnegative,
-                    positive, square_matrix, write_json)
+from ._util import (_numbers, complex_array, integer, json_field, load_json_object,
+                    nonnegative, positive, square_matrix, write_json)
 
 HERMITICITY_TOL = 1e-12
 
@@ -183,17 +183,14 @@ class OperatorVector:
     spec: InnerProductSpec = field(default_factory=InnerProductSpec)
 
     def __post_init__(self):
-        v = np.array(self.components, dtype=np.complex128)
         d = integer(self.dim, "dim")
-        if v.shape != (d * d,):
-            # A matrix raveled row by row would be read as its transpose.
-            raise ValidationError(
-                f"components must be a flat vector of length dim^2 = {d * d}, got "
-                f"shape {v.shape}; a matrix goes through OperatorVector.from_matrix"
-            )
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValidationError("components contain non-finite values")
-        self.components = v
+        # A matrix raveled row by row would be read as its transpose.
+        self.components = _numbers(
+            self.components,
+            f"components must be a flat vector of dim^2 = {d * d} finite numbers "
+            "(a matrix goes through OperatorVector.from_matrix)",
+            (d * d,), dtype=np.complex128,
+        ).copy()
         self.dim = d
 
     @classmethod

@@ -148,6 +148,39 @@ def stieltjes_chain(nodes, weights, dps=100, halt=1e-40):
         return np.array([float(v) for v in b])
 
 
+def rkpw_chain(nodes, weights, dps=40):
+    """Lanczos coefficients of a discrete measure by the RKPW update, in mpmath.
+
+    The nodes are inserted one at a time, in the order given, into the
+    Jacobi matrix of the ones before (Gragg & Harrod, Numer. Math. 44, 1984;
+    Gautschi's OPQ routine RKPW), as a plain double loop at dps decimal
+    digits.  Returns all len(nodes) - 1 coefficients; no halting test.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x = [mp.mpf(float(v)) for v in nodes]
+        w = [mp.mpf(float(v)) for v in weights]
+        alpha = list(x)
+        beta = [w[0]] + [mp.mpf(0)] * (len(x) - 1)
+        for n in range(1, len(x)):
+            p, gam, sig, t = w[n], mp.mpf(1), mp.mpf(0), mp.mpf(0)
+            for k in range(n + 1):
+                rho = beta[k] + p
+                shrunk = gam * rho
+                prev_sig = sig
+                if rho <= 0:
+                    gam, sig = mp.mpf(1), mp.mpf(0)
+                else:
+                    gam, sig = beta[k] / rho, p / rho
+                tk = sig * (x[n] - alpha[k]) - gam * t
+                alpha[k] += tk - t
+                t = tk
+                p = t * t / sig if sig > 0 else prev_sig * beta[k]
+                beta[k] = shrunk
+        return np.array([float(mp.sqrt(v)) for v in beta[1:]])
+
+
 def dense_heisenberg(H, O, t):
     """O(t) = e^{iHt} O e^{-iHt} via dense exponentials."""
     U = scipy.linalg.expm(1j * t * H)

@@ -12,6 +12,7 @@ from kbound.lanczos import (
     LanczosResult,
     ReorthPolicy,
     _reorthogonalize,
+    _rkpw,
     default_policy,
     load_result_json,
     max_chain_length,
@@ -28,6 +29,7 @@ from oracles import (
     gram_schmidt_lanczos,
     liouvillian_measure,
     random_hermitian,
+    rkpw_chain,
     stieltjes_chain,
     thermal_trace_product,
     trace_product,
@@ -221,6 +223,25 @@ class TestWholeChainOracle:
     def test_fixture_draw(self, rng):
         self._check(goe_sample(12, seed=rng))
 
+    def test_rkpw_oracle_equals_the_stieltjes_oracle(self):
+        pytest.importorskip("mpmath")
+        H = _ledger_draw(7, 0, 8)
+        nodes, weights, _ = liouvillian_measure(H, uniform_observable(H).to_matrix())
+        np.testing.assert_array_equal(rkpw_chain(nodes, weights),
+                                      stieltjes_chain(nodes, weights))
+
+    def test_whole_chain_against_high_precision(self):
+        # Every coefficient of a d = 16 chain, on both paths.
+        pytest.importorskip("mpmath")
+        H = _ledger_draw(7, 0, 16)
+        obs = uniform_observable(H)
+        nodes, weights, _ = liouvillian_measure(H, obs.to_matrix())
+        ref = rkpw_chain(nodes, weights)
+        for store_basis in (False, True):
+            res = run_lanczos(H, obs, store_basis=store_basis)
+            assert res.D == ref.size + 1 == max_chain_length(16)
+            np.testing.assert_allclose(res.b, ref, rtol=0, atol=1e-12 * np.max(ref))
+
     def test_cold_thermal_chain_against_high_precision(self):
         # At beta = 40 the thermal weights of this draw span ~100 decades; the
         # former recursion got its chain tail wrong by 3.5e-2 of max b.
@@ -272,11 +293,17 @@ class TestReorthogonalization:
 
     def test_one_pass_per_step_on_a_goe_chain(self):
         # Two passes at every step would give 2 D; only the halting step
-        # needs the second one.
+        # needs the second one.  A stored basis runs the Gram-Schmidt path.
         H = _ledger_draw(7, 0, 32)
-        res = run_lanczos(H, uniform_observable(H), store_basis=False)
+        res = run_lanczos(H, uniform_observable(H), store_basis=True)
         assert res.D == max_chain_length(32)
-        assert res.reorth_passes <= res.D + 1
+        assert res.D <= res.reorth_passes <= res.D + 1
+
+    def test_chain_rebuilt_from_the_measure_makes_no_pass(self):
+        H = _ledger_draw(7, 0, 8)
+        res = run_lanczos(H, uniform_observable(H), store_basis=False)
+        assert res.D == max_chain_length(8)
+        assert res.reorth_passes == 0
 
     def test_stored_basis_of_a_goe_chain(self, rng):
         H = goe_sample(24, seed=rng)
@@ -300,6 +327,66 @@ class TestReorthogonalization:
         spec = InnerProductSpec(beta=40.0, hamiltonian=H)
         with pytest.raises(NumericalError, match="stored basis.*store_basis=False"):
             run_lanczos(H, OperatorVector.from_matrix(O, spec))
+
+
+class TestRkpwAgainstGramSchmidt:
+    # An uncapped run without a stored basis rebuilds the chain from the
+    # measure by RKPW; a stored basis or a binding max_steps runs the
+    # Gram-Schmidt recursion.
+
+    def _same_chain(self, H, O):
+        gs = run_lanczos(H, O, store_basis=True)
+        rk = run_lanczos(H, O, store_basis=False)
+        assert rk.D == gs.D
+        np.testing.assert_allclose(rk.b, gs.b, rtol=0, atol=1e-12 * np.max(gs.b))
+        return rk.D
+
+    def test_goe_chain(self, rng):
+        H = goe_sample(24, seed=rng)
+        assert self._same_chain(H, uniform_observable(H)) == max_chain_length(24)
+
+    def test_degenerate_spin_chain(self):
+        assert self._same_chain(*heisenberg_chain_z0()) == 23
+
+    def test_complex_thermal_chain(self):
+        rng = np.random.default_rng(5)
+        d = 16
+        H = random_hermitian(rng, d, 1.0 / np.sqrt(d))
+        spec = InnerProductSpec(beta=0.5, hamiltonian=H)
+        O = OperatorVector.from_matrix(random_hermitian(rng, d, 1.0 / np.sqrt(d)), spec)
+        assert self._same_chain(H, O) == max_chain_length(d)
+
+    def test_capped_chain_is_the_head_of_the_full_one(self, rng):
+        H = goe_sample(24, seed=rng)
+        obs = uniform_observable(H)
+        full = run_lanczos(H, obs, store_basis=False)
+        for k in (1, 10, 300):
+            capped = run_lanczos(H, obs, max_steps=k, store_basis=False)
+            assert capped.truncated
+            assert capped.reorth_passes >= k
+            np.testing.assert_allclose(capped.b, full.b[:k], rtol=0,
+                                       atol=1e-12 * np.max(full.b))
+
+    @pytest.mark.parametrize("store_basis", [True, False])
+    @pytest.mark.parametrize("nudge", [0.0, 1e-12])
+    def test_conserved_seed_halts_at_once(self, rng, store_basis, nudge):
+        # A nudge above the rounding level still gives b_1 below halt_tol
+        # times the spectral width, the first coefficient's halting scale.
+        H = random_hermitian(rng, 5)
+        O = H @ H - 2.0 * H + nudge * random_hermitian(rng, 5)
+        res = run_lanczos(H, O, store_basis=store_basis)
+        assert res.D == 1
+        assert res.b.size == 0
+
+    def test_wavefront_is_the_double_loop(self, rng):
+        # At 53 bits the oracle rounds every operation as float64 does.  The
+        # zero weights take the rho = 0 branch, and node 0 at the mean of
+        # +-1 the sigma = 0 one.
+        pytest.importorskip("mpmath")
+        x = np.concatenate([[1.0, -1.0, 0.0], rng.normal(size=40)])
+        w = np.concatenate([[1.0, 1.0, 1.0], rng.uniform(size=40)])
+        w[[5, 17, 42]] = 0.0
+        np.testing.assert_array_equal(np.sqrt(_rkpw(x, w)), rkpw_chain(x, w, dps=15))
 
 
 class TestMeasureFold:

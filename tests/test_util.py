@@ -237,6 +237,13 @@ _ARGUMENTS = [
     pytest.param(lambda _: OperatorVector(np.ones(4), 2.7), "dim", id="OperatorVector-dim"),
     pytest.param(lambda _: OperatorVector(np.eye(2), 2), "components",
                  id="OperatorVector-nested-components"),
+    # Components: bools were read as 1, numeric strings parsed, others a bare ValueError.
+    pytest.param(lambda _: OperatorVector([True] * 4, 2), "components",
+                 id="OperatorVector-bool"),
+    pytest.param(lambda _: OperatorVector(["1", "0", "0", "1"], 2), "components",
+                 id="OperatorVector-numeric-str"),
+    pytest.param(lambda _: OperatorVector(["a"] * 4, 2), "components",
+                 id="OperatorVector-str"),
     pytest.param(lambda _: InnerProductSpec(0.0, math.inf), "normalization",
                  id="InnerProductSpec-normalization"),
     pytest.param(lambda _: closure_test([1.0], D=2.9), "D", id="closure_test-D"),
