@@ -17,7 +17,6 @@ from kbound import (
     closure_test,
     complexity_profile,
     evolve_amplitudes,
-    orthogonality_report,
     run_lanczos,
 )
 
@@ -27,8 +26,7 @@ sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 result = run_lanczos(sigma3, sigma1 + sigma3)
 print("coefficients:", result.b)
 print("Krylov dimension:", result.D, "(operator space of a qubit: 2^2 - 2 + 1)")
-report = orthogonality_report(result)
-print(f"basis orthogonality error: {report.max_offdiagonal:.2e}")
+print(f"basis orthogonality error: {result.ortho_error:.2e}")
 
 times = np.linspace(0.0, 2.0 * np.pi, 13)
 traj = evolve_amplitudes(result.b, times)

@@ -121,7 +121,6 @@ class EnsembleResult:
     truncated_flags: list[bool] = field(default_factory=list)
     failed: list[tuple[int, str]] = field(default_factory=list)
     profile: ComplexityProfile | None = None
-    profile_times: np.ndarray | None = None
 
 
 def _one_realization(args):
@@ -219,7 +218,6 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         truncated_flags=truncated_flags,
         failed=failed,
         profile=profile,
-        profile_times=times,
     )
 
 

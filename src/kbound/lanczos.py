@@ -35,7 +35,9 @@ step, repeated only when that pass cancels, i.e. shrinks the three-term
 residual below 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart,
 Math. Comp. 30, 1976).  On the chains measured, only the step at which the
 chain halts needs the second pass.  A stored basis is rebuilt as
-O_n[ij] = sign(omega_ij)^n (u_n or v_n)[k] x_ij / sqrt(m_k), k the node of ij.
+O_n[ij] = sign(omega_ij)^n (u_n or v_n)[k] x_ij / sqrt(m_k), k the node of ij,
+and its orthogonality is measured once, on that returned basis, by
+:func:`orthogonality_report`.
 
 Because the chain depends on mu alone, a run that neither stores the basis
 nor caps the chain (every GOE realization, ``kbound lanczos`` without
@@ -117,8 +119,10 @@ class LanczosResult:
 
     b is the coefficient array (b[0] = b_1, length D - 1) and D the Krylov
     dimension reached.  basis, when stored, holds the column-major
-    vectorized operators O_0 .. O_{D-1} as rows, and ortho_error is then
-    max |<O_i|O_j> - delta_ij| over that basis.  truncated marks a run
+    vectorized operators O_0 .. O_{D-1} as rows (O_n is
+    ``basis[n].reshape((dim, dim), order="F")``), and ortho_error is then
+    max |G - I| for the Gram matrix G of that returned basis, as
+    :func:`orthogonality_report` builds it.  truncated marks a run
     stopped by max_steps instead of the halting test.  reorth_passes counts
     the Gram-Schmidt passes of a run that stored its basis or was capped by
     max_steps; it is 0 for a run rebuilt from the measure by RKPW, which
@@ -135,15 +139,6 @@ class LanczosResult:
     truncated: bool = False
     halt_tol: float = DEFAULT_HALT_TOL
     reorth_passes: int | None = None
-
-    def basis_operator(self, n: int) -> OperatorVector:
-        """O_n as an OperatorVector (requires a stored basis)."""
-        if self.basis is None:
-            raise ValidationError("result was produced without a stored basis")
-        n = integer(n, "n", 0)
-        if n >= self.D:
-            raise ValidationError(f"n must lie in [0, {self.D}), got {n}")
-        return OperatorVector(self.basis[n], self.dim, self.spec)
 
 
 def _check_symmetric(s: np.ndarray, below: np.ndarray, above: np.ndarray,
@@ -278,8 +273,9 @@ def run_lanczos(
         exhaustion, not truncation.  A cap below that bound runs the
         Gram-Schmidt recursion.
     store_basis : bool
-        Rebuild the Krylov operators (and their Gram diagnostics) in the
-        result, by the Gram-Schmidt recursion.  The rebuild divides by the
+        Rebuild the Krylov operators in the result, by the Gram-Schmidt
+        recursion, and set ortho_error from the Gram matrix of the returned
+        basis (:func:`orthogonality_report`).  The rebuild divides by the
         inner-product weights, so a thermal product with weights that
         underflow to 0 raises NumericalError; the chain alone
         (store_basis=False, rebuilt from the measure by RKPW unless capped)
@@ -406,8 +402,8 @@ def run_lanczos(
         counts[fam] += 1
 
     D = len(b) + 1
-    basis_out = None
-    ortho_error = None
+    result = LanczosResult(b=np.asarray(b, dtype=np.float64), D=D, dim=d, spec=spec,
+                           truncated=truncated, halt_tol=halt_tol, reorth_passes=passes)
     if store_basis:
         # Slot ij reads p_n at its node; slots of weightless (dropped) nodes
         # hold x = 0, so whichever kept node they map to gives O_n = 0 there.
@@ -418,41 +414,22 @@ def run_lanczos(
         frame_rows = np.empty((D, d * d), dtype=np.complex128)
         frame_rows[0::2] = (families[0][:counts[0]] / sqrt_m)[:, slot] * x
         frame_rows[1::2] = (families[1][:counts[1]] / sqrt_m)[:, slot] * odd_x
-        gram = frame_rows @ frame_rows.conj().T
-        ortho_error = float(np.max(np.abs(gram - np.eye(D))))
-        basis_out = frame.from_frame(frame_rows)
-    return LanczosResult(
-        b=np.asarray(b, dtype=np.float64),
-        D=D,
-        dim=d,
-        spec=spec,
-        basis=basis_out,
-        ortho_error=ortho_error,
-        truncated=truncated,
-        halt_tol=halt_tol,
-        reorth_passes=passes,
-    )
+        result.basis = frame.from_frame(frame_rows)
+        gram = orthogonality_report(result).gram
+        result.ortho_error = float(np.max(np.abs(gram - np.eye(D))))
+    return result
 
 
 @dataclass(eq=False)
 class OrthogonalityReport:
-    """Pairwise overlap diagnostics for a stored Lanczos basis."""
+    """The Gram matrix of a stored Lanczos basis: gram[i, j] = <O_i|O_j>."""
 
     gram: np.ndarray
-    max_offdiagonal: float
-    max_diagonal_deviation: float
-    drift: np.ndarray  # drift[k] = max overlap of O_k with any earlier O_j
-
-    def __str__(self):
-        return (
-            f"OrthogonalityReport(D={self.gram.shape[0]}, "
-            f"max_offdiagonal={self.max_offdiagonal:.3e}, "
-            f"max_diagonal_deviation={self.max_diagonal_deviation:.3e})"
-        )
 
 
 def orthogonality_report(result: LanczosResult) -> OrthogonalityReport:
-    """Gram-matrix diagnostics of a stored basis under the result's product.
+    """Gram matrix of a stored basis under the result's product; the only
+    place it is built (``run_lanczos`` reads ortho_error off it).
 
     A beta > 0 result reloaded by :func:`load_result_json` lacks the
     weighting Hamiltonian and raises ValidationError.
@@ -460,14 +437,7 @@ def orthogonality_report(result: LanczosResult) -> OrthogonalityReport:
     if result.basis is None:
         raise ValidationError("orthogonality report needs a stored basis")
     X = _Frame(result.spec, result.dim).to_frame(result.basis)
-    gram = X.conj() @ X.T
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    return OrthogonalityReport(
-        gram=gram,
-        max_offdiagonal=float(np.max(off)),
-        max_diagonal_deviation=float(np.max(np.abs(np.diag(gram).real - 1.0))),
-        drift=np.max(np.tril(off, -1), axis=1),
-    )
+    return OrthogonalityReport(gram=X.conj() @ X.T)
 
 
 def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:

@@ -162,7 +162,7 @@ def test_tridiagonal_evolution_matches_dense_superoperator():
         for k, t in enumerate(grid):
             heis = superoperator_heisenberg(H, O, t)
             for n in range(res.D):
-                basis = res.basis_operator(n).to_matrix()
+                basis = res.basis[n].reshape((d, d), order="F")
                 proj = trace_product(basis, heis, 1.0 / d) / seed_norm
                 assert abs(proj - (1j) ** n * traj.phi[k, n]) < 1e-8
     _report("superoperator oracle", t0)
