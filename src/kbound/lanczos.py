@@ -36,8 +36,10 @@ residual below 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart,
 Math. Comp. 30, 1976).  On the chains measured, only the step at which the
 chain halts needs the second pass.  A stored basis is rebuilt as
 O_n[ij] = sign(omega_ij)^n (u_n or v_n)[k] x_ij / sqrt(m_k), k the node of ij,
-and its orthogonality is measured once, on that returned basis, by
-:func:`orthogonality_report`.
+and its orthogonality is measured on that returned basis, by the Gram
+matrix :func:`orthogonality_report` builds.  Dividing by the weights, the
+rebuild cannot hold a basis whose thermal weights span too many decades;
+such a basis is refused.
 
 Because the chain depends on mu alone, a run that neither stores the basis
 nor caps the chain (every GOE realization, ``kbound lanczos`` without
@@ -73,6 +75,9 @@ DEFAULT_HALT_TOL = 1e-10
 DIAGONAL_TOL = 1e-8
 _ROUNDING = 64 * float(np.finfo(np.float64).eps)  # per Hilbert-space dimension
 _SQRT_HALF = math.sqrt(0.5)
+# A stored basis must be orthonormal to half the digits (Simon's
+# semi-orthogonality level, Math. Comp. 42, 1984) or it is refused.
+_ORTHO_TOL = math.sqrt(float(np.finfo(np.float64).eps))
 
 __all__ = [
     "DEFAULT_HALT_TOL",
@@ -277,9 +282,10 @@ def run_lanczos(
         recursion, and set ortho_error from the Gram matrix of the returned
         basis (:func:`orthogonality_report`).  The rebuild divides by the
         inner-product weights, so a thermal product with weights that
-        underflow to 0 raises NumericalError; the chain alone
-        (store_basis=False, rebuilt from the measure by RKPW unless capped)
-        drops them.
+        underflow to 0, or that span so many decades that the returned
+        basis is orthonormal only to more than sqrt(eps), raises
+        NumericalError; the chain alone (store_basis=False, rebuilt from
+        the measure by RKPW unless capped) does not need the basis.
 
     Raises
     ------
@@ -287,7 +293,8 @@ def run_lanczos(
         If the seed's spectral measure is not symmetric, so that some
         diagonal coefficient <O_n|L O_n> cannot vanish ("inner-product
         property 2 violated"): the seed operator is not compatible with the
-        two-term recursion under this inner product.
+        two-term recursion under this inner product.  Also when the thermal
+        weights keep a stored basis from being held (see store_basis).
     """
     H = as_hermitian(hamiltonian)
     op = operator if isinstance(operator, OperatorVector) else \
@@ -415,8 +422,16 @@ def run_lanczos(
         frame_rows[0::2] = (families[0][:counts[0]] / sqrt_m)[:, slot] * x
         frame_rows[1::2] = (families[1][:counts[1]] / sqrt_m)[:, slot] * odd_x
         result.basis = frame.from_frame(frame_rows)
-        gram = orthogonality_report(result).gram
+        # The report's own frame, so that ortho_error is read off its Gram
+        # matrix bit for bit: at beta = 0 the identity, not H's eigenframe.
+        gram = _gram(frame if spec.beta > 0.0 else _Frame(spec, d), result.basis)
         result.ortho_error = float(np.max(np.abs(gram - np.eye(D))))
+        if result.ortho_error > _ORTHO_TOL:
+            raise NumericalError(
+                f"the stored basis is orthonormal only to {result.ortho_error:.1e}: "
+                "the thermal weights span more decades than operator coordinates "
+                "hold; pass store_basis=False for the chain alone"
+            )
     return result
 
 
@@ -428,16 +443,21 @@ class OrthogonalityReport:
 
 
 def orthogonality_report(result: LanczosResult) -> OrthogonalityReport:
-    """Gram matrix of a stored basis under the result's product; the only
-    place it is built (``run_lanczos`` reads ortho_error off it).
+    """Gram matrix of a stored basis under the result's product, built as
+    ``run_lanczos`` builds it to read off ortho_error.
 
     A beta > 0 result reloaded by :func:`load_result_json` lacks the
     weighting Hamiltonian and raises ValidationError.
     """
     if result.basis is None:
         raise ValidationError("orthogonality report needs a stored basis")
-    X = _Frame(result.spec, result.dim).to_frame(result.basis)
-    return OrthogonalityReport(gram=X.conj() @ X.T)
+    return OrthogonalityReport(gram=_gram(_Frame(result.spec, result.dim), result.basis))
+
+
+def _gram(frame: _Frame, basis: np.ndarray) -> np.ndarray:
+    """gram[i, j] = <O_i|O_j> for the rows of ``basis``, in ``frame``."""
+    X = frame.to_frame(basis)
+    return X.conj() @ X.T
 
 
 def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:

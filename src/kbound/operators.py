@@ -123,8 +123,7 @@ class _Frame:
     is the elementwise multiply by omega[i, j] = E_i - E_j.  The maps take
     one column-major vector or a stack of them as rows.  A beta > 0 frame is
     that of the spec's Hamiltonian, a beta = 0 one that of ``H``; without H
-    it is the identity basis (``vectors`` None), which serves the product
-    only: ``to_frame`` skips the products with it, which are exact.
+    it is the identity basis, which serves the product only.
     """
 
     def __init__(self, spec: InnerProductSpec, dim: int,
@@ -138,7 +137,7 @@ class _Frame:
                     "rebuild the spec with InnerProductSpec(beta, normalization, H)"
                 )
         if H is None:
-            energies, vectors = np.zeros(dim), None
+            energies, vectors = np.zeros(dim), np.eye(dim)
         else:
             energies, vectors = np.linalg.eigh(H.entries)
         if spec.beta == 0.0:
@@ -164,9 +163,8 @@ class _Frame:
 
     def to_frame(self, components: np.ndarray) -> np.ndarray:
         At = components.reshape(-1, self.dim, self.dim)
-        if self.vectors is not None:
-            At = self.vectors.T @ At @ self.vectors.conj()
-        return (At * self.sqrt_weights).reshape(components.shape)
+        x = (self.vectors.T @ At @ self.vectors.conj()) * self.sqrt_weights
+        return x.reshape(components.shape)
 
     def from_frame(self, x: np.ndarray) -> np.ndarray:
         At = x.reshape(-1, self.dim, self.dim) / self.sqrt_weights
