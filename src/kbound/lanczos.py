@@ -43,16 +43,26 @@ such a basis is refused.
 
 Because the chain depends on mu alone, a run that neither stores the basis
 nor caps the chain (every GOE realization, ``kbound lanczos`` without
---store-basis) skips the vectors: it unfolds the kept nodes to 0, +s_1,
--s_1, +s_2, ... with m_k / 2 on each sign and rebuilds the Jacobi matrix
-from them by the Rutishauser-Kahan-Pal-Walker update (Gragg & Harrod,
-Numer. Math. 44, 1984), in O(N^2) scalar work and O(N) memory for N
-unfolded nodes, with no reorthogonalization.  The Gram-Schmidt families
-stay for the other runs: RKPW gives no Krylov vectors, and it always
-inserts every node, so a chain capped well short of them costs it more than
-the recursion.  Against a 40-digit reference on the same measure, the RKPW
-error on GOE chains matches the recursion's at d = 48 (7e-13 of max b) and
-is ten times it at d = 64 (1.4e-11 against 1.2e-12).
+--store-basis) skips the vectors: it rebuilds the Jacobi matrix of the
+measure with node 0 (if kept) and m_k / 2 at each of +-s_k by the
+Rutishauser-Kahan-Pal-Walker update (Gragg & Harrod, Numer. Math. 44,
+1984), in O(N^2) scalar work and O(N) memory for N such nodes, with no
+reorthogonalization.  RKPW inserts one node per sweep down the Jacobi
+matrix; here the +s_k and -s_k sweeps run interleaved, position by
+position, which changes no operation, and the symmetry of the measure
+removes most of the operations: once a pair is in, every diagonal entry
+alpha is 0 again, so alpha is never stored, and the -s_k sweep's t is
+minus the +s_k sweep's at every position, so that sweep carries only gamma
+and p.  The same update is exact at the pair's two new positions, so one
+formula runs over the whole sweep, with no branch.  A weight that underflows to 0 on
+the way makes a NaN or an inf that reaches the chain; such a chain is
+discarded and the run takes the Gram-Schmidt recursion.  The Gram-Schmidt
+families stay for the other runs: RKPW gives no Krylov vectors, and it
+always inserts every node, so a chain capped well short of them costs it
+more than the recursion.  Against a 40-digit reference on the same measure,
+the RKPW error on eleven GOE chains is at most 2.9e-12 of max b at
+d <= 48 (1.5e-12 at d = 48, where the recursion's is 1.2e-13) and 6.5e-12
+at d = 64, where the recursion's is 1.2e-12.
 
 The chain terminates at D <= d^2 - d + 1 basis vectors: d^2 - d off-diagonal
 frequency slots plus a single direction out of the d-dimensional commutant
@@ -104,7 +114,8 @@ def max_chain_length(dim: int) -> int:
 @dataclass(frozen=True)
 class ReorthPolicy:
     """Reorthogonalization of the chain; "full" (see module docstring) is the
-    only mode, kept so that callers passing ``default_policy(dim)`` work."""
+    only mode, kept so that callers passing ``default_policy(dim)`` work.
+    :func:`run_lanczos` ignores it."""
 
     mode: str = "full"
 
@@ -129,10 +140,11 @@ class LanczosResult:
     max |G - I| for the Gram matrix G of that returned basis, as
     :func:`orthogonality_report` builds it.  truncated marks a run
     stopped by max_steps instead of the halting test.  reorth_passes counts
-    the Gram-Schmidt passes of a run that stored its basis or was capped by
-    max_steps; it is 0 for a run rebuilt from the measure by RKPW, which
-    reorthogonalizes nothing (see module docstring), and None for a result
-    reloaded from a file that predates the count.
+    the Gram-Schmidt passes of a run that stored its basis, was capped by
+    max_steps, or had a chain RKPW could not rebuild; it is 0 for a run
+    rebuilt from the measure by RKPW, which reorthogonalizes nothing (see
+    module docstring), and None for a result reloaded from a file that
+    predates the count.
     """
 
     b: np.ndarray
@@ -184,61 +196,60 @@ def _reorthogonalize(w: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
     return w - B.T @ (B @ w), 2
 
 
-def _rkpw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared Lanczos coefficients b_1^2 .. b_{N-1}^2 of the N-node measure
-    sum_k w[k] delta(t - x[k]), by the RKPW update (OPQ's ``RKPW``).
+def _rkpw(w0: float, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Squared Lanczos coefficients b_1^2 .. b_{N-1}^2 of the symmetric
+    measure w0 delta(t) + sum_j h[j] (delta(t - s[j]) + delta(t + s[j])),
+    by the RKPW update (OPQ's ``RKPW``) with each +-s[j] pair inserted in
+    one sweep (module docstring).  N = 2 s.size, plus 1 if w0 > 0.
 
-    Node n + 1 is inserted into the Jacobi matrix (alpha, beta) of nodes
-    0 .. n by a sweep over positions k = 0 .. n + 1 that carries (gamma,
-    sigma, t, p) from k to k + 1.  Sweep n reaches position k at step n + k,
-    so at every step the active sweeps hold distinct, contiguous positions
-    and advance together: the double loop as a wavefront, the same
-    arithmetic in the same order.  Sweep state is stored in reverse (index
-    j = N - 2 - n) so that it runs the same way as the positions.
+    Pair j is inserted into the Jacobi matrix of node 0 and pairs 0 .. j - 1
+    by a sweep over positions k = 0 .. first + 2j + 1 that carries the +s
+    sweep's (gamma, p, t) and the -s sweep's (gamma, p) from k to k + 1;
+    every alpha is 0.  Pair j reaches position k at step j + k, so at every
+    step the active sweeps hold distinct, contiguous positions and advance
+    together: the double loop as a wavefront, the same arithmetic in the
+    same order.  Sweep state is stored in reverse (index P - 1 - j) so that
+    it runs the same way as the positions.  A zero weight divides 0 by 0
+    somewhere; the NaN or inf it makes reaches the output, which the caller
+    tests.
     """
-    N = x.size
-    alpha = x.astype(np.float64)
-    beta = np.zeros(N)
-    beta[0] = w[0]
-    M = N - 1
-    lam, p = x[:0:-1].copy(), w[:0:-1].copy()
-    gam, sig, t = np.ones(M), np.zeros(M), np.zeros(M)
+    P = s.size
+    first = int(w0 > 0.0)
+    beta = np.zeros(first + 2 * P)
+    beta[0] = w0
+    s, p_plus = s[::-1].copy(), h[::-1].copy()
+    p_minus = p_plus.copy()
+    g_plus, g_minus, t = np.ones(P), np.ones(P), np.zeros(P)
     # Work space sized for the widest step, so that no step allocates: the
-    # temporaries of ~2N steps otherwise leave heap fragments behind (2 MB
+    # temporaries of ~1.5N steps otherwise leave heap fragments behind (2 MB
     # of resident memory after a d = 48 chain).
-    work = np.empty((5, M))
-    flags = np.empty((2, M), dtype=bool)
-    for step in range(2 * M):
-        lo, hi = step // 2, min(step, M - 1)     # sweeps n at this step
-        js = slice(M - 1 - hi, M - lo)
-        ks = slice(step - hi, step - lo + 1)
-        a, bk = alpha[ks], beta[ks]
-        g, sg, tj, pj = gam[js], sig[js], t[js], p[js]
-        rho, shrunk, prev_sig, tk, u = work[:, :hi - lo + 1]
-        empty, live = flags[:, :hi - lo + 1]
-        np.add(bk, pj, out=rho)
-        np.multiply(g, rho, out=shrunk)
-        prev_sig[:] = sg
-        # Where rho = 0 (both weights 0), 1 / 1 and 0 / 1 give gamma = 1, sigma = 0.
-        np.less_equal(rho, 0.0, out=empty)
-        np.copyto(rho, 1.0, where=empty)
-        np.add(bk, empty, out=u)
-        np.divide(u, rho, out=g)
-        np.divide(pj, rho, out=sg)
-        np.subtract(lam[js], a, out=tk)
-        np.multiply(sg, tk, out=tk)
-        np.multiply(g, tj, out=u)
-        np.subtract(tk, u, out=tk)
-        np.subtract(tk, tj, out=u)
-        a += u
-        tj[:] = tk
-        # The sigma = 0 branch keeps p finite where sigma would divide by 0.
-        np.greater(sg, 0.0, out=live)
-        np.multiply(tk, tk, out=u)
-        np.divide(u, sg, out=pj, where=live)
-        np.logical_not(live, out=live)
-        np.multiply(prev_sig, bk, out=pj, where=live)
-        bk[:] = shrunk
+    work = np.empty((4, P))
+    with np.errstate(all="ignore"):
+        for step in range(first + 3 * P - 1):
+            # Pairs j at this step: j <= step, and step - j <= first + 2j + 1.
+            lo, hi = max(0, -((first + 1 - step) // 3)), min(step, P - 1)
+            js = slice(P - 1 - hi, P - lo)
+            bk = beta[step - hi:step - lo + 1]
+            gp, pp, tj, gm, pm, sj = (g_plus[js], p_plus[js], t[js], g_minus[js],
+                                      p_minus[js], s[js])
+            rho, shrunk, u, t2 = work[:, :hi - lo + 1]
+            # +s: rho = beta + p, beta' = gamma rho, gamma = beta / rho,
+            # sigma = p / rho, t = sigma s - gamma t, p = t^2 / sigma.
+            np.add(bk, pp, out=rho)
+            np.multiply(gp, rho, out=shrunk)
+            np.divide(bk, rho, out=gp)
+            np.divide(pp, rho, out=pp)
+            np.multiply(pp, sj, out=u)
+            np.multiply(gp, tj, out=tj)
+            np.subtract(u, tj, out=tj)
+            np.multiply(tj, tj, out=t2)
+            np.divide(t2, pp, out=pp)
+            # -s on beta', with its t equal to minus the +s sweep's.
+            np.add(shrunk, pm, out=rho)
+            np.multiply(gm, rho, out=bk)
+            np.divide(shrunk, rho, out=gm)
+            np.divide(pm, rho, out=pm)
+            np.divide(t2, pm, out=pm)
     return beta[1:]
 
 
@@ -263,7 +274,9 @@ def run_lanczos(
         normalization 1/d for a bare array).  A beta > 0 spec without a
         bound Hamiltonian is bound to ``hamiltonian``.
     policy : ReorthPolicy, optional
-        Accepted for compatibility; every run reorthogonalizes fully.
+        Accepted for compatibility and ignored: a run that stores its basis
+        or is capped reorthogonalizes each family fully, and a full chain
+        rebuilt from the measure by RKPW reorthogonalizes nothing.
     halt_tol : float
         Stop when ||A_{n+1}|| <= halt_tol * b_1 (at the very first step the
         Liouvillian's spectral width stands in for b_1).
@@ -360,18 +373,18 @@ def run_lanczos(
     s, m = s[keep], m[keep]
 
     if not (store_basis or user_capped):
-        # No basis and no cap: RKPW on the unfolded measure (module
-        # docstring), node 0 (if kept) first, then +s_k and -s_k with
-        # m_k / 2 each.
+        # No basis and no cap: RKPW on the folded measure (module
+        # docstring), node 0 (if kept) and m_k / 2 at each of +-s_k.  A
+        # non-finite chain (a weight underflowed on the way) falls through
+        # to the recursion.
         first = int(keep[0])
-        nodes = np.concatenate([s[:first], np.stack([s[first:], -s[first:]], 1).ravel()])
-        weights = np.concatenate([m[:first], np.repeat(0.5 * m[first:], 2)])
-        b = np.sqrt(_rkpw(nodes, weights))
-        halt_scale = np.full(b.size, b[0] if b.size else 0.0)
-        halt_scale[:1] = max(omega_scale, 1.0)
-        b = b[:np.argmax(np.append(b <= halt_tol * halt_scale, True))]
-        return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, halt_tol=halt_tol,
-                             reorth_passes=0)
+        b = np.sqrt(_rkpw(m[0] if first else 0.0, s[first:], 0.5 * m[first:]))
+        if np.all(np.isfinite(b)):
+            halt_scale = np.full(b.size, b[0] if b.size else 0.0)
+            halt_scale[:1] = max(omega_scale, 1.0)
+            b = b[:np.argmax(np.append(b <= halt_tol * halt_scale, True))]
+            return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, halt_tol=halt_tol,
+                                 reorth_passes=0)
 
     sqrt_m = np.sqrt(m)
     # Row capacity of each family: the u family holds the even O_n, the v

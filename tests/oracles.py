@@ -181,6 +181,40 @@ def rkpw_chain(nodes, weights, dps=40):
         return np.array([float(mp.sqrt(v)) for v in beta[1:]])
 
 
+def rkpw_pair_chain(w0, s, h, dps=40):
+    """Lanczos coefficients of w0 delta(t) + sum_j h[j] (delta(t - s[j]) +
+    delta(t + s[j])) by the RKPW update with each +-s[j] pair inserted in
+    one sweep, in mpmath.
+
+    Every alpha of a symmetric measure is 0, and the -s sweep's t is minus
+    the +s sweep's, so a pair's sweep carries the +s sweep's (gamma, p, t)
+    and the -s sweep's (gamma, p) over positions 0 .. first + 2j + 1, first
+    = 1 if w0 > 0, as a plain double loop at dps decimal digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        first = int(w0 > 0)
+        beta = [mp.mpf(float(w0))] + [mp.mpf(0)] * (first + 2 * len(s) - 1)
+        for j, (sj, hj) in enumerate(zip(s, h)):
+            sj = mp.mpf(float(sj))
+            gp = gm = mp.mpf(1)
+            pp = pm = mp.mpf(float(hj))
+            t = mp.mpf(0)
+            for k in range(first + 2 * j + 2):
+                rho = beta[k] + pp
+                shrunk = gp * rho
+                gp, sig = beta[k] / rho, pp / rho
+                t = sig * sj - gp * t
+                t2 = t * t
+                pp = t2 / sig
+                rho = shrunk + pm
+                beta[k] = gm * rho
+                gm = shrunk / rho
+                pm = t2 / (pm / rho)
+        return np.array([float(mp.sqrt(v)) for v in beta[1:]])
+
+
 def dense_heisenberg(H, O, t):
     """O(t) = e^{iHt} O e^{-iHt} via dense exponentials."""
     U = scipy.linalg.expm(1j * t * H)

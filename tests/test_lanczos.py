@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbound import lanczos
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import (
     LanczosResult,
@@ -30,6 +31,7 @@ from oracles import (
     liouvillian_measure,
     random_hermitian,
     rkpw_chain,
+    rkpw_pair_chain,
     stieltjes_chain,
     thermal_trace_product,
     trace_product,
@@ -386,15 +388,52 @@ class TestRkpwAgainstGramSchmidt:
         assert res.D == 1
         assert res.b.size == 0
 
-    def test_wavefront_is_the_double_loop(self, rng):
-        # At 53 bits the oracle rounds every operation as float64 does.  The
-        # zero weights take the rho = 0 branch, and node 0 at the mean of
-        # +-1 the sigma = 0 one.
+    def test_wavefront_is_the_pair_loop(self, rng):
+        # At 53 bits the oracle rounds every operation as float64 does; with
+        # and without a node at 0.
         pytest.importorskip("mpmath")
-        x = np.concatenate([[1.0, -1.0, 0.0], rng.normal(size=40)])
-        w = np.concatenate([[1.0, 1.0, 1.0], rng.uniform(size=40)])
-        w[[5, 17, 42]] = 0.0
-        np.testing.assert_array_equal(np.sqrt(_rkpw(x, w)), rkpw_chain(x, w, dps=15))
+        s = np.sort(rng.uniform(0.1, 1.0, size=30))
+        h = rng.uniform(0.1, 1.0, size=30)
+        for w0 in (0.0, 0.7):
+            np.testing.assert_array_equal(np.sqrt(_rkpw(w0, s, h)),
+                                          rkpw_pair_chain(w0, s, h, dps=15))
+
+    def test_zero_weight_gives_a_non_finite_chain(self, rng):
+        s = np.sort(rng.uniform(0.1, 1.0, size=30))
+        h = rng.uniform(0.1, 1.0, size=30)
+        h[[0, 17]] = 0.0
+        assert not np.all(np.isfinite(_rkpw(0.7, s, h)))
+
+    def test_non_finite_chain_falls_back_to_the_recursion(self, rng, monkeypatch):
+        H = goe_sample(12, seed=rng)
+        obs = uniform_observable(H)
+        gs = run_lanczos(H, obs, store_basis=True)
+        monkeypatch.setattr(lanczos, "_rkpw", lambda *args: np.array([np.nan]))
+        res = run_lanczos(H, obs, store_basis=False)
+        np.testing.assert_array_equal(res.b, gs.b)
+        assert (res.D, res.truncated) == (gs.D, False)
+        assert res.reorth_passes == gs.reorth_passes > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_close_nodes(self, seed, monkeypatch):
+        # The folded measure of a d = 16 GOE chain (node 0 and 120 pairs,
+        # 241 nodes unfolded), with one pair moved to a relative gap of 1e-8
+        # from its neighbour.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        H = goe_sample(16, seed=rng)
+        folded = []
+        monkeypatch.setattr(lanczos, "_rkpw", lambda *args: folded.append(args) or _rkpw(*args))
+        run_lanczos(H, uniform_observable(H), store_basis=False)
+        w0, s, h = folded[0]
+        assert w0 > 0.0 and s.size == 120
+        k = rng.integers(s.size - 1)
+        s = s.copy()
+        s[k + 1] = s[k] * (1.0 + 1e-8)
+        nodes = np.concatenate([[0.0], np.stack([s, -s], 1).ravel()])
+        ref = rkpw_chain(nodes, np.concatenate([[w0], np.repeat(h, 2)]))
+        np.testing.assert_allclose(np.sqrt(_rkpw(w0, s, h)), ref, rtol=0,
+                                   atol=1e-9 * np.max(ref))
 
 
 class TestMeasureFold:
