@@ -10,6 +10,13 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+# Cells of the amplitude grid in one row block of row_blocks, so that every
+# temporary of a pass over a block takes at most 512 KB.  On the su2
+# D = 2000 grid of 601 points (1 BLAS thread, 2-core x86_64), model_amplitudes
+# took 0.030 s and peaked at 13 MB, against 0.055 s and 68 MB at 1 << 20
+# cells and 0.061 s and 10 MB at 1 << 12.
+_BLOCK_CELLS = 1 << 16
+
 
 @contextmanager
 def open_write(path_or_file):
@@ -316,3 +323,14 @@ def output_array(points: int, sites: int) -> np.ndarray:
             f"{8 * points * sites / 1e9:.3g} GB of memory, more than is available; "
             "use fewer grid points or a shorter grid"
         ) from exc
+
+
+def row_blocks(points: int, sites: int):
+    """Slices of consecutive rows of a (points, sites) grid, in order.
+
+    Each slice holds at most _BLOCK_CELLS cells, and always at least one
+    row; together they cover every row once.
+    """
+    step = max(1, _BLOCK_CELLS // sites)
+    for lo in range(0, points, step):
+        yield slice(lo, min(lo + step, points))

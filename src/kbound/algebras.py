@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import coefficients, finite, integer, output_array, positive, validate_times
+from ._util import (coefficients, finite, integer, output_array, positive, row_blocks,
+                    validate_times)
 from .dynamics import (
     AmplitudeTrajectory,
     ComplexityProfile,
@@ -46,9 +47,6 @@ from .dynamics import (
 
 CLOSURE_TOL = 1e-8
 MAX_MODEL_SITES = 1 << 22
-# Cells of the amplitude grid computed at once: each intermediate array of
-# model_amplitudes holds at most this many (8 MB).
-_CHUNK_CELLS = 1 << 20
 _HALF_INTEGER_TOL = 1e-6
 
 __all__ = [
@@ -388,7 +386,8 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     TAIL_TOL past the last site; that probability is the trajectory's
     tail_mass.  The output is allocated first (an output the machine cannot
     hold raises NumericalError naming its size) and filled a few rows at a
-    time, so the intermediate arrays stay small.
+    time, so the intermediate arrays stay small.  Each row is computed on
+    its own, so the rows come out the same however the grid is split.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
@@ -428,9 +427,10 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
             return sth * np.exp(logw[None, :] + lth + envelope[:, None])
 
     phi = output_array(t.size, n_sites)
-    chunk = max(1, _CHUNK_CELLS // n_sites)
-    for lo in range(0, t.size, chunk):
-        phi[lo:lo + chunk] = rows(x[lo:lo + chunk])
+    # One row block at a time: the ~8 temporaries of rows() hold one block
+    # each (512 KB), not the grid.
+    for block in row_blocks(t.size, n_sites):
+        phi[block] = rows(x[block])
     bchain = model.b(np.arange(1, n_sites))
     return AmplitudeTrajectory(t, phi, bchain, truncated, tail, "closed-form")
 

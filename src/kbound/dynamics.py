@@ -12,7 +12,14 @@ Everything this module computes derives from that recursion: the mean chain
 position K(t) = sum n phi_n^2 (operator complexity), its spread Delta K, the
 exact growth rate, the two-sided budget |dK/dt| <= 2 b_1 Delta K, and the
 short-time expansion whose fourth/sixth order terms set the time where
-generic chains leave the saturation regime.
+generic chains leave the saturation regime.  The growth rate is the total
+current over the bonds,
+
+    dK/dt = 2 sum_n n phi_n (b_n phi_{n-1} - b_{n+1} phi_{n+1})
+          = 2 sum_{n>=1} b_n phi_{n-1} phi_n,
+
+since shifting n -> n - 1 in the second term leaves (n - (n - 1)) = 1 on
+each bond.
 
 Every chain is evolved on a window that follows the amplitude out along
 it: a coefficient array, closed or open-ended, or a callable family
@@ -489,26 +496,24 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     """Complexity, dispersion, exact growth rate, and the two-sided budget.
 
     K(t) = sum_n n phi_n^2, Delta K its standard deviation, and the rate is
-    evaluated from the recursion itself,
+    evaluated from the recursion itself, not by differencing: shifting the
+    index of its second term,
 
-        dK/dt = 2 sum_n n phi_n (b_n phi_{n-1} - b_{n+1} phi_{n+1}),
+        dK/dt = 2 sum_n n phi_n (b_n phi_{n-1} - b_{n+1} phi_{n+1})
+              = 2 sum_{n>=1} b_n phi_{n-1} phi_n,
 
-    not by differencing.  bound = 2 b_1 Delta K; ratio = |rate| / bound.
+    the current over the bonds, with no n-weighted cancellation.  bound =
+    2 b_1 Delta K; ratio = |rate| / bound.  Each sum is one einsum over the
+    grid, which allocates nothing past its output and reduces every row on
+    its own: a row's values do not depend on the other rows of the grid.
     """
     phi = trajectory.phi
     b = trajectory.b
-    n_sites = phi.shape[1]
-    ns = np.arange(n_sites, dtype=np.float64)
-    prob = phi * phi
-    complexity = prob @ ns
-    second = prob @ (ns * ns)
+    ns = np.arange(phi.shape[1], dtype=np.float64)
+    complexity = np.einsum("kn,kn,n->k", phi, phi, ns)
+    second = np.einsum("kn,kn,n->k", phi, phi, ns * ns)
+    rate = 2.0 * np.einsum("kn,kn,n->k", phi[:, :-1], phi[:, 1:], b)
     dispersion = np.sqrt(np.maximum(second - complexity**2, 0.0))
-
-    flow = np.zeros_like(phi)
-    if b.size:
-        flow[:, 1:] = phi[:, :-1] * b
-        flow[:, :-1] -= phi[:, 1:] * b
-    rate = 2.0 * ((phi * flow) @ ns)
 
     b1 = float(b[0]) if b.size else 0.0
     bound = 2.0 * b1 * dispersion
@@ -610,6 +615,8 @@ def save_profile_csv(profile: ComplexityProfile, path, tau_d: float | None = Non
 def save_amplitudes_csv(trajectory: AmplitudeTrajectory, path) -> None:
     """CSV with columns t, phi_0 ... phi_{N-1}."""
     header = ["t"] + [f"phi_{n}" for n in range(trajectory.sites)]
-    rows = ([t] + row for t, row in zip(trajectory.times.tolist(),
-                                         trajectory.phi.tolist()))
+    # One row's list at a time: tolist() of the whole grid takes about four
+    # times the array's own memory.
+    rows = ([t] + row.tolist() for t, row in zip(trajectory.times.tolist(),
+                                                 trajectory.phi))
     write_csv(path, header, rows)

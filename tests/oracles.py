@@ -263,6 +263,22 @@ def chain_moments(b, phi):
     return float(anti.real), float(first.real), float(second.real)
 
 
+def chain_rate(b, phi):
+    """dK/dt in the state psi_n = i^n phi_n of the chain b, from the commutator.
+
+    With L and K as in chain_moments, the amplitude recursion reads
+    d psi/dt = i L psi in this phase convention, so
+    dK/dt = <psi| i[K, L] |psi> = -<psi| i[L, K] |psi>.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    L = np.diag(b, 1) + np.diag(b, -1)
+    K = np.diag(np.arange(phi.size, dtype=np.float64))
+    psi = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(phi.size) % 4] * phi
+    rate = np.vdot(psi, -1j * (L @ K - K @ L) @ psi)
+    return float(rate.real)
+
+
 def spectral_amplitudes(b, times):
     """phi[k, n] = phi_n(times[k]) from the eigenpairs of the hopping matrix.
 

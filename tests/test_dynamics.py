@@ -28,6 +28,7 @@ from kbound.lanczos import run_lanczos
 from oracles import (
     chain_amplitudes,
     chain_moments,
+    chain_rate,
     complexity_series,
     rk4_amplitudes,
     spectral_amplitudes,
@@ -536,6 +537,46 @@ def test_synthesis_memory_stays_real():
     assert peak < 100e6
 
 
+@pytest.mark.parametrize("model, tmax", [(AlgebraModel.su2(999.5), 3.0),
+                                         (AlgebraModel.hw(10.0), 4.0),
+                                         (AlgebraModel.sl2r(101.0), 2.0)],
+                         ids=["su2", "hw", "sl2r"])
+def test_model_amplitudes_do_not_depend_on_the_row_block(monkeypatch, model, tmax):
+    t = np.linspace(0.0, tmax, 101)
+    blocked = model_amplitudes(model, t).phi
+    assert blocked.size > kbound._util._BLOCK_CELLS
+    for cells in (1, blocked.size):          # one row, the whole grid
+        monkeypatch.setattr(kbound._util, "_BLOCK_CELLS", cells)
+        np.testing.assert_array_equal(model_amplitudes(model, t).phi, blocked)
+
+
+def test_grid_passes_keep_their_working_set_small(tmp_path):
+    # su2 D = 2000 on 601 points, a 9.6 MB grid.  Filled in blocks of 1 << 20
+    # cells, model_amplitudes peaked at 68 MB; the full-size temporaries of
+    # complexity_profile took 29 MB, and the amplitude CSV's tolist() of the
+    # whole grid 39 MB.
+    model = AlgebraModel.su2(999.5)
+    t = np.linspace(0.0, 3.0, 601)
+    model_amplitudes(model, t[:2])           # scipy.special is imported here
+    tracemalloc.start()
+    try:
+        traj = model_amplitudes(model, t)
+        amplitudes_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        complexity_profile(traj)
+        profile_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        save_amplitudes_csv(AmplitudeTrajectory(t[:61], traj.phi[:61], traj.b, False, 0.0,
+                                                "closed-form"), tmp_path / "phi.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert amplitudes_peak <= 1.5 * traj.phi.nbytes
+    assert profile_peak < 2e6
+    assert csv_peak < 1e6
+
+
 class TestProfile:
     def test_rate_is_exact_not_differenced(self, rng):
         # Compare against centered differences at two resolutions: the
@@ -552,6 +593,44 @@ class TestProfile:
 
         coarse, fine = diff_error(301), diff_error(601)
         assert 3.0 < coarse / fine < 5.5
+
+    def test_rate_oracle_is_the_differenced_rate(self, rng):
+        # Fixes the sign of the commutator oracle: it must follow the
+        # centered differences of K, whose error here is about 5e-5.
+        b = rng.uniform(0.3, 2.0, size=10)
+        t = np.linspace(0.0, 3.0, 601)
+        traj = evolve_amplitudes(b, t)
+        prof = complexity_profile(traj)
+        oracle = np.array([chain_rate(b, row) for row in traj.phi])
+        approx = (prof.complexity[2:] - prof.complexity[:-2]) / (2.0 * (t[1] - t[0]))
+        assert np.max(np.abs(oracle[1:-1] - approx)) < 1e-3 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("grid", ["one point", "one row block and a row", "D = 1"])
+    def test_rate_is_the_commutator(self, rng, grid):
+        if grid == "D = 1":
+            b, t = np.empty(0), np.linspace(0.0, 2.0, 5)
+        elif grid == "one point":
+            b, t = rng.uniform(0.3, 2.0, size=10), np.array([0.7])
+        else:
+            b = rng.uniform(0.3, 2.0, size=255)
+            t = np.linspace(0.0, 3.0, kbound._util._BLOCK_CELLS // 256 + 1)
+        traj = evolve_amplitudes(b, t)
+        prof = complexity_profile(traj)
+        oracle = np.array([chain_rate(b, row) for row in traj.phi])
+        np.testing.assert_allclose(prof.rate, oracle, rtol=0.0,
+                                   atol=1e-13 * max(1.0, np.max(np.abs(oracle))))
+
+    def test_rows_are_reduced_on_their_own(self):
+        # Each row's K, dispersion and rate come out the same, bit for bit,
+        # from the whole grid and from that row alone.
+        model = AlgebraModel.su2(99.5)
+        traj = model_amplitudes(model, np.linspace(0.0, 3.0, 41))
+        whole = complexity_profile(traj)
+        for k in range(traj.times.size):
+            one = complexity_profile(AmplitudeTrajectory(
+                traj.times[k:k + 1], traj.phi[k:k + 1], traj.b, False, 0.0, "closed-form"))
+            for name in ("complexity", "dispersion", "rate"):
+                assert getattr(one, name)[0] == getattr(whole, name)[k], (k, name)
 
     def test_bound_and_ratio_shapes(self, rng):
         b = rng.uniform(0.3, 2.0, size=10)

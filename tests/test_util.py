@@ -14,7 +14,7 @@ import pytest
 
 import kbound
 from kbound import cli
-from kbound._util import finite_or_none, integer, write_csv, write_json
+from kbound._util import finite_or_none, integer, row_blocks, write_csv, write_json
 from kbound.algebras import (AlgebraModel, classify_algebra, closure_test,
                              model_observables, parse_model_spec)
 from kbound.dynamics import deviation_time, evolve_amplitudes, short_time_coefficients
@@ -451,3 +451,14 @@ def test_chain_shorter_than_its_D(tmp_path):
     b, D, cut = _load_chain(path)
     assert b.size == 2 and D == 5 and cut
 
+
+@pytest.mark.parametrize("points, sites", [(1, 1), (601, 2001), (5, (1 << 16) + 1),
+                                           ((1 << 16) + 1, 1)])
+def test_row_blocks_tile_the_grid_within_the_block(points, sites):
+    blocks = list(row_blocks(points, sites))
+    rows = [k for block in blocks for k in range(points)[block]]
+    assert rows == list(range(points))
+    for block in blocks:
+        height = block.stop - block.start
+        assert height >= 1
+        assert height == 1 or height * sites <= kbound._util._BLOCK_CELLS
