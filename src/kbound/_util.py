@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from contextlib import contextmanager
 
 import numpy as np
+import orjson
 
 from .errors import NumericalError, ValidationError
 
@@ -19,63 +21,93 @@ _BLOCK_CELLS = 1 << 16
 
 
 @contextmanager
-def open_write(path_or_file):
-    """Yield a writable handle for a path or pass a file-like through."""
+def open_write(path_or_file, mode: str = "w"):
+    """Yield a writable handle for a path, opened in ``mode``, or pass a
+    file-like through."""
     if hasattr(path_or_file, "write"):
         yield path_or_file
     else:
-        with open(path_or_file, "w") as fh:
+        with open(path_or_file, mode) as fh:
             yield fh
 
 
-def _json_pieces(value):
-    """The text of json.dumps(value, allow_nan=False), in pieces.
+# Numpy arrays and scalars are encoded from their memory, and dict keys that
+# are not strings are written as strings, as the json module writes them.
+_JSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
 
-    Numpy arrays and scalars are first converted by tolist().  Dicts with
-    string keys and lists of lists or dicts are split into their items;
-    everything else is one piece from the C encoder.  A NaN or an infinity
-    raises ValidationError.
+
+def _finite(value) -> bool:
+    """Whether no float in value, at any depth, is NaN or infinite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        try:                      # a flat list of numbers, in one C loop
+            return all(map(math.isfinite, value))
+        except (TypeError, OverflowError):
+            return all(map(_finite, value))
+    return True
+
+
+def _json_pieces(value):
+    """The compact JSON of value, as bytes, in pieces.
+
+    A dict with string keys is split into its items, and a list of lists,
+    dicts or arrays and an array of two or more dimensions into their rows;
+    everything else is one piece from orjson, a 1-D array from its memory.
+    A NaN or an infinity, which orjson would write as null, raises
+    ValidationError.
     """
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
+    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
+        value = value.item()
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        sep = "{"
+        sep = b"{"
         for key, item in value.items():
-            yield sep + json.dumps(key) + ": "
+            yield sep + orjson.dumps(key) + b":"
             yield from _json_pieces(item)
-            sep = ", "
-        yield "}"
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        sep = "["
+            sep = b","
+        yield b"}"
+    elif (isinstance(value, np.ndarray) and value.ndim > 1
+          or isinstance(value, list) and value
+          and isinstance(value[0], (list, dict, np.ndarray))):
+        sep = b"["
         for item in value:
             yield sep
             yield from _json_pieces(item)
-            sep = ", "
-        yield "]"
+            sep = b","
+        yield b"]"
     else:
-        try:
-            text = json.dumps(value, allow_nan=False)
-        except ValueError as exc:
+        if not _finite(value):
             raise ValidationError(
-                f"cannot write JSON: the payload holds a NaN or an infinity ({exc})"
-            ) from exc
-        yield text
+                "cannot write JSON: the payload holds a NaN or an infinity"
+            )
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+        yield orjson.dumps(value, option=_JSON_OPTIONS)
 
 
 def write_json(path_or_file, payload) -> None:
-    """Write payload as one line of JSON to a path or a file-like.
+    """Write payload as one line of compact JSON to a path or a file-like.
 
-    The text is json.dumps(payload) and a newline, with numpy arrays and
-    scalars written as their tolist().  It is encoded by the C
-    encoder that json.dumps uses (json.dump encodes in pure Python), one
-    row of a nested list at a time and written as it goes, so no more than
-    a row's text is held at once.  A NaN or an infinity, which JSON cannot
-    hold, raises ValidationError.
+    The text is UTF-8 from orjson, with no spaces between tokens and floats
+    written as the shortest decimals that read back bit for bit; dict keys
+    that are not strings become strings.  Numpy arrays are encoded from
+    their memory, not through tolist(); a float64, integer or bool array
+    reads back as its tolist().  The text is encoded one dict item and one
+    row of a nested list or array at a time and written as it goes, so no
+    more than a row's text is held at once.  A path is written in binary
+    mode, and so is a file-like, unless it is a text stream (sys.stdout,
+    io.StringIO), which is given str.  A NaN or an infinity, which JSON
+    cannot hold, raises ValidationError.
     """
-    with open_write(path_or_file) as fh:
+    with open_write(path_or_file, "wb") as fh:
+        text = isinstance(fh, io.TextIOBase)
         for piece in _json_pieces(payload):
-            fh.write(piece)
-        fh.write("\n")
+            fh.write(piece.decode() if text else piece)
+        fh.write("\n" if text else b"\n")
 
 
 def _csv_cell(x) -> str:
@@ -105,13 +137,20 @@ def write_csv(path_or_file, header, rows, comment=None) -> None:
 def load_json_object(path) -> dict:
     """The JSON object stored at ``path``.
 
-    Raises ValidationError if the file is not valid JSON or holds a JSON
-    value other than an object.
+    The file's bytes are parsed by orjson.  Only a file orjson refuses is
+    parsed again by the json module, which reads the NaN and Infinity
+    tokens, so that the field checks name them, and reports invalid JSON by
+    line and column.  Raises ValidationError if the file is not valid JSON
+    or holds a JSON value other than an object.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        payload = orjson.loads(data)
+    except orjson.JSONDecodeError:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: expected a JSON object")

@@ -64,14 +64,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (coefficients, finite_or_none, output_array, positive, validate_times,
-                    write_csv)
+from ._util import (coefficients, finite_or_none, output_array, positive, row_blocks,
+                    validate_times, write_csv)
 
 TAIL_TOL = 1e-12
 # Dispersion below max(this, 16 sqrt(eps) * the peak rms position) marks
 # ratio/tau_K undefined there: t = 0, revivals, and one-site pileups are
-# 0/0 points, and the dispersion is a difference of squares whose rounding
-# noise is sqrt(eps) * rms position, not a fixed constant.
+# 0/0 points, where the quotient is the amplitudes' rounding and not a
+# growth rate.
 UNDEFINED_CUTOFF = 1e-12
 # Most sites an evolution window may span.  The window's vectors are small;
 # the output holds one float64 per grid time and site (201 times over the
@@ -502,23 +502,31 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
         dK/dt = 2 sum_n n phi_n (b_n phi_{n-1} - b_{n+1} phi_{n+1})
               = 2 sum_{n>=1} b_n phi_{n-1} phi_n,
 
-    the current over the bonds, with no n-weighted cancellation.  bound =
-    2 b_1 Delta K; ratio = |rate| / bound.  Each sum is one einsum over the
-    grid, which allocates nothing past its output and reduces every row on
-    its own: a row's values do not depend on the other rows of the grid.
+    the current over the bonds, with no n-weighted cancellation.  Delta K^2
+    is the centred sum sum_n (n - K)^2 phi_n^2, not <n^2> - K^2, whose
+    difference of squares cancels where K is large and Delta K small.
+    bound = 2 b_1 Delta K; ratio = |rate| / bound.  K and the rate are one
+    einsum over the grid each, which allocates nothing past its output; the
+    centred sum takes one row block (_util.row_blocks) at a time.  Every row
+    is reduced on its own: a row's values do not depend on the other rows
+    of the grid.
     """
     phi = trajectory.phi
     b = trajectory.b
     ns = np.arange(phi.shape[1], dtype=np.float64)
     complexity = np.einsum("kn,kn,n->k", phi, phi, ns)
-    second = np.einsum("kn,kn,n->k", phi, phi, ns * ns)
     rate = 2.0 * np.einsum("kn,kn,n->k", phi[:, :-1], phi[:, 1:], b)
-    dispersion = np.sqrt(np.maximum(second - complexity**2, 0.0))
+    variance = np.empty_like(complexity)
+    for rows in row_blocks(*phi.shape):
+        dev = ns - complexity[rows, None]
+        dev *= phi[rows]
+        variance[rows] = np.einsum("kn,kn->k", dev, dev)
+    dispersion = np.sqrt(variance)
 
     b1 = float(b[0]) if b.size else 0.0
     bound = 2.0 * b1 * dispersion
     eps = float(np.finfo(np.float64).eps)
-    rms_peak = float(np.sqrt(second.max())) if second.size else 0.0
+    rms_peak = float(np.sqrt(np.max(complexity**2 + variance, initial=0.0)))
     disp_floor = max(UNDEFINED_CUTOFF, 16.0 * np.sqrt(eps) * rms_peak)
     rate_floor = 2.0 * b1 * disp_floor
     with np.errstate(divide="ignore", invalid="ignore"):

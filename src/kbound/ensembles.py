@@ -45,7 +45,8 @@ __all__ = [
 class GoeSpec:
     """Parameters of one ensemble run.
 
-    seed feeds the per-realization SeedSequence scheme above.
+    seed feeds the per-realization SeedSequence scheme above; it must be
+    below 2**64, so that the ensemble's JSON artifact can hold it.
     """
 
     dim: int
@@ -58,7 +59,10 @@ class GoeSpec:
         object.__setattr__(self, "dim", integer(self.dim, "dim", 2))
         object.__setattr__(self, "sigma", positive(self.sigma, "sigma"))
         object.__setattr__(self, "count", integer(self.count, "count"))
-        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
+        seed = integer(self.seed, "seed", 0)
+        if seed >= 2**64:
+            raise ValidationError(f"seed must be an integer < 2**64, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "halt_tol", fraction(self.halt_tol, "halt_tol"))
 
 

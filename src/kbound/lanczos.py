@@ -487,10 +487,8 @@ def result_to_dict(result: LanczosResult, include_basis: bool = False) -> dict:
                           else int(result.reorth_passes)),
     }
     if include_basis and result.basis is not None:
-        out["basis"] = {
-            "re": result.basis.real.tolist(),
-            "im": result.basis.imag.tolist(),
-        }
+        # Views of the basis: write_json encodes them row by row.
+        out["basis"] = {"re": result.basis.real, "im": result.basis.imag}
     return out
 
 

@@ -205,9 +205,9 @@ class OperatorVector:
 def save_matrix(path, matrix) -> None:
     """Write a matrix as JSON: {"dim": d, "re": [[..]], "im": [[..]]}."""
     m = square_matrix(matrix, "matrix")
-    payload = {"dim": int(m.shape[0]), "re": m.real.tolist()}
+    payload = {"dim": int(m.shape[0]), "re": m.real}
     if np.any(m.imag != 0.0):
-        payload["im"] = m.imag.tolist()
+        payload["im"] = m.imag
     write_json(path, payload)
 
 

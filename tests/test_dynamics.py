@@ -632,6 +632,15 @@ class TestProfile:
             for name in ("complexity", "dispersion", "rate"):
                 assert getattr(one, name)[0] == getattr(whole, name)[k], (k, name)
 
+    def test_dispersion_at_a_pileup(self):
+        # su2 D = 2000 near t = pi/2, where K = 1999 and Delta K = 0.19: as
+        # <n^2> - K^2, a difference of squares, it was 2.6e-6 off.
+        model = AlgebraModel.su2(999.5)
+        t = np.linspace(0.0, 3.0, 601)
+        prof = complexity_profile(model_amplitudes(model, t))
+        want = model_observables(model, t)
+        assert np.max(np.abs(prof.dispersion - want.dispersion)) < 1e-9
+
     def test_bound_and_ratio_shapes(self, rng):
         b = rng.uniform(0.3, 2.0, size=10)
         t = np.linspace(0.0, 4.0, 41)

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kbound
 from kbound import cli
-from kbound._util import finite_or_none, integer, row_blocks, write_csv, write_json
+from kbound._util import (finite_or_none, integer, load_json_object, row_blocks, write_csv,
+                          write_json)
 from kbound.algebras import (AlgebraModel, classify_algebra, closure_test,
                              model_observables, parse_model_spec)
 from kbound.dynamics import deviation_time, evolve_amplitudes, short_time_coefficients
@@ -41,6 +44,18 @@ def test_loaders_reject_json_that_is_not_an_object(load, payload, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="expected a JSON object"):
         load(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"b": [1.0,\n      2.0,]}', "Expecting value: line 2 column 11"),   # json's message
+    (b'{"b": "\xff"}', "can't decode byte 0xff"),                          # not UTF-8
+])
+def test_invalid_json_is_an_input_error(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match="not valid JSON") as info:
+        load_json_object(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 _ABSENT = object()
@@ -95,10 +110,14 @@ def test_loaders_name_file_and_field(tmp_path, name, key, value):
         assert f"missing field {key!r}" in message
 
 
+_JSON_CALLS = {"dump", "dumps", "load", "loads"}
+
+
 def _parsed_json_reads(tree):
-    """Lines where a module reads JSON text or a field of a parsed payload:
-    json.load(s), and [..] or .get on `payload` or on a name assigned from
-    load_json_object(...)."""
+    """Lines where a module encodes or decodes JSON or reads a field of a
+    parsed payload: json.dump(s) and json.load(s), any use of orjson, an
+    import from either, and [..] or .get on `payload` or on a name assigned
+    from load_json_object(...)."""
     names = {"payload"}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
@@ -107,7 +126,10 @@ def _parsed_json_reads(tree):
     lines = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and (node.value.id, node.attr) in {("json", "load"), ("json", "loads")}):
+                and (node.value.id == "orjson"
+                     or node.value.id == "json" and node.attr in _JSON_CALLS)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in {"json", "orjson"}:
             lines.append(node.lineno)
         elif (isinstance(node, ast.Attribute) and node.attr == "get"
                 and getattr(node.value, "id", None) in names):
@@ -120,7 +142,8 @@ def _parsed_json_reads(tree):
 
 def test_json_is_read_in_one_place():
     # Every artifact field goes through _util.json_field, so that each
-    # absent, null or refused field is reported the same way.
+    # absent, null or refused field is reported the same way, and every
+    # artifact through the one codec of _util.write_json and load_json_object.
     package = Path(kbound.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
@@ -221,6 +244,10 @@ _ARGUMENTS = [
     pytest.param(lambda _: GoeSpec(dim=4, count=2.5), "count", id="GoeSpec-count"),
     pytest.param(lambda _: GoeSpec(dim=4, seed=1.7), "seed", id="GoeSpec-seed"),
     pytest.param(lambda _: GoeSpec(dim=4, seed=-1), "seed", id="GoeSpec-seed-negative"),
+    # The JSON artifacts hold integers of 64 bits.
+    pytest.param(lambda _: GoeSpec(dim=4, seed=2**64 - 1).seed, 2**64 - 1,
+                 id="GoeSpec-seed-largest"),
+    pytest.param(lambda _: GoeSpec(dim=4, seed=2**64), "seed", id="GoeSpec-seed-64-bits"),
     pytest.param(lambda _: GoeSpec(dim=4, sigma=math.nan), "sigma", id="GoeSpec-sigma"),
     pytest.param(lambda _: GoeSpec(dim=3, halt_tol=2.0), "halt_tol", id="GoeSpec-halt_tol"),
     pytest.param(lambda _: GoeSpec(dim=3, halt_tol="x"), "halt_tol",
@@ -308,6 +335,8 @@ _ARGUMENTS = [
     # The command line exits 1 with "error: ..." naming the option or field.
     pytest.param(lambda _: _cli("goe", "--dim", 4, "--seed", -1), "--seed",
                  id="cli-goe-seed"),
+    pytest.param(lambda _: _cli("goe", "--dim", 4, "--seed", 2**64), "seed",
+                 id="cli-goe-seed-64-bits"),
     pytest.param(lambda _: _cli("goe", "--dim", 4, "--workers", 0), "--workers",
                  id="cli-goe-workers"),
     pytest.param(lambda _: _cli("goe", "--dim", 4, "--sigma", "nan"), "--sigma",
@@ -361,30 +390,76 @@ def test_finite_or_none():
     assert out == 1.5 and type(out) is float
 
 
+def _as_read(value):
+    """value as a JSON reader gives it back: keys as strings, numpy as tolist()."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(key): _as_read(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_read(item) for item in value]
+    return value
+
+
+def _assert_round_trips(tmp_path, payload):
+    """write_json(payload) reads back as _as_read(payload) through json and
+    load_json_object, and a path, a binary and a text handle get one text."""
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
+    want = _as_read(payload)
+    assert json.loads(data) == want
+    if isinstance(want, dict):
+        assert load_json_object(path) == want
+    binary, text = io.BytesIO(), io.StringIO()
+    write_json(binary, payload)
+    write_json(text, payload)
+    assert binary.getvalue() == data and text.getvalue().encode() == data
+
+
 @pytest.mark.parametrize("payload", [
     {"b": [0.1, 1.0 / 3.0, 2.5e-300], "D": 4, "name": "x\u00e9", "n": None},
     {"basis": {"re": [[1.0, 2.0], [3.0, 4.0]], "im": [[0.0, -1.0], [1e-300, 0.0]]},
      "rows": [{"a": 1}, {}, {"b": [[]]}], "empty": {}, "none": [], "ints": {1: 2}},
     [[1.5, 2.5], [3.5]],
     3.25,
-])
-def test_write_json_matches_json_dumps(tmp_path, payload):
-    path = tmp_path / "out.json"
-    write_json(path, payload)
-    assert path.read_text() == json.dumps(payload) + "\n"
-    handle = io.StringIO()
-    write_json(handle, payload)
-    assert handle.getvalue() == path.read_text()
+    {"seed": 2**64 - 1, "index": -2**63},
+], ids=["floats", "nested", "rows", "scalar", "64-bit-ints"])
+def test_write_json_round_trips(tmp_path, payload):
+    _assert_round_trips(tmp_path, payload)
 
 
-def test_write_json_takes_numpy():
-    # Arrays are written as their tolist(), a 2-D array row by row.
-    payload = {"phi": np.arange(6.0).reshape(2, 3) / 3.0, "b": np.array([0.1, 2.5]),
-               "n": np.int64(4), "ok": np.bool_(True), "x": np.float64(1.0 / 3.0)}
-    handle = io.StringIO()
-    write_json(handle, payload)
-    want = {key: value.tolist() for key, value in payload.items()}
-    assert handle.getvalue() == json.dumps(want) + "\n"
+def test_write_json_takes_numpy(tmp_path):
+    # Arrays are written from their memory, a 2-D array row by row, a
+    # strided view (the real part of a complex basis) too.
+    basis = np.arange(6.0).reshape(2, 3) / 3.0 + 1j * np.arange(6.0).reshape(2, 3)
+    _assert_round_trips(tmp_path, {
+        "phi": np.arange(6.0).reshape(2, 3) / 3.0, "b": np.array([0.1, 2.5]),
+        "re": basis.real, "im": basis.imag, "rows": [np.array([1.0]), np.arange(2)],
+        "n": np.int64(4), "ok": np.bool_(True), "x": np.float64(1.0 / 3.0),
+        "scalar": np.array(0.5), "empty": np.zeros((2, 0))})
+
+
+# Signed zeros, the subnormal range and the largest finite doubles.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_floats_round_trip_bit_for_bit(tmp_path, xs):
+    # Through a list and through an array (1-D and rows), read back by
+    # json and by load_json_object.
+    xs = np.array(xs + _EDGE_FLOATS)
+    path = tmp_path / "floats.json"
+    write_json(path, {"list": xs.tolist(), "array": xs, "rows": np.stack([xs, -xs])})
+    for payload in (json.loads(path.read_bytes()), load_json_object(path)):
+        for back in (payload["list"], payload["array"], payload["rows"][0]):
+            np.testing.assert_array_equal(np.array(back).view(np.int64), xs.view(np.int64))
+        np.testing.assert_array_equal(np.array(payload["rows"][1]).view(np.int64),
+                                      (-xs).view(np.int64))
 
 
 def test_write_json_refuses_nan(tmp_path):
