@@ -38,7 +38,7 @@ _JSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
 
 def _finite(value) -> bool:
     """Whether no float in value, at any depth, is NaN or infinite."""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
     if isinstance(value, np.ndarray):
         return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
@@ -58,8 +58,6 @@ def _json_pieces(value):
     A dict with string keys is split into its items, and a list of lists,
     dicts or arrays and an array of two or more dimensions into their rows;
     everything else is one piece from orjson, a 1-D array from its memory.
-    A NaN or an infinity, which orjson would write as null, raises
-    ValidationError.
     """
     if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
         value = value.item()
@@ -80,10 +78,6 @@ def _json_pieces(value):
             sep = b","
         yield b"]"
     else:
-        if not _finite(value):
-            raise ValidationError(
-                "cannot write JSON: the payload holds a NaN or an infinity"
-            )
         if isinstance(value, np.ndarray):
             value = np.ascontiguousarray(value)
         yield orjson.dumps(value, option=_JSON_OPTIONS)
@@ -101,8 +95,11 @@ def write_json(path_or_file, payload) -> None:
     more than a row's text is held at once.  A path is written in binary
     mode, and so is a file-like, unless it is a text stream (sys.stdout,
     io.StringIO), which is given str.  A NaN or an infinity, which JSON
-    cannot hold, raises ValidationError.
+    cannot hold (orjson would write null), raises ValidationError before
+    the path is opened, so a refused payload leaves the file as it was.
     """
+    if not _finite(payload):
+        raise ValidationError("cannot write JSON: the payload holds a NaN or an infinity")
     with open_write(path_or_file, "wb") as fh:
         text = isinstance(fh, io.TextIOBase)
         for piece in _json_pieces(payload):
@@ -243,13 +240,16 @@ def boolean(value, name: str) -> bool:
 
 
 def integer(value, name: str, minimum: int = 1) -> int:
-    """value as an int: a Python or numpy integer, or an integral float.
+    """value as an int: a Python or numpy integer, or an integral float of
+    size at most 2^53.
 
     Raises ValidationError naming ``name`` for a bool, a number with a
-    fraction (which int() would truncate), anything that is not a number,
-    and a value below ``minimum``.
+    fraction (which int() would truncate), a float past 2^53 (which need
+    not be the integer written: orjson reads an integer past 64 bits as a
+    float), anything that is not a number, and a value below ``minimum``.
     """
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+    if (isinstance(value, (float, np.floating)) and float(value).is_integer()
+            and abs(value) <= 2**53):
         value = int(value)
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
             or value < minimum):

@@ -7,43 +7,39 @@ squares obey
 
 i.e. when b_n^2 is a quadratic in n through the origin.  The second
 difference of b_n^2 is then the constant alpha / 2, which is what
-:func:`closure_test` measures.  Three one-parameter families realize the
-law, distinguished by the sign of alpha:
+:func:`closure_test` measures.  As b_n^2 = nu^2 n (w + kappa (n - 1)),
+with alpha = 4 kappa nu^2 and gamma = 2 nu^2 w, it has three families:
 
-    alpha < 0   finite chain of D = 2j + 1 sites, b_n = nu sqrt(n (2j+1-n)),
-                K = 2 j sin^2(nu t)                  (su2)
-    alpha = 0   b_n = nu sqrt(n),
-                K = nu^2 t^2                          (hw)
-    alpha > 0   b_n = nu sqrt(n (n - 1 + eta)),
-                K = eta sinh^2(nu t)                  (sl2r)
+    kappa = -1, w = 2j    finite chain of D = w + 1 sites, S(x) = sin x   (su2)
+    kappa =  0, w = 1     S(x) = x                                       (hw)
+    kappa = +1, w = eta   S(x) = sinh x                                  (sl2r)
+
+and each has K = w S(nu t)^2, Delta K = sqrt(w / 4) |S(2 nu t)|, dK/dt =
+w nu S(2 nu t) and b_1 = nu sqrt(w).  ``_LAWS`` holds kappa, w and S of each
+family, and every formula below reads them from there.
 
 :class:`AlgebraModel` is the one closed-form layer: ``from_rates`` maps a
 rate pair (alpha, gamma) to its family member, ``b`` gives its chain,
-:func:`model_observables` its closed-form K(t) and Delta K(t), and
-:func:`model_amplitudes` its amplitudes.  For all three the amplitude
-distribution over sites is known in closed form (binomial, Poisson,
-negative binomial), which is evaluated in log space so chains with
-thousands of sites neither overflow nor underflow; the infinite families
-are cut where that distribution leaves less than TAIL_TOL past the last
-site.
+:func:`model_observables` its closed-form profile and
+:func:`model_amplitudes` its amplitudes.  Their distribution over sites
+(binomial, Poisson, negative binomial) is evaluated in log space, so chains
+with thousands of sites neither overflow nor underflow; the infinite
+families are cut where it leaves less than TAIL_TOL past the last site.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from ._util import (coefficients, finite, integer, output_array, positive, row_blocks,
                     validate_times)
-from .dynamics import (
-    AmplitudeTrajectory,
-    ComplexityProfile,
-    TAIL_TOL,
-    UNDEFINED_CUTOFF,
-)
+from .dynamics import (AmplitudeTrajectory, ComplexityProfile, TAIL_TOL, UNDEFINED_CUTOFF,
+                       _profile)
 
 CLOSURE_TOL = 1e-8
 MAX_MODEL_SITES = 1 << 22
@@ -61,6 +57,91 @@ __all__ = [
 ]
 
 
+def _power_rows(ns, logw, base, log_envelope):
+    """Rows envelope(x) sqrt(weight_n) base(x)^n on the (x, n) grid, from the
+    logs logw of sqrt(weight_n) and log_envelope of envelope(x) > 0: one
+    outer product, exponentiated in place.  base^n is exact at 0^0 = 1, and
+    its sign is (-1)^n where base < 0."""
+    size = np.abs(base)
+    zero = size == 0.0
+    phi = np.outer(np.log(np.where(zero, 1.0, size)), ns)
+    phi[zero, 1:] = -np.inf
+    phi += logw
+    phi += log_envelope[:, None]
+    np.exp(phi, out=phi)
+    phi[base < 0.0, 1::2] *= -1.0
+    return phi
+
+
+# rows(ns, w) of a family: the function from a block of x = nu t to its
+# amplitude rows over the sites ns.  scipy.special, imported where it is
+# used, is most of a cold `import kbound`.
+
+def _su2_rows(ns, w):
+    """sqrt(C(w, n)) cos^w x tan^n x, each row divided by its norm (one
+    einsum per row), which takes out the rounding of the gammaln sums."""
+    from scipy.special import gammaln
+    logw = 0.5 * (gammaln(w + 1.0) - gammaln(ns + 1.0) - gammaln(w - ns + 1.0))
+
+    def rows(xs):
+        c = np.cos(xs)
+        phi = _power_rows(ns, logw, np.tan(xs), w * np.log(np.abs(c)))
+        phi *= (np.sign(c) ** w / np.sqrt(np.einsum("kn,kn->k", phi, phi)))[:, None]
+        return phi
+    return rows
+
+
+def _hw_rows(ns, w):
+    """x^n e^(-x^2/2) / sqrt(n!)."""
+    from scipy.special import gammaln
+    logw = -0.5 * gammaln(ns + 1.0)
+    return lambda xs: _power_rows(ns, logw, xs, -0.5 * xs * xs)
+
+
+def _sl2r_rows(ns, w):
+    """sqrt(Gamma(n + w) / (n! Gamma(w))) tanh^n x sech^w x."""
+    from scipy.special import gammaln
+    logw = 0.5 * (gammaln(ns + w) - gammaln(ns + 1.0) - gammaln(w))
+    return lambda xs: _power_rows(ns, logw, np.tanh(xs), -w * np.log(np.cosh(xs)))
+
+
+# cut(x, w) of an infinite family: the quantile at 1 - TAIL_TOL of its site
+# distribution phi_n^2 at |x|, and the probability past a number of sites.
+
+def _hw_cut(x, w):
+    """Poisson(x^2)."""
+    from scipy.special import pdtrc, pdtrik
+    return pdtrik(1.0 - TAIL_TOL, x * x), lambda sites: pdtrc(sites - 1, x * x)
+
+
+def _sl2r_cut(x, w):
+    """Negative binomial (w, sech^2 x).  Where cosh overflows the quantile
+    is infinite; nbdtrik would return its search bound instead."""
+    from scipy.special import betainc, nbdtrik
+    with np.errstate(over="ignore"):
+        p = 1.0 / np.cosh(x) ** 2
+    k = nbdtrik(1.0 - TAIL_TOL, w, p) if p > 0.0 else math.inf
+    return k, lambda sites: betainc(sites, w, math.tanh(x) ** 2)
+
+
+class _Law(NamedTuple):
+    """A family of b_n^2 = nu^2 n (w + kappa (n - 1)): kappa, the map from a
+    model to its w, S, and its rows and cut (the finite family has none)."""
+
+    kappa: float
+    w: Callable
+    S: Callable
+    rows: Callable
+    cut: Callable | None = None
+
+
+_LAWS = {
+    "su2": _Law(-1.0, lambda m: 2.0 * m.j, np.sin, _su2_rows),
+    "hw": _Law(0.0, lambda m: 1.0, np.positive, _hw_rows, _hw_cut),
+    "sl2r": _Law(1.0, lambda m: m.eta, np.sinh, _sl2r_rows, _sl2r_cut),
+}
+
+
 @dataclass(frozen=True)
 class AlgebraModel:
     """One member of the three closed families.
@@ -75,7 +156,7 @@ class AlgebraModel:
     eta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("su2", "hw", "sl2r"):
+        if self.kind not in _LAWS:
             raise ValidationError(
                 f"kind must be 'su2', 'hw' or 'sl2r', got {self.kind!r}"
             )
@@ -137,46 +218,37 @@ class AlgebraModel:
             return cls.hw(math.sqrt(gamma / 2.0))
         return cls.sl2r(2.0 * gamma / alpha, math.sqrt(alpha) / 2.0)
 
+    def _law(self) -> tuple[_Law, float]:
+        """This family's entry of _LAWS and its w."""
+        law = _LAWS[self.kind]
+        return law, law.w(self)
+
     @property
     def alpha(self) -> float:
-        if self.kind == "su2":
-            return -4.0 * self.nu**2
-        if self.kind == "hw":
-            return 0.0
-        return 4.0 * self.nu**2
+        return 4.0 * self._law()[0].kappa * self.nu**2
 
     @property
     def gamma(self) -> float:
-        if self.kind == "su2":
-            return 4.0 * self.nu**2 * self.j
-        if self.kind == "hw":
-            return 2.0 * self.nu**2
-        return 2.0 * self.nu**2 * self.eta
+        return 2.0 * self.nu**2 * self._law()[1]
 
     @property
     def D(self) -> int | None:
-        """Chain length: 2j + 1 for su2, None (infinite) otherwise."""
-        if self.kind == "su2":
-            return int(round(2.0 * self.j)) + 1
-        return None
+        """Chain length: w + 1 = 2j + 1 for su2, None (infinite) otherwise."""
+        law, w = self._law()
+        return int(w) + 1 if law.kappa < 0.0 else None
 
     def b(self, n):
         """Coefficients b_n; n is a 1-based integer scalar or array."""
         ns = np.asarray(n, dtype=np.float64)
         if np.any(ns < 1) or np.any(ns != np.round(ns)):
             raise ValidationError("n must be integer >= 1")
-        if self.kind == "su2":
-            past = ns > self.D - 1
-            if np.any(past):
-                raise ValidationError(
-                    f"n = {ns[past].min():g} is past the end of this su2 chain "
-                    f"(n must be <= D - 1 = {self.D - 1})"
-                )
-            vals = self.nu * np.sqrt(ns * (2.0 * self.j + 1.0 - ns))
-        elif self.kind == "hw":
-            vals = self.nu * np.sqrt(ns)
-        else:
-            vals = self.nu * np.sqrt(ns * (ns - 1.0 + self.eta))
+        law, w = self._law()
+        if law.kappa < 0.0 and np.any(ns > w):
+            raise ValidationError(
+                f"n = {ns[ns > w].min():g} is past the end of this su2 chain "
+                f"(n must be <= D - 1 = {w:g})"
+            )
+        vals = self.nu * np.sqrt(ns * (w + law.kappa * (ns - 1.0)))
         if isinstance(n, np.ndarray):
             return vals
         return float(vals) if np.isscalar(n) else vals
@@ -323,67 +395,15 @@ def classify_algebra(alpha: float, tol: float = CLOSURE_TOL) -> str:
     return "su2" if alpha < 0.0 else "sl2r"
 
 
-def _signed_log_power(base: np.ndarray, exponents: np.ndarray):
-    """(log |base^e|, sign(base^e)) on the outer (t, n) grid, exact at 0^0 = 1.
-
-    base entries equal to zero contribute log-magnitude 0 for exponent 0 and
-    -inf (i.e. a hard zero) for positive exponents.
-    """
-    absb = np.abs(base)
-    safe = np.where(absb > 0.0, absb, 1.0)
-    logmag = np.outer(np.log(safe), exponents)
-    zero_rows = absb == 0.0
-    if np.any(zero_rows):
-        logmag[np.ix_(zero_rows, exponents > 0)] = -np.inf
-    neg = base < 0.0
-    odd = (np.round(exponents).astype(np.int64) % 2) == 1
-    sign = np.ones((base.size, exponents.size))
-    sign[np.ix_(neg, odd)] = -1.0
-    return logmag, sign
-
-
-def _infinite_family_length(model: AlgebraModel, x: float) -> tuple[int, float]:
-    """(sites, tail) for hw or sl2r at |x| = nu |t|: the sites that hold all
-    but tail < TAIL_TOL of the probability, and that tail exactly.
-
-    phi_n^2 is Poisson(x^2) for hw and negative binomial (eta, sech^2 x)
-    for sl2r, so the tail past a site only grows with |x|.  The quantile k
-    at 1 - TAIL_TOL covers sites 0 .. ceil(k); one more site absorbs the
-    root finder's tolerance on k.
-    """
-    # Imported here: scipy.special is most of a cold `import kbound`.
-    from scipy.special import betainc, nbdtrik, pdtrc, pdtrik
-
-    if model.kind == "hw":
-        k = pdtrik(1.0 - TAIL_TOL, x * x)
-    else:
-        with np.errstate(over="ignore"):
-            p = 1.0 / np.cosh(x) ** 2
-        # Where cosh overflows the quantile is infinite; nbdtrik would
-        # return its search bound instead.
-        k = nbdtrik(1.0 - TAIL_TOL, model.eta, p) if p > 0.0 else math.inf
-    if not k + 2.0 <= MAX_MODEL_SITES:
-        needed = f"{k + 2.0:.4g}" if math.isfinite(k) else "a non-finite number of"
-        raise NumericalError(
-            f"the {model.label()} chain needs {needed} sites to hold all but "
-            f"{TAIL_TOL:g} of its probability at nu t = {x:g}, past "
-            f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; the grid reaches times too "
-            "large to materialize"
-        )
-    sites = math.ceil(k) + 2
-    if model.kind == "hw":
-        tail = pdtrc(sites - 1, x * x)
-    else:
-        tail = betainc(sites, model.eta, math.tanh(x) ** 2)
-    return sites, float(tail)
-
-
 def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     """Closed-form amplitudes phi_n(t) for one of the three families.
 
-    su2 uses its full finite chain and is exact.  hw and sl2r are cut where
-    their site distribution at the largest |t| of the grid leaves less than
-    TAIL_TOL past the last site; that probability is the trajectory's
+    su2 uses its full finite chain and is exact, each row divided by its
+    norm.  hw and sl2r are cut at the largest |x| = nu |t| of the grid,
+    where their site distribution (Poisson(x^2), negative binomial
+    (eta, sech^2 x)) has its widest tail: its quantile k at 1 - TAIL_TOL
+    covers sites 0 .. ceil(k), and one more site absorbs the root finder's
+    tolerance on k.  The probability past the last site is the trajectory's
     tail_mass.  The output is allocated first (an output the machine cannot
     hold raises NumericalError naming its size) and filled a few rows at a
     time, so the intermediate arrays stay small.  Each row is computed on
@@ -391,90 +411,47 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
-    from scipy.special import gammaln
-
     t = validate_times(times)
-
+    law, w = model._law()
     x = model.nu * t
-    if model.kind == "su2":
-        n_sites, truncated, tail = model.D, False, 0.0
-    else:
-        n_sites, tail = _infinite_family_length(model, float(np.max(np.abs(x))))
-        truncated = True
-    ns = np.arange(n_sites, dtype=np.float64)
-    if model.kind == "su2":
-        twoj = 2.0 * model.j
-        logbin = 0.5 * (gammaln(twoj + 1.0) - gammaln(ns + 1.0) - gammaln(twoj - ns + 1.0))
-
-        def rows(xs):
-            lc, sc = _signed_log_power(np.cos(xs), twoj - ns)
-            ls, ss = _signed_log_power(np.sin(xs), ns)
-            return sc * ss * np.exp(logbin[None, :] + lc + ls)
-    elif model.kind == "hw":
-        logw = -0.5 * gammaln(ns + 1.0)
-
-        def rows(xs):
-            lx, sx = _signed_log_power(xs, ns)
-            envelope = -0.5 * xs * xs
-            return sx * np.exp(logw[None, :] + lx + envelope[:, None])
-    else:
-        eta = model.eta
-        logw = 0.5 * (gammaln(ns + eta) - gammaln(ns + 1.0) - gammaln(eta))
-
-        def rows(xs):
-            lth, sth = _signed_log_power(np.tanh(xs), ns)
-            envelope = -eta * np.log(np.cosh(xs))
-            return sth * np.exp(logw[None, :] + lth + envelope[:, None])
-
+    n_sites, tail = model.D, 0.0
+    if n_sites is None:
+        x_max = float(np.max(np.abs(x)))
+        k, tail_past = law.cut(x_max, w)
+        if not k + 2.0 <= MAX_MODEL_SITES:
+            needed = f"{k + 2.0:.4g}" if math.isfinite(k) else "a non-finite number of"
+            raise NumericalError(
+                f"the {model.label()} chain needs {needed} sites to hold all but "
+                f"{TAIL_TOL:g} of its probability at nu t = {x_max:g}, past "
+                f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; the grid reaches times too "
+                "large to materialize"
+            )
+        n_sites = math.ceil(k) + 2
+        tail = float(tail_past(n_sites))
+    rows = law.rows(np.arange(n_sites, dtype=np.float64), w)
     phi = output_array(t.size, n_sites)
     # One row block at a time: the ~8 temporaries of rows() hold one block
     # each (512 KB), not the grid.
     for block in row_blocks(t.size, n_sites):
         phi[block] = rows(x[block])
     bchain = model.b(np.arange(1, n_sites))
-    return AmplitudeTrajectory(t, phi, bchain, truncated, tail, "closed-form")
+    return AmplitudeTrajectory(t, phi, bchain, model.D is None, tail, "closed-form")
 
 
 def model_observables(model: AlgebraModel, times) -> ComplexityProfile:
     """Closed-form complexity profile of a family (no chain evolution).
 
-    All columns come from the analytic K(t) and Delta K(t); the ratio is
-    identically 1 wherever the bound is nonzero, which is the saturation
-    statement in closed form.
+    K = w S(x)^2, Delta K = sqrt(w / 4) |S(2x)| and dK/dt = w nu S(2x) at
+    x = nu t, with b_1 = nu sqrt(w) (see the module notes).  The ratio is
+    identically 1 wherever it is defined (floor UNDEFINED_CUTOFF / 2, see
+    ComplexityProfile), which is the saturation statement in closed form.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
     t = validate_times(times)
+    law, w = model._law()
     x = model.nu * t
-    if model.kind == "su2":
-        j = model.j
-        complexity = 2.0 * j * np.sin(x) ** 2
-        dispersion = math.sqrt(j / 2.0) * np.abs(np.sin(2.0 * x))
-        rate = 2.0 * j * model.nu * np.sin(2.0 * x)
-        b1 = model.nu * math.sqrt(2.0 * j)
-    elif model.kind == "hw":
-        complexity = x * x
-        dispersion = np.abs(x)
-        rate = 2.0 * model.nu * x
-        b1 = model.nu
-    else:
-        eta = model.eta
-        complexity = eta * np.sinh(x) ** 2
-        dispersion = 0.5 * math.sqrt(eta) * np.abs(np.sinh(2.0 * x))
-        rate = eta * model.nu * np.sinh(2.0 * x)
-        b1 = model.nu * math.sqrt(eta)
-    bound = 2.0 * b1 * dispersion
-    cutoff = UNDEFINED_CUTOFF * b1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound > cutoff, np.abs(rate) / bound, np.nan)
-        tau_k = np.where(np.abs(rate) > cutoff, dispersion / np.abs(rate), np.nan)
-    return ComplexityProfile(
-        times=t,
-        complexity=complexity,
-        rate=rate,
-        dispersion=dispersion,
-        bound=bound,
-        ratio=ratio,
-        tau_k=tau_k,
-        b1=b1,
-    )
+    s2 = law.S(2.0 * x)
+    return _profile(t, w * law.S(x) ** 2, w * model.nu * s2,
+                    math.sqrt(w / 4.0) * np.abs(s2), model.nu * math.sqrt(w),
+                    UNDEFINED_CUTOFF / 2.0)

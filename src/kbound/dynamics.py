@@ -147,12 +147,12 @@ class AmplitudeTrajectory:
 class ComplexityProfile:
     """Complexity observables on a time grid.
 
-    ratio is |rate| / bound and tau_k is dispersion / |rate|; both are NaN
-    where undefined, not zero or infinite.  complexity_profile leaves ratio
-    undefined where the dispersion is at most f = max(UNDEFINED_CUTOFF,
-    16 sqrt(eps) * the peak rms position), and tau_k where |rate| is at most
-    2 b1 f.  model_observables leaves ratio undefined where the bound is at
-    most UNDEFINED_CUTOFF * b1, and tau_k where |rate| is.
+    bound is 2 b1 dispersion, ratio is |rate| / bound and tau_k is
+    dispersion / |rate|.  One rule marks where the last two are undefined,
+    NaN and not zero or infinite: given a floor f, ratio where the
+    dispersion is at most f and tau_k where |rate| is at most 2 b1 f.
+    complexity_profile takes f = max(UNDEFINED_CUTOFF, 16 sqrt(eps) * the
+    peak rms position), model_observables f = UNDEFINED_CUTOFF / 2.
     """
 
     times: np.ndarray
@@ -524,24 +524,21 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     dispersion = np.sqrt(variance)
 
     b1 = float(b[0]) if b.size else 0.0
-    bound = 2.0 * b1 * dispersion
     eps = float(np.finfo(np.float64).eps)
     rms_peak = float(np.sqrt(np.max(complexity**2 + variance, initial=0.0)))
-    disp_floor = max(UNDEFINED_CUTOFF, 16.0 * np.sqrt(eps) * rms_peak)
-    rate_floor = 2.0 * b1 * disp_floor
+    floor = max(UNDEFINED_CUTOFF, 16.0 * np.sqrt(eps) * rms_peak)
+    return _profile(trajectory.times, complexity, rate, dispersion, b1, floor)
+
+
+def _profile(times, complexity, rate, dispersion, b1: float, floor: float) -> ComplexityProfile:
+    """The profile of these columns, its bound, ratio and tau_k built from
+    them by the one rule of :class:`ComplexityProfile`, given its floor."""
+    bound = 2.0 * b1 * dispersion
+    speed = np.abs(rate)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dispersion > disp_floor, np.abs(rate) / bound, np.nan)
-        tau_k = np.where(np.abs(rate) > rate_floor, dispersion / np.abs(rate), np.nan)
-    return ComplexityProfile(
-        times=trajectory.times,
-        complexity=complexity,
-        rate=rate,
-        dispersion=dispersion,
-        bound=bound,
-        ratio=ratio,
-        tau_k=tau_k,
-        b1=b1,
-    )
+        ratio = np.where(dispersion > floor, speed / bound, np.nan)
+        tau_k = np.where(speed > 2.0 * b1 * floor, dispersion / speed, np.nan)
+    return ComplexityProfile(times, complexity, rate, dispersion, bound, ratio, tau_k, b1)
 
 
 def _profile_columns(profile: ComplexityProfile) -> dict[str, list]:

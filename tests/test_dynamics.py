@@ -348,6 +348,12 @@ class TestInitialCondition:
         times = np.concatenate([-half[::-1], [0.0], half])
         self._check_seed_row(evolve_amplitudes(b, times))
 
+    @pytest.mark.parametrize("model", [AlgebraModel.su2(999.5), AlgebraModel.su2(3.0, 1.2),
+                                       AlgebraModel.hw(10.0), AlgebraModel.sl2r(101.0)],
+                             ids=lambda m: m.label())
+    def test_closed_forms(self, model):
+        self._check_seed_row(model_amplitudes(model, np.linspace(-2.0, 2.0, 41)))
+
 
 class TestAgainstExpmOracle:
     """The amplitudes against a dense expm of the hopping generator."""

@@ -89,6 +89,8 @@ _FIELD_CASES = [
     *[(name, key, value) for name in ("load_result_json", "_load_chain",
                                       "_load_chain-realization")
       for key, value in _CHAIN_FIELDS],
+    # orjson reads an integer past 64 bits as a float that rounds it.
+    ("load_result_json", "D", 2**64 + 1),
 ]
 
 
@@ -239,6 +241,9 @@ _ARGUMENTS = [
     pytest.param(lambda _: integer(2**70, "n", 0), 2**70, id="integer-2**70"),
     pytest.param(lambda _: integer(np.int64(5), "n", 0), 5, id="integer-int64"),
     pytest.param(lambda _: integer(np.float64(4.0), "n", 0), 4, id="integer-float64"),
+    # A float is exact as an integer only up to 2^53.
+    pytest.param(lambda _: integer(2.0**53, "n", 0), 2**53, id="integer-2.0**53"),
+    pytest.param(lambda _: integer(2.0**64, "n", 0), "n", id="integer-2.0**64"),
     # Fractions were truncated, bools read as 0 or 1, nested chains ravelled.
     pytest.param(lambda _: GoeSpec(dim=3.9), "dim", id="GoeSpec-dim"),
     pytest.param(lambda _: GoeSpec(dim=4, count=2.5), "count", id="GoeSpec-count"),
@@ -464,10 +469,15 @@ def test_floats_round_trip_bit_for_bit(tmp_path, xs):
 
 def test_write_json_refuses_nan(tmp_path):
     path = tmp_path / "out.json"
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, np.float32("nan")):
         with pytest.raises(ValidationError, match="NaN or an infinity"):
             write_json(path, {"b": [[1.0], [bad]]})
+    # A NaN in a later item is refused before the path is opened: the file
+    # keeps what it held, not the items written ahead of it.
     path.write_text("before\n")
+    with pytest.raises(ValidationError, match="NaN or an infinity"):
+        write_json(path, {"a": [1.0], "b": [math.nan]})
+    assert path.read_text() == "before\n"
     with pytest.raises(ValidationError, match="non-finite entries"):
         save_matrix(path, np.array([[1.0, np.nan], [np.nan, 0.0]]))
     assert path.read_text() == "before\n"
