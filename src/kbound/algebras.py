@@ -223,13 +223,24 @@ class AlgebraModel:
         law = _LAWS[self.kind]
         return law, law.w(self)
 
+    def _rate(self, name: str, coefficient: float) -> float:
+        """coefficient * nu^2, with nu squared in floats; a rate that
+        overflows a double is refused."""
+        value = coefficient * (self.nu * self.nu)
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"the {name} of {self.label()} overflows a double: nu = {self.nu:g} "
+                "is too large for it"
+            )
+        return value
+
     @property
     def alpha(self) -> float:
-        return 4.0 * self._law()[0].kappa * self.nu**2
+        return self._rate("alpha", 4.0 * self._law()[0].kappa)
 
     @property
     def gamma(self) -> float:
-        return 2.0 * self.nu**2 * self._law()[1]
+        return self._rate("gamma", 2.0 * self._law()[1])
 
     @property
     def D(self) -> int | None:
@@ -445,13 +456,38 @@ def model_observables(model: AlgebraModel, times) -> ComplexityProfile:
     x = nu t, with b_1 = nu sqrt(w) (see the module notes).  The ratio is
     identically 1 wherever it is defined (floor UNDEFINED_CUTOFF / 2, see
     ComplexityProfile), which is the saturation statement in closed form.
+    A grid that reaches past the largest nu t at which a double holds K,
+    dK/dt and the bound (sl2r's sinh(2 nu t) overflows near nu t = 355)
+    raises NumericalError naming that nu t.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
     t = validate_times(times)
     law, w = model._law()
-    x = model.nu * t
-    s2 = law.S(2.0 * x)
-    return _profile(t, w * law.S(x) ** 2, w * model.nu * s2,
-                    math.sqrt(w / 4.0) * np.abs(s2), model.nu * math.sqrt(w),
-                    UNDEFINED_CUTOFF / 2.0)
+    b1 = model.nu * math.sqrt(w)
+
+    def columns(x):
+        """K, dK/dt, Delta K and the bound 2 b_1 Delta K at x = nu t, or
+        None where a double does not hold them all."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = law.S(2.0 * x)
+            dispersion = math.sqrt(w / 4.0) * np.abs(s2)
+            cols = (w * law.S(x) ** 2, w * model.nu * s2, dispersion,
+                    2.0 * b1 * dispersion)
+        return cols if all(np.all(np.isfinite(c)) for c in cols) else None
+
+    with np.errstate(over="ignore"):
+        x = model.nu * t
+    cols = columns(x)
+    if cols is None:
+        # Bisect for the largest |x| that holds: every column is even or
+        # odd in x and grows with |x| wherever it can overflow.
+        x_max = float(np.max(np.abs(x)))
+        lo, hi = 0.0, min(x_max, float(np.finfo(np.float64).max))
+        while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+            lo, hi = (lo, mid) if columns(np.float64(mid)) is None else (mid, hi)
+        raise NumericalError(
+            f"the closed-form profile of {model.label()} overflows a double past "
+            f"nu t = {lo:.6g}, and the grid reaches nu t = {x_max:.6g}"
+        )
+    return _profile(t, *cols[:3], b1, UNDEFINED_CUTOFF / 2.0)

@@ -12,7 +12,10 @@ D = d^2 - d + 1 for a generic spectrum.
 Reproducibility scheme: realization i of an ensemble seeded with s draws
 from numpy's SeedSequence(entropy=s, spawn_key=(i,)) and a PCG64 generator,
 so results are independent of how realizations are distributed over worker
-processes, and any single realization can be redrawn in isolation.
+processes, and any single realization can be redrawn in isolation.  Each
+worker chains its share in batches through one RKPW wavefront per batch
+(see ``kbound.lanczos``), and every chain comes out bit for bit as its own
+run_lanczos.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import fraction, integer, positive, validate_times, write_csv, write_json
+from ._util import (fraction, integer, positive, row_blocks, validate_times, write_csv,
+                    write_json)
 from .operators import InnerProductSpec, OperatorVector, _Frame, as_hermitian
-from .lanczos import DEFAULT_HALT_TOL, run_lanczos
+from .lanczos import DEFAULT_HALT_TOL, _run_batch
 from .dynamics import (ComplexityProfile, complexity_profile, evolve_amplitudes,
                        profile_to_dict)
 
@@ -39,6 +43,8 @@ __all__ = [
     "save_ensemble_json",
     "save_ensemble_csv",
 ]
+
+_FAILURES = (NumericalError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -127,23 +133,47 @@ class EnsembleResult:
     profile: ComplexityProfile | None = None
 
 
-def _one_realization(args):
-    """One realization's chain (and profile), or the numerical error it met.
+def _draw(dim, sigma, ss):
+    """One realization's GOE draw and its uniform observable."""
+    H = goe_sample(dim, sigma, ss)
+    return H, uniform_observable(H)
 
+
+def _failure(index: int, exc: Exception) -> dict:
+    return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_share(args):
+    """The chains (and profiles) of one worker's share of the realizations,
+    or the numerical error each met, each realization on its own.
+
+    The share is drawn and chained in batches of row_blocks(share, d(d-1)/2)
+    realizations, whose chains run as one RKPW wavefront
+    (``lanczos._run_batch``); evolution and profile stay per realization.
     A ValidationError is not caught: it comes from the spec or the grid,
     which every realization shares, so it is the run's error.
     """
-    dim, sigma, ss, index, halt_tol, times = args
-    try:
-        H = goe_sample(dim, sigma, ss)
-        obs = uniform_observable(H)
-        res = run_lanczos(H, obs, halt_tol=halt_tol, store_basis=False)
-        out = {"index": index, "b": res.b, "D": res.D, "truncated": res.truncated}
-        if times is not None:
-            out["profile"] = complexity_profile(evolve_amplitudes(res.b, times))
-        return out
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
+    dim, sigma, members, halt_tol, times = args
+    out = []
+    for block in row_blocks(len(members), dim * (dim - 1) // 2):
+        indices, pairs = [], []
+        for index, ss in members[block]:
+            try:
+                pairs.append(_draw(dim, sigma, ss))
+                indices.append(index)
+            except _FAILURES as exc:
+                out.append(_failure(index, exc))
+        for index, res in zip(indices, _run_batch(pairs, halt_tol)):
+            try:
+                if isinstance(res, Exception):
+                    raise res
+                r = {"index": index, "b": res.b, "D": res.D, "truncated": res.truncated}
+                if times is not None:
+                    r["profile"] = complexity_profile(evolve_amplitudes(res.b, times))
+                out.append(r)
+            except _FAILURES as exc:
+                out.append(_failure(index, exc))
+    return out
 
 
 def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> EnsembleResult:
@@ -156,8 +186,12 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         When given, each realization is also evolved on this grid and the
         ensemble-averaged complexity profile is attached to the result.
     workers : int
-        Process count.  Results are aggregated in realization order, so the
-        outcome is identical for any worker count, bit for bit.
+        Process count.  Each worker takes one contiguous share of the
+        realizations and runs their chains in batches, one RKPW wavefront
+        per batch with a column per chain (``lanczos._run_batch``); each
+        chain is bit for bit its own ``run_lanczos``.  Results are
+        aggregated in realization order, so the outcome is identical for
+        any worker count, bit for bit.
     """
     workers = integer(workers, "workers")
     times = None
@@ -165,14 +199,16 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         times = validate_times(profile_times, "profile_times")
     # The seed sequences are made here rather than in the workers, so
     # numpy.random (~15 ms to import) is loaded once, before the pool forks.
-    tasks = [(spec.dim, spec.sigma,
-              np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)),
-              i, spec.halt_tol, times) for i in range(spec.count)]
-    if workers == 1:
-        raw = [_one_realization(t) for t in tasks]
+    members = [(i, np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
+               for i in range(spec.count)]
+    bounds = [spec.count * k // workers for k in range(workers + 1)]
+    tasks = [(spec.dim, spec.sigma, members[lo:hi], spec.halt_tol, times)
+             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(tasks) == 1:
+        raw = _run_share(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_one_realization, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            raw = [r for share in pool.map(_run_share, tasks) for r in share]
     raw.sort(key=lambda r: r["index"])
 
     b_list = []

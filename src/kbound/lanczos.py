@@ -54,15 +54,24 @@ removes most of the operations: once a pair is in, every diagonal entry
 alpha is 0 again, so alpha is never stored, and the -s_k sweep's t is
 minus the +s_k sweep's at every position, so that sweep carries only gamma
 and p.  The same update is exact at the pair's two new positions, so one
-formula runs over the whole sweep, with no branch.  A weight that underflows to 0 on
-the way makes a NaN or an inf that reaches the chain; such a chain is
-discarded and the run takes the Gram-Schmidt recursion.  The Gram-Schmidt
-families stay for the other runs: RKPW gives no Krylov vectors, and it
-always inserts every node, so a chain capped well short of them costs it
-more than the recursion.  Against a 40-digit reference on the same measure,
+formula runs over the whole sweep, with no branch.  A weight that
+underflows to 0 on the way makes a NaN or an inf that reaches the chain;
+such a chain is discarded and the run takes the Gram-Schmidt recursion.
+The Gram-Schmidt families stay for the other runs: RKPW gives no Krylov
+vectors, and it always inserts every node, so a chain capped well short of
+them costs it more than the recursion.  Against a 40-digit reference on the same measure,
 the RKPW error on eleven GOE chains is at most 2.9e-12 of max b at
 d <= 48 (1.5e-12 at d = 48, where the recursion's is 1.2e-13) and 6.5e-12
 at d = 64, where the recursion's is 1.2e-12.
+
+Every operation of the wavefront is elementwise on slices of the pair axis,
+so chains with the same node count can share one wavefront, a column each,
+and each column comes out bit for bit as its chain run alone.
+``_run_batch`` groups the full chains of a GOE ensemble's batch by (node 0
+kept, node count) and runs each group so, which pays numpy's per-call
+overhead (most of a d = 32 chain's time) once per group instead of once
+per chain; a non-finite column takes the recursion for its chain alone.  A
+single chain keeps 1-D arrays.
 
 The chain terminates at D <= d^2 - d + 1 basis vectors: d^2 - d off-diagonal
 frequency slots plus a single direction out of the d-dimensional commutant
@@ -196,11 +205,17 @@ def _reorthogonalize(w: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
     return w - B.T @ (B @ w), 2
 
 
-def _rkpw(w0: float, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _rkpw(w0, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Squared Lanczos coefficients b_1^2 .. b_{N-1}^2 of the symmetric
     measure w0 delta(t) + sum_j h[j] (delta(t - s[j]) + delta(t + s[j])),
     by the RKPW update (OPQ's ``RKPW``) with each +-s[j] pair inserted in
     one sweep (module docstring).  N = 2 s.size, plus 1 if w0 > 0.
+
+    s and h may carry a trailing chain axis: (P, r) arrays of r measures
+    with the same P pairs, w0 then an (r,) array, all > 0 or all 0.  Column
+    c of the output is then the chain of column c, bit for bit as a call on
+    that column alone: every slice below is on axis 0, so each column gets
+    the same operations in the same order.
 
     Pair j is inserted into the Jacobi matrix of node 0 and pairs 0 .. j - 1
     by a sweep over positions k = 0 .. first + 2j + 1 that carries the +s
@@ -213,17 +228,17 @@ def _rkpw(w0: float, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     somewhere; the NaN or inf it makes reaches the output, which the caller
     tests.
     """
-    P = s.size
-    first = int(w0 > 0.0)
-    beta = np.zeros(first + 2 * P)
+    P = s.shape[0]
+    first = int(np.any(w0 > 0.0))
+    beta = np.zeros((first + 2 * P,) + s.shape[1:])
     beta[0] = w0
     s, p_plus = s[::-1].copy(), h[::-1].copy()
     p_minus = p_plus.copy()
-    g_plus, g_minus, t = np.ones(P), np.ones(P), np.zeros(P)
+    g_plus, g_minus, t = np.ones(s.shape), np.ones(s.shape), np.zeros(s.shape)
     # Work space sized for the widest step, so that no step allocates: the
     # temporaries of ~1.5N steps otherwise leave heap fragments behind (2 MB
     # of resident memory after a d = 48 chain).
-    work = np.empty((4, P))
+    work = np.empty((4,) + s.shape)
     with np.errstate(all="ignore"):
         for step in range(first + 3 * P - 1):
             # Pairs j at this step: j <= step, and step - j <= first + 2j + 1.
@@ -309,6 +324,42 @@ def run_lanczos(
         two-term recursion under this inner product.  Also when the thermal
         weights keep a stored basis from being held (see store_basis).
     """
+    fold = _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis)
+    if store_basis or fold.capped:
+        return _chain(fold)
+    # No basis and no cap: RKPW on the folded measure (module docstring).
+    return _chain(fold, _rkpw(*fold.rkpw_args()))
+
+
+@dataclass(eq=False)
+class _Fold:
+    """A run's checked arguments and its seed's folded measure (module
+    docstring): the kept nodes s, ascending with node 0 first when it is
+    kept (node0), and their weights m.  A run that stores its basis also
+    keeps the seed x in H's frame and the kept node of each frame slot."""
+
+    dim: int
+    spec: InnerProductSpec
+    halt_tol: float
+    max_steps: int
+    capped: bool
+    frame: _Frame
+    s: np.ndarray
+    m: np.ndarray
+    node0: bool
+    omega_scale: float
+    x: np.ndarray | None = None
+    slot: np.ndarray | None = None
+
+    def rkpw_args(self) -> tuple:
+        """_rkpw's (w0, s, h) for this measure: m_k / 2 at each of +-s_k."""
+        first = int(self.node0)
+        return self.m[0] if first else 0.0, self.s[first:], 0.5 * self.m[first:]
+
+
+def _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis) -> _Fold:
+    """Check run_lanczos's arguments, change to H's frame and fold the seed's
+    measure (see run_lanczos for the arguments and errors)."""
     H = as_hermitian(hamiltonian)
     op = operator if isinstance(operator, OperatorVector) else \
         OperatorVector.from_matrix(operator)
@@ -330,7 +381,6 @@ def run_lanczos(
         max_steps = structural_cap
     else:
         max_steps = min(integer(max_steps, "max_steps"), structural_cap)
-    user_capped = max_steps < structural_cap
 
     d = H.dim
     frame = _Frame(spec, d, H)
@@ -370,26 +420,36 @@ def run_lanczos(
     m = np.bincount(node, m)
     keep = m > 0.0
     s = np.concatenate([[0.0], s[order][starts]])
-    s, m = s[keep], m[keep]
+    fold = _Fold(d, spec, halt_tol, max_steps, max_steps < structural_cap, frame,
+                 s[keep], m[keep], bool(keep[0]), omega_scale)
+    if store_basis:
+        # Slot ij reads p_n at its node; slots of weightless (dropped) nodes
+        # hold x = 0, so whichever kept node they map to gives O_n = 0 there.
+        pair = np.zeros((d, d), dtype=np.intp)
+        pair[iu, ju] = pair[ju, iu] = np.arange(1, iu.size + 1)
+        fold.x = x
+        fold.slot = (np.cumsum(keep) - 1)[node[pair.ravel(order="F")]]
+    return fold
 
-    if not (store_basis or user_capped):
-        # No basis and no cap: RKPW on the folded measure (module
-        # docstring), node 0 (if kept) and m_k / 2 at each of +-s_k.  A
-        # non-finite chain (a weight underflowed on the way) falls through
-        # to the recursion.
-        first = int(keep[0])
-        b = np.sqrt(_rkpw(m[0] if first else 0.0, s[first:], 0.5 * m[first:]))
+
+def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
+    """The chain of a folded measure, from b2, the RKPW squares of its full
+    chain, when given and finite, and otherwise by the Gram-Schmidt
+    recursion, which also rebuilds a stored basis (module docstring)."""
+    d, spec, halt_tol, s = fold.dim, fold.spec, fold.halt_tol, fold.s
+    if b2 is not None:
+        b = np.sqrt(b2)
         if np.all(np.isfinite(b)):
             halt_scale = np.full(b.size, b[0] if b.size else 0.0)
-            halt_scale[:1] = max(omega_scale, 1.0)
+            halt_scale[:1] = max(fold.omega_scale, 1.0)
             b = b[:np.argmax(np.append(b <= halt_tol * halt_scale, True))]
             return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, halt_tol=halt_tol,
                                  reorth_passes=0)
 
-    sqrt_m = np.sqrt(m)
+    sqrt_m = np.sqrt(fold.m)
     # Row capacity of each family: the u family holds the even O_n, the v
     # family the odd ones, and neither can outgrow its nodes.
-    rows = min(s.size, max_steps // 2 + 1)
+    rows = min(s.size, fold.max_steps // 2 + 1)
     families = (np.empty((rows, s.size)), np.empty((rows, s.size)))
     counts = [1, 0]
     families[0][0] = sqrt_m / np.linalg.norm(sqrt_m)
@@ -410,11 +470,11 @@ def run_lanczos(
         w, k = _reorthogonalize(w, families[fam][:counts[fam]])
         passes += k
         bnew = float(np.linalg.norm(w))
-        halt_scale = b[0] if b else max(omega_scale, 1.0)
+        halt_scale = b[0] if b else max(fold.omega_scale, 1.0)
         if bnew <= halt_tol * halt_scale:
             break
-        if n >= max_steps:
-            truncated = user_capped
+        if n >= fold.max_steps:
+            truncated = fold.capped
             break
         b.append(bnew)
         prev, cur = cur, families[fam][counts[fam]]
@@ -424,16 +484,12 @@ def run_lanczos(
     D = len(b) + 1
     result = LanczosResult(b=np.asarray(b, dtype=np.float64), D=D, dim=d, spec=spec,
                            truncated=truncated, halt_tol=halt_tol, reorth_passes=passes)
-    if store_basis:
-        # Slot ij reads p_n at its node; slots of weightless (dropped) nodes
-        # hold x = 0, so whichever kept node they map to gives O_n = 0 there.
-        pair = np.zeros((d, d), dtype=np.intp)
-        pair[iu, ju] = pair[ju, iu] = np.arange(1, iu.size + 1)
-        slot = (np.cumsum(keep) - 1)[node[pair.ravel(order="F")]]
+    if fold.slot is not None:
+        x, frame = fold.x, fold.frame
         odd_x = np.sign(frame.omega).ravel(order="F") * x
         frame_rows = np.empty((D, d * d), dtype=np.complex128)
-        frame_rows[0::2] = (families[0][:counts[0]] / sqrt_m)[:, slot] * x
-        frame_rows[1::2] = (families[1][:counts[1]] / sqrt_m)[:, slot] * odd_x
+        frame_rows[0::2] = (families[0][:counts[0]] / sqrt_m)[:, fold.slot] * x
+        frame_rows[1::2] = (families[1][:counts[1]] / sqrt_m)[:, fold.slot] * odd_x
         result.basis = frame.from_frame(frame_rows)
         # The report's own frame, so that ortho_error is read off its Gram
         # matrix bit for bit: at beta = 0 the identity, not H's eigenframe.
@@ -446,6 +502,33 @@ def run_lanczos(
                 "hold; pass store_basis=False for the chain alone"
             )
     return result
+
+
+def _run_batch(pairs, halt_tol: float = DEFAULT_HALT_TOL) -> list:
+    """``run_lanczos(H, operator, halt_tol=halt_tol, store_basis=False)`` of
+    each (H, operator) pair, bit for bit, with the RKPW sweeps of the chains
+    that share (node 0 kept, node count) run as one wavefront, a column each.
+
+    A column that comes out non-finite takes the recursion for its chain
+    alone.  A pair whose run meets a NumericalError or LinAlgError gets that
+    exception in place of its result, and the others run on; any other
+    error is the batch's.
+    """
+    out: list = [None] * len(pairs)
+    groups: dict[tuple[bool, int], list[tuple[int, _Fold]]] = {}
+    for i, (H, op) in enumerate(pairs):
+        try:
+            fold = _fold(H, op, None, halt_tol, None, False)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((fold.node0, fold.s.size), []).append((i, fold))
+    for members in groups.values():
+        columns = zip(*(fold.rkpw_args() for _, fold in members))
+        b2 = _rkpw(*(np.stack(c, axis=-1) for c in columns))
+        for k, (i, fold) in enumerate(members):
+            out[i] = _chain(fold, b2[:, k])
+    return out
 
 
 @dataclass(eq=False)

@@ -60,6 +60,14 @@ class TestAlgebraModel:
         with pytest.raises(ValidationError):
             AlgebraModel("su2", 1.0)  # j missing
 
+    def test_rates_that_overflow_name_nu(self):
+        # nu^2 overflows past nu ~ 1.3e154; nu itself is finite.
+        m = AlgebraModel.hw(1e200)
+        for rate in ("alpha", "gamma"):
+            with pytest.raises(ValidationError, match=rf"{rate} of .* nu = 1e\+200"):
+                getattr(m, rate)
+        assert AlgebraModel.hw(1e150).gamma == 2.0 * 1e150 * 1e150
+
     def test_half_integer_snapping(self):
         m = AlgebraModel.su2(2.5 + 1e-9)
         assert m.j == 2.5
@@ -383,6 +391,17 @@ class TestModelObservables:
             atol=1e-15,
         )
         assert prof.b1 == pytest.approx(1.5 * 2.0)
+
+    def test_overflow_names_the_largest_nu_t(self):
+        # sinh(2 nu t) overflows a double past nu t = asinh(max) / 2.
+        m = AlgebraModel.sl2r(1.0)
+        with pytest.raises(NumericalError, match=r"past nu t = 355\.238, .* nu t = 400"):
+            model_observables(m, [0.0, 400.0])
+        edge = math.asinh(np.finfo(np.float64).max) / 2.0
+        prof = model_observables(m, [0.0, edge * (1.0 - 1e-12)])
+        assert np.all(np.isfinite(prof.complexity)) and np.all(np.isfinite(prof.bound))
+        with pytest.raises(NumericalError, match="syk:eta=1,nu=0.5"):
+            model_observables(AlgebraModel.sl2r(1.0, 0.5), [0.0, 720.0])
 
     def test_ratio_is_one_wherever_defined(self):
         t = np.linspace(0.0, 3.0, 61)

@@ -48,6 +48,11 @@ class TestExitCodes:
         assert code == 1
         assert "steps" in err
 
+    def test_model_past_the_double_range_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "model", "syk:eta=1", "--tmax", "400", "--out", "-")
+        assert code == 2
+        assert "overflows a double past nu t = 355.238" in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         chain = tmp_path / "c.json"
         # Without "D" the three coefficients are a cut chain, and t = 5 needs

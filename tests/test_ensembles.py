@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import kbound._util as _util
 import kbound.ensembles as ens
 from kbound.ensembles import (
     GoeSpec,
@@ -125,26 +126,47 @@ class TestRunEnsemble:
         assert np.all(res.profile.ratio[defined] <= 1.0 + 1e-8)
 
     def test_failures_are_recorded(self, monkeypatch):
-        real = ens._one_realization
+        real = ens._draw
 
-        def flaky(args):
-            if args[3] == 1:
-                return {"index": 1, "error": "NumericalError: synthetic breakdown"}
-            return real(args)
+        def flaky(dim, sigma, ss):
+            if ss.spawn_key == (1,):
+                raise NumericalError("synthetic breakdown")
+            return real(dim, sigma, ss)
 
-        monkeypatch.setattr(ens, "_one_realization", flaky)
+        monkeypatch.setattr(ens, "_draw", flaky)
         res = run_ensemble(GoeSpec(dim=4, sigma=1.0, count=3, seed=5))
         assert res.failed == [(1, "NumericalError: synthetic breakdown")]
         assert res.indices == [0, 2]
         assert len(res.b_list) == 2
+        # The failed realization's batch-mates are intact.
+        for i, b in zip(res.indices, res.b_list):
+            H = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+            np.testing.assert_array_equal(
+                b, run_lanczos(H, uniform_observable(H), store_basis=False).b)
 
     def test_all_failures_raise(self, monkeypatch):
-        monkeypatch.setattr(
-            ens, "_one_realization",
-            lambda args: {"index": args[3], "error": "NumericalError: nope"},
-        )
+        def broken(dim, sigma, ss):
+            raise NumericalError("nope")
+
+        monkeypatch.setattr(ens, "_draw", broken)
         with pytest.raises(NumericalError, match="every realization failed"):
             run_ensemble(GoeSpec(dim=4, sigma=1.0, count=2, seed=5))
+
+    @pytest.mark.parametrize("block_cells", [None, 20])
+    def test_shares_and_batches_are_bit_equal(self, monkeypatch, block_cells):
+        # 20 cells are batches of two d = 5 realizations (10 pairs each).
+        if block_cells is not None:
+            monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+        spec = GoeSpec(dim=5, sigma=1.0, count=7, seed=13)
+        t = np.linspace(0.0, 1.0, 5)
+        runs = [run_ensemble(spec, profile_times=t, workers=w) for w in (1, 2, 3)]
+        assert ensemble_to_dict(runs[0]) == ensemble_to_dict(runs[1]) == \
+            ensemble_to_dict(runs[2])
+        assert runs[0].indices == list(range(7))
+        for i, b in zip(runs[0].indices, runs[0].b_list):
+            H = goe_sample(5, 1.0, seed=np.random.SeedSequence(entropy=13, spawn_key=(i,)))
+            np.testing.assert_array_equal(
+                b, run_lanczos(H, uniform_observable(H), store_basis=False).b)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

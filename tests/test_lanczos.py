@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kbound import lanczos
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import (
+    DEFAULT_HALT_TOL,
     LanczosResult,
     ReorthPolicy,
     _reorthogonalize,
@@ -434,6 +435,69 @@ class TestRkpwAgainstGramSchmidt:
         ref = rkpw_chain(nodes, np.concatenate([[w0], np.repeat(h, 2)]))
         np.testing.assert_allclose(np.sqrt(_rkpw(w0, s, h)), ref, rtol=0,
                                    atol=1e-9 * np.max(ref))
+
+
+class TestBatchedChains:
+    # lanczos._run_batch runs the full chains of many measures through one
+    # RKPW wavefront, a column per chain, each bit for bit its own run.
+
+    @pytest.mark.parametrize("node0", [False, True])
+    def test_columns_are_single_calls(self, rng, node0):
+        s = np.sort(rng.uniform(0.1, 1.0, size=(30, 3)), axis=0)
+        h = rng.uniform(0.1, 1.0, size=(30, 3))
+        w0 = rng.uniform(0.1, 1.0, size=3) if node0 else np.zeros(3)
+        batch = _rkpw(w0, s, h)
+        assert batch.shape == (int(node0) + 59, 3)
+        for c in range(3):
+            np.testing.assert_array_equal(batch[:, c], _rkpw(w0[c], s[:, c], h[:, c]))
+        # At 53 bits the oracle rounds every operation as float64 does.
+        pytest.importorskip("mpmath")
+        for c in range(3):
+            np.testing.assert_array_equal(np.sqrt(batch[:, c]),
+                                          rkpw_pair_chain(w0[c], s[:, c], h[:, c], dps=15))
+
+    def test_batch_mixes_node_counts(self, rng):
+        # Two GOE chains share a group; the degenerate spin chain has fewer
+        # nodes, and a seed with no weight on the diagonal of H's frame
+        # drops node 0.  A one-sided measure fails in its own place.
+        H1, H2 = goe_sample(6, seed=rng), goe_sample(6, seed=rng)
+        _, V = np.linalg.eigh(H1)
+        A = rng.normal(size=(6, 6))
+        A = A + A.T
+        np.fill_diagonal(A, 0.0)
+        pairs = [(H1, uniform_observable(H1)), heisenberg_chain_z0(),
+                 (H2, uniform_observable(H2)), (SZ, np.array([[0.0, 1.0], [0.0, 0.0]])),
+                 (H1, V @ A @ V.T)]
+        runs = [0, 1, 2, 4]
+        folds = [lanczos._fold(*pairs[k], None, DEFAULT_HALT_TOL, None, False) for k in runs]
+        groups = {(f.node0, f.s.size) for f in folds}
+        assert len(groups) == 3 and {node0 for node0, _ in groups} == {False, True}
+        out = lanczos._run_batch(pairs)
+        assert isinstance(out[3], NumericalError) and "property 2" in str(out[3])
+        for k in runs:
+            alone = run_lanczos(*pairs[k], store_basis=False)
+            np.testing.assert_array_equal(out[k].b, alone.b)
+            assert (out[k].D, out[k].truncated, out[k].reorth_passes) == \
+                (alone.D, alone.truncated, 0)
+
+    def test_non_finite_column_falls_back_alone(self, rng, monkeypatch):
+        Hs = [goe_sample(8, seed=rng) for _ in range(3)]
+        pairs = [(H, uniform_observable(H)) for H in Hs]
+        alone = [run_lanczos(*pair, store_basis=False) for pair in pairs]
+        gs = run_lanczos(*pairs[1], store_basis=True)
+
+        def poisoned(w0, s, h):
+            out = _rkpw(w0, s, h)
+            out[-1, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(lanczos, "_rkpw", poisoned)
+        out = lanczos._run_batch(pairs)
+        np.testing.assert_array_equal(out[1].b, gs.b)
+        assert out[1].reorth_passes == gs.reorth_passes > 0
+        for k in (0, 2):
+            np.testing.assert_array_equal(out[k].b, alone[k].b)
+            assert out[k].reorth_passes == 0
 
 
 class TestMeasureFold:
