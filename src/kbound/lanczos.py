@@ -41,28 +41,27 @@ matrix :func:`orthogonality_report` builds.  Dividing by the weights, the
 rebuild cannot hold a basis whose thermal weights span too many decades;
 such a basis is refused.
 
-Because the chain depends on mu alone, a run that neither stores the basis
-nor caps the chain (every GOE realization, ``kbound lanczos`` without
---store-basis) skips the vectors: it rebuilds the Jacobi matrix of the
-measure with node 0 (if kept) and m_k / 2 at each of +-s_k by the
-Rutishauser-Kahan-Pal-Walker update (Gragg & Harrod, Numer. Math. 44,
-1984), in O(N^2) scalar work and O(N) memory for N such nodes, with no
-reorthogonalization.  RKPW inserts one node per sweep down the Jacobi
-matrix; here the +s_k and -s_k sweeps run interleaved, position by
-position, which changes no operation, and the symmetry of the measure
-removes most of the operations: once a pair is in, every diagonal entry
-alpha is 0 again, so alpha is never stored, and the -s_k sweep's t is
-minus the +s_k sweep's at every position, so that sweep carries only gamma
-and p.  The same update is exact at the pair's two new positions, so one
-formula runs over the whole sweep, with no branch.  A weight that
-underflows to 0 on the way makes a NaN or an inf that reaches the chain;
-such a chain is discarded and the run takes the Gram-Schmidt recursion.
-The Gram-Schmidt families stay for the other runs: RKPW gives no Krylov
-vectors, and it always inserts every node, so a chain capped well short of
-them costs it more than the recursion.  Against a 40-digit reference on the same measure,
-the RKPW error on eleven GOE chains is at most 2.9e-12 of max b at
-d <= 48 (1.5e-12 at d = 48, where the recursion's is 1.2e-13) and 6.5e-12
-at d = 64, where the recursion's is 1.2e-12.
+Because the chain depends on mu alone, a run that does not store the basis
+(every GOE realization, ``kbound lanczos`` without --store-basis, capped or
+not) skips the vectors: it rebuilds the Jacobi matrix of the measure with
+node 0 (if kept) and m_k / 2 at each of +-s_k by the
+Rutishauser-Kahan-Pal-Walker update (Gragg & Harrod, Numer. Math. 44, 1984),
+in O(N^2) scalar work and O(N) memory for N such nodes, with no
+reorthogonalization.  RKPW inserts one node per sweep down the Jacobi matrix;
+here the +s_k and -s_k sweeps run interleaved, position by position, which
+changes no operation, and the symmetry of the measure removes most of the
+operations: once a pair is in, every diagonal entry alpha is 0 again, so
+alpha is never stored, and the -s_k sweep's t is minus the +s_k sweep's at
+every position, so that sweep carries only gamma and p.  The same update is
+exact at the pair's two new positions, so one formula runs over the whole
+sweep, with no branch.  A chain capped at K stops every sweep past
+position K + 1, which later positions never feed: its head is the full
+chain's, bit for bit.  A weight that underflows to 0 on the way makes a NaN
+or an inf that reaches the chain; such a chain is discarded and the run
+takes the Gram-Schmidt recursion, which alone gives Krylov vectors.  Against
+a 40-digit reference on the same measure, the RKPW error on eleven GOE
+chains is at most 2.9e-12 of max b at d <= 48 (1.5e-12 at d = 48, where
+the recursion's is 1.2e-13) and 6.5e-12 at d = 64 (the recursion's 1.2e-12).
 
 Every operation of the wavefront is elementwise on slices of the pair axis,
 so chains with the same node count can share one wavefront, a column each,
@@ -149,11 +148,10 @@ class LanczosResult:
     max |G - I| for the Gram matrix G of that returned basis, as
     :func:`orthogonality_report` builds it.  truncated marks a run
     stopped by max_steps instead of the halting test.  reorth_passes counts
-    the Gram-Schmidt passes of a run that stored its basis, was capped by
-    max_steps, or had a chain RKPW could not rebuild; it is 0 for a run
-    rebuilt from the measure by RKPW, which reorthogonalizes nothing (see
-    module docstring), and None for a result reloaded from a file that
-    predates the count.
+    the Gram-Schmidt passes of a run that stored its basis or had a chain
+    RKPW could not rebuild; it is 0 for every run rebuilt from the measure
+    by RKPW, capped or not, and None for a result reloaded from a file
+    that predates the count.
     """
 
     b: np.ndarray
@@ -205,11 +203,12 @@ def _reorthogonalize(w: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
     return w - B.T @ (B @ w), 2
 
 
-def _rkpw(w0, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Squared Lanczos coefficients b_1^2 .. b_{N-1}^2 of the symmetric
+def _rkpw(w0, s: np.ndarray, h: np.ndarray, last: int | None = None) -> np.ndarray:
+    """Squared Lanczos coefficients b_1^2 .. b_last^2 of the symmetric
     measure w0 delta(t) + sum_j h[j] (delta(t - s[j]) + delta(t + s[j])),
     by the RKPW update (OPQ's ``RKPW``) with each +-s[j] pair inserted in
-    one sweep (module docstring).  N = 2 s.size, plus 1 if w0 > 0.
+    one sweep (module docstring); last is at most N - 1, its default, for
+    N = 2 s.size, plus 1 if w0 > 0.
 
     s and h may carry a trailing chain axis: (P, r) arrays of r measures
     with the same P pairs, w0 then an (r,) array, all > 0 or all 0.  Column
@@ -218,19 +217,20 @@ def _rkpw(w0, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     the same operations in the same order.
 
     Pair j is inserted into the Jacobi matrix of node 0 and pairs 0 .. j - 1
-    by a sweep over positions k = 0 .. first + 2j + 1 that carries the +s
-    sweep's (gamma, p, t) and the -s sweep's (gamma, p) from k to k + 1;
-    every alpha is 0.  Pair j reaches position k at step j + k, so at every
-    step the active sweeps hold distinct, contiguous positions and advance
-    together: the double loop as a wavefront, the same arithmetic in the
-    same order.  Sweep state is stored in reverse (index P - 1 - j) so that
-    it runs the same way as the positions.  A zero weight divides 0 by 0
-    somewhere; the NaN or inf it makes reaches the output, which the caller
-    tests.
+    by a sweep over positions k = 0 .. first + 2j + 1, stopped past last
+    (later positions never feed earlier ones), that carries the +s sweep's
+    (gamma, p, t) and the -s sweep's (gamma, p) from k to k + 1; every alpha
+    is 0.  Pair j reaches position k at step j + k, so at every step the
+    active sweeps hold distinct, contiguous positions and advance together:
+    the double loop as a wavefront, the same arithmetic in the same order.
+    Sweep state is stored in reverse (index P - 1 - j) so that it runs the
+    same way as the positions.  A zero weight divides 0 by 0 somewhere; the
+    NaN or inf it makes reaches the output, which the caller tests.
     """
     P = s.shape[0]
     first = int(np.any(w0 > 0.0))
-    beta = np.zeros((first + 2 * P,) + s.shape[1:])
+    last = first + 2 * P - 1 if last is None else min(last, first + 2 * P - 1)
+    beta = np.zeros((last + 1,) + s.shape[1:])
     beta[0] = w0
     s, p_plus = s[::-1].copy(), h[::-1].copy()
     p_minus = p_plus.copy()
@@ -240,9 +240,9 @@ def _rkpw(w0, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     # of resident memory after a d = 48 chain).
     work = np.empty((4,) + s.shape)
     with np.errstate(all="ignore"):
-        for step in range(first + 3 * P - 1):
-            # Pairs j at this step: j <= step, and step - j <= first + 2j + 1.
-            lo, hi = max(0, -((first + 1 - step) // 3)), min(step, P - 1)
+        for step in range(P + last):
+            # Pairs j at this step: j <= step, step - j <= min(first + 2j + 1, last).
+            lo, hi = max(0, -((first + 1 - step) // 3), step - last), min(step, P - 1)
             js = slice(P - 1 - hi, P - lo)
             bk = beta[step - hi:step - lo + 1]
             gp, pp, tj, gm, pm, sj = (g_plus[js], p_plus[js], t[js], g_minus[js],
@@ -290,8 +290,8 @@ def run_lanczos(
         bound Hamiltonian is bound to ``hamiltonian``.
     policy : ReorthPolicy, optional
         Accepted for compatibility and ignored: a run that stores its basis
-        or is capped reorthogonalizes each family fully, and a full chain
-        rebuilt from the measure by RKPW reorthogonalizes nothing.
+        reorthogonalizes each family fully, and a chain rebuilt from the
+        measure by RKPW reorthogonalizes nothing.
     halt_tol : float
         Stop when ||A_{n+1}|| <= halt_tol * b_1 (at the very first step the
         Liouvillian's spectral width stands in for b_1).
@@ -303,8 +303,7 @@ def run_lanczos(
         artifact (near-degenerate Liouvillian frequencies can keep the
         residual above the halting threshold right at exhaustion).  Hitting
         that structural bound, or a family spanning all its nodes, is
-        exhaustion, not truncation.  A cap below that bound runs the
-        Gram-Schmidt recursion.
+        exhaustion, not truncation.
     store_basis : bool
         Rebuild the Krylov operators in the result, by the Gram-Schmidt
         recursion, and set ortho_error from the Gram matrix of the returned
@@ -313,7 +312,7 @@ def run_lanczos(
         underflow to 0, or that span so many decades that the returned
         basis is orthonormal only to more than sqrt(eps), raises
         NumericalError; the chain alone (store_basis=False, rebuilt from
-        the measure by RKPW unless capped) does not need the basis.
+        the measure by RKPW, capped or not) does not need the basis.
 
     Raises
     ------
@@ -325,10 +324,9 @@ def run_lanczos(
         weights keep a stored basis from being held (see store_basis).
     """
     fold = _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis)
-    if store_basis or fold.capped:
-        return _chain(fold)
-    # No basis and no cap: RKPW on the folded measure (module docstring).
-    return _chain(fold, _rkpw(*fold.rkpw_args()))
+    # No basis: RKPW, one past the cap so that the halting test comes first.
+    b2 = None if store_basis else _rkpw(*fold.rkpw_args(), fold.max_steps + 1)
+    return _chain(fold, b2)
 
 
 @dataclass(eq=False)
@@ -433,8 +431,8 @@ def _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis) -> _Fol
 
 
 def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
-    """The chain of a folded measure, from b2, the RKPW squares of its full
-    chain, when given and finite, and otherwise by the Gram-Schmidt
+    """The chain of a folded measure, from b2, the RKPW squares of its
+    chain's head, when given and finite, and otherwise by the Gram-Schmidt
     recursion, which also rebuilds a stored basis (module docstring)."""
     d, spec, halt_tol, s = fold.dim, fold.spec, fold.halt_tol, fold.s
     if b2 is not None:
@@ -443,8 +441,9 @@ def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
             halt_scale = np.full(b.size, b[0] if b.size else 0.0)
             halt_scale[:1] = max(fold.omega_scale, 1.0)
             b = b[:np.argmax(np.append(b <= halt_tol * halt_scale, True))]
-            return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, halt_tol=halt_tol,
-                                 reorth_passes=0)
+            truncated, b = b.size > fold.max_steps, b[:fold.max_steps]
+            return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, truncated=truncated,
+                                 halt_tol=halt_tol, reorth_passes=0)
 
     sqrt_m = np.sqrt(fold.m)
     # Row capacity of each family: the u family holds the even O_n, the v

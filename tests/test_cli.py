@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kbound.cli import main
+from kbound.ensembles import goe_sample
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +181,25 @@ class TestLanczosCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "n,b"
         assert len(lines) == 3
+
+    def test_capped_chain_feeds_bound(self, tmp_path, capsys):
+        # A d = 8 GOE chain has 56 coefficients; capped at 40 it is the head
+        # of the full one, bit for bit, and evolves as an open-ended chain.
+        H = goe_sample(8, seed=np.random.default_rng(3))
+        path = tmp_path / "H.json"
+        path.write_text(json.dumps({"dim": 8, "re": H.tolist()}))
+        full, capped = tmp_path / "full.json", tmp_path / "capped.json"
+        assert run_cli(capsys, "lanczos", str(path), "--out", str(full))[0] == 0
+        assert run_cli(capsys, "lanczos", str(path), "--max-steps", "40",
+                       "--out", str(capped))[0] == 0
+        f, c = json.loads(full.read_text()), json.loads(capped.read_text())
+        assert (len(f["b"]), f["truncated"]) == (56, False)
+        assert (c["D"], c["truncated"], c["reorth_passes"]) == (41, True, 0)
+        assert c["b"] == f["b"][:40]
+        code, out, _ = run_cli(capsys, "bound", str(capped), "--tmax", "0.5",
+                               "--steps", "11")
+        assert code == 0
+        assert len(out.splitlines()) == 13
 
 
 class TestEvolveCommand:

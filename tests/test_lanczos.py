@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,9 +342,9 @@ class TestReorthogonalization:
 
 
 class TestRkpwAgainstGramSchmidt:
-    # An uncapped run without a stored basis rebuilds the chain from the
-    # measure by RKPW; a stored basis or a binding max_steps runs the
-    # Gram-Schmidt recursion.
+    # A run without a stored basis, capped or not, rebuilds the chain from
+    # the measure by RKPW; a stored basis, or an RKPW chain that is not
+    # finite, runs the Gram-Schmidt recursion.
 
     def _same_chain(self, H, O):
         gs = run_lanczos(H, O, store_basis=True)
@@ -368,15 +369,55 @@ class TestRkpwAgainstGramSchmidt:
         assert self._same_chain(H, O) == max_chain_length(d)
 
     def test_capped_chain_is_the_head_of_the_full_one(self, rng):
+        # The capped RKPW sweeps give the full chain's head bit for bit; a
+        # cap at or past the end of the halted chain is no truncation.
         H = goe_sample(24, seed=rng)
         obs = uniform_observable(H)
         full = run_lanczos(H, obs, store_basis=False)
-        for k in (1, 10, 300):
+        n = full.b.size
+        for k in (1, 2, 10, 300, n - 1, n, n + 5):
             capped = run_lanczos(H, obs, max_steps=k, store_basis=False)
-            assert capped.truncated
-            assert capped.reorth_passes >= k
-            np.testing.assert_allclose(capped.b, full.b[:k], rtol=0,
-                                       atol=1e-12 * np.max(full.b))
+            np.testing.assert_array_equal(capped.b, full.b[:k])
+            assert (capped.D, capped.truncated, capped.reorth_passes) == \
+                (min(k, n) + 1, k < n, 0)
+
+    def test_capped_recursion_agrees_with_the_capped_chain(self, rng):
+        # A stored basis still takes the Gram-Schmidt recursion under a cap.
+        H = goe_sample(24, seed=rng)
+        obs = uniform_observable(H)
+        for k in (1, 10, 300):
+            gs = run_lanczos(H, obs, max_steps=k, store_basis=True)
+            rk = run_lanczos(H, obs, max_steps=k, store_basis=False)
+            assert gs.truncated
+            assert gs.reorth_passes >= k
+            np.testing.assert_allclose(gs.b, rk.b, rtol=0, atol=1e-12 * np.max(rk.b))
+
+    def test_capped_chain_memory(self):
+        # Capped at 800 coefficients, the d = 48 chain holds no Krylov
+        # family: the recursion's two 401 x 1129 families took 7.4 MB.
+        H = _ledger_draw(7, 0, 48)
+        obs = uniform_observable(H)
+        tracemalloc.start()
+        try:
+            res = run_lanczos(H, obs, max_steps=800, store_basis=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.b.size == 800 and res.truncated
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("node0", [False, True])
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    def test_bound_stops_at_the_head(self, rng, node0, columns):
+        # On a single measure and on (P, r) columns, with and without node 0.
+        s = np.sort(rng.uniform(0.1, 1.0, size=(30,) + columns), axis=0)
+        h = rng.uniform(0.1, 1.0, size=(30,) + columns)
+        w0 = rng.uniform(0.1, 1.0, size=columns) if node0 else np.zeros(columns)
+        full = _rkpw(w0, s, h)
+        n = full.shape[0]
+        assert n == int(node0) + 59
+        for last in (1, 2, 31, n, n + 7):
+            np.testing.assert_array_equal(_rkpw(w0, s, h, last), full[:last])
 
     @pytest.mark.parametrize("store_basis", [True, False])
     @pytest.mark.parametrize("nudge", [0.0, 1e-12])
@@ -426,7 +467,7 @@ class TestRkpwAgainstGramSchmidt:
         folded = []
         monkeypatch.setattr(lanczos, "_rkpw", lambda *args: folded.append(args) or _rkpw(*args))
         run_lanczos(H, uniform_observable(H), store_basis=False)
-        w0, s, h = folded[0]
+        w0, s, h = folded[0][:3]
         assert w0 > 0.0 and s.size == 120
         k = rng.integers(s.size - 1)
         s = s.copy()
