@@ -45,7 +45,6 @@ from .dynamics import (
 from .algebras import (
     AlgebraModel,
     ClosureReport,
-    classify_algebra,
     closure_test,
     model_amplitudes,
     model_observables,
@@ -80,7 +79,6 @@ __all__ = [
     "ReorthPolicy",
     "ValidationError",
     "as_hermitian",
-    "classify_algebra",
     "closure_test",
     "complexity_profile",
     "default_policy",

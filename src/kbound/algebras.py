@@ -51,7 +51,6 @@ __all__ = [
     "parse_model_spec",
     "ClosureReport",
     "closure_test",
-    "classify_algebra",
     "model_amplitudes",
     "model_observables",
 ]
@@ -333,12 +332,17 @@ class ClosureReport:
 
     f_values are the negated second differences of b_n^2 with the chain
     ends padded by zero; the chain is closed when they are constant within
-    tolerance.  alpha = -2 <f> and gamma = 2 b_1^2 are the rates the chain
-    has if closed.  trivial flags chains too short for constancy to mean
+    tol * max b_n^2, the scale of their rounding.  alpha = -2 <f> and
+    gamma = 2 b_1^2 are the rates the chain has if closed, and family its
+    family ("su2", "hw" or "sl2r"; None if not closed): hw when the
+    quadratic term -<f> n (n - 1) / 2 of b_n^2 stays within that limit up
+    to the last padded site n, else su2 for alpha < 0 and sl2r for
+    alpha > 0.  trivial flags chains too short for constancy to mean
     anything (fewer than two f values).
     """
 
     closed: bool
+    family: str | None
     alpha: float
     gamma: float
     max_residual: float
@@ -361,7 +365,7 @@ def closure_test(b, D: int | None = None, tol: float = CLOSURE_TOL) -> ClosureRe
         boundary zero b_D = 0 to the squared sequence, so one constancy test
         covers both cases.
     tol : float
-        Constancy tolerance, applied relative to max(1, b_1^2): the f values
+        Constancy tolerance, applied relative to max b_n^2: the f values
         carry the squared scale of b.
     """
     arr = coefficients(b)
@@ -383,9 +387,17 @@ def closure_test(b, D: int | None = None, tol: float = CLOSURE_TOL) -> ClosureRe
         )
     mean_f = float(np.mean(f_values))
     max_residual = float(np.max(np.abs(f_values - mean_f)))
-    scale = max(1.0, float(arr[0] ** 2))
+    limit = tol * float(np.max(squares))
+    n = squares.size - 1
+    family = None
+    if max_residual <= limit:
+        if abs(mean_f) * (n * (n - 1) / 2.0) <= limit:
+            family = "hw"
+        else:
+            family = "su2" if mean_f > 0.0 else "sl2r"
     return ClosureReport(
-        closed=bool(max_residual <= tol * scale),
+        closed=family is not None,
+        family=family,
         alpha=-2.0 * mean_f,
         gamma=2.0 * float(arr[0] ** 2),
         max_residual=max_residual,
@@ -393,17 +405,6 @@ def closure_test(b, D: int | None = None, tol: float = CLOSURE_TOL) -> ClosureRe
         trivial=bool(f_values.size < 2),
         tol=tol,
     )
-
-
-def classify_algebra(alpha: float, tol: float = CLOSURE_TOL) -> str:
-    """Map a growth rate alpha to its family: "su2", "hw" or "sl2r".
-
-    |alpha| <= tol counts as zero.
-    """
-    alpha = finite(alpha, "alpha")
-    if abs(alpha) <= positive(tol, "tol"):
-        return "hw"
-    return "su2" if alpha < 0.0 else "sl2r"
 
 
 def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:

@@ -55,7 +55,7 @@ def _output(ns: argparse.Namespace):
 # ---------------------------------------------------------------- chain I/O
 
 def _load_chain(path, realization: int | None = None):
-    """(b, D or None, cut_flag) from a chain JSON artifact.
+    """(b, cut_flag) from a chain JSON artifact.
 
     Accepts model artifacts, Lanczos results, closure inputs ({"b": ...}),
     and entry ``realization`` of an ensemble file.  cut_flag means the
@@ -73,7 +73,7 @@ def _load_chain(path, realization: int | None = None):
     b, D, truncated = json_chain(payload, path)
     if b.size == 0:
         raise ValidationError(f"{path}: field 'b' must be a non-empty list")
-    return b, D, truncated or D is None or D != b.size + 1
+    return b, truncated or D is None or D != b.size + 1
 
 
 def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
@@ -83,7 +83,7 @@ def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
     grid that carries probability onto their last two sites is a
     NumericalError.
     """
-    b, _, cut = _load_chain(ns.inputs[0], ns.realization)
+    b, cut = _load_chain(ns.inputs[0], ns.realization)
     return dynamics.evolve_amplitudes(b, _time_grid(ns), open_end=cut)
 
 
@@ -195,9 +195,8 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> int:
-    b, D, cut = _load_chain(ns.inputs[0], ns.realization)
-    report = algebras.closure_test(b, D=None if cut else D, tol=ns.tol_closure)
-    classification = algebras.classify_algebra(report.alpha) if report.closed else None
+    b, cut = _load_chain(ns.inputs[0], ns.realization)
+    report = algebras.closure_test(b, D=None if cut else b.size + 1, tol=ns.tol_closure)
     fmt = _resolve_format(ns, "json")
     if fmt == "json":
         payload = {
@@ -207,7 +206,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
             "max_residual": report.max_residual,
             "trivial": report.trivial,
             "tol": report.tol,
-            "classification": classification,
+            "classification": report.family,
             "f_values": report.f_values,
         }
         write_json(_output(ns), payload)
@@ -215,7 +214,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
         rows = [("closed", int(report.closed)), ("alpha", report.alpha),
                 ("gamma", report.gamma), ("max_residual", report.max_residual),
                 ("trivial", int(report.trivial)),
-                ("classification", classification or "")]
+                ("classification", report.family or "")]
         write_csv(_output(ns), ("key", "value"), rows)
     return 0
 
@@ -342,7 +341,7 @@ def _build_parser() -> _Parser:
     add_chain_input(p)
     p.add_argument("--tol-closure", dest="tol_closure", type=_option(positive),
                    default=algebras.CLOSURE_TOL,
-                   help="constancy tolerance (relative to max(1, b_1^2))")
+                   help="constancy tolerance (relative to max b_n^2)")
     add_out(p)
 
     p = sub.add_parser("goe", help="random-matrix ensemble pipeline")

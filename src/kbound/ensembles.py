@@ -20,6 +20,7 @@ run_lanczos.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -113,24 +114,31 @@ class EnsembleResult:
     """Aggregated ensemble output.
 
     b_list holds one coefficient array per successful realization, in
-    realization order.  mean_b_sq / std_b_sq are the pointwise ensemble
-    moments of b_n^2 over the shared chain length (the shortest realization;
-    population std).  failed records (index, message) for realizations that
-    raised, without aborting the rest.  profile, when requested, holds the
-    pointwise mean of every per-realization profile column (NaN wherever
-    the column is undefined for at least one member).
+    realization order, and indices their realization numbers; D_values and
+    D_histogram are read off b_list.  mean_b_sq / std_b_sq are the
+    pointwise ensemble moments of b_n^2 over the shared chain length (the
+    shortest realization; population std).  failed records (index,
+    message) for realizations that raised, without aborting the rest.
+    profile, when requested, holds the pointwise mean of every
+    per-realization profile column (NaN wherever the column is undefined
+    for at least one member).
     """
 
     spec: GoeSpec
     b_list: list[np.ndarray]
     indices: list[int]
-    D_values: np.ndarray
-    D_histogram: dict[int, int]
     mean_b_sq: np.ndarray
     std_b_sq: np.ndarray
-    truncated_flags: list[bool] = field(default_factory=list)
     failed: list[tuple[int, str]] = field(default_factory=list)
     profile: ComplexityProfile | None = None
+
+    @property
+    def D_values(self) -> np.ndarray:
+        return np.array([b.size + 1 for b in self.b_list], dtype=np.int64)
+
+    @property
+    def D_histogram(self) -> dict[int, int]:
+        return dict(Counter(b.size + 1 for b in self.b_list))
 
 
 def _draw(dim, sigma, ss):
@@ -167,7 +175,7 @@ def _run_share(args):
             try:
                 if isinstance(res, Exception):
                     raise res
-                r = {"index": index, "b": res.b, "D": res.D, "truncated": res.truncated}
+                r = {"index": index, "b": res.b}
                 if times is not None:
                     r["profile"] = complexity_profile(evolve_amplitudes(res.b, times))
                 out.append(r)
@@ -211,54 +219,24 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
             raw = [r for share in pool.map(_run_share, tasks) for r in share]
     raw.sort(key=lambda r: r["index"])
 
-    b_list = []
-    indices = []
-    D_values = []
-    truncated_flags = []
-    failed = []
-    profiles = []
-    for r in raw:
-        if "error" in r:
-            failed.append((r["index"], r["error"]))
-            continue
-        b_list.append(np.asarray(r["b"], dtype=np.float64))
-        indices.append(int(r["index"]))
-        D_values.append(r["D"])
-        truncated_flags.append(bool(r["truncated"]))
-        if times is not None:
-            profiles.append(r["profile"])
-    if not b_list:
-        raise NumericalError(
-            "every realization failed; first error: "
-            + (failed[0][1] if failed else "none recorded")
-        )
-    D_values = np.asarray(D_values, dtype=np.int64)
-    hist: dict[int, int] = {}
-    for D in D_values:
-        hist[int(D)] = hist.get(int(D), 0) + 1
+    done = [r for r in raw if "error" not in r]
+    failed = [(r["index"], r["error"]) for r in raw if "error" in r]
+    if not done:
+        # count >= 1, so every realization left an error.
+        raise NumericalError(f"every realization failed; first error: {failed[0][1]}")
+    b_list = [r["b"] for r in done]
     shared = min(arr.size for arr in b_list)
     stack = np.stack([arr[:shared] ** 2 for arr in b_list])
-    mean_b_sq = stack.mean(axis=0)
-    std_b_sq = stack.std(axis=0)
 
     profile = None
     if times is not None:
+        profiles = [r["profile"] for r in done]
         means = {f.name: np.stack([getattr(p, f.name) for p in profiles]).mean(axis=0)
                  for f in fields(ComplexityProfile) if f.name not in ("times", "b1")}
         b1_mean = float(np.mean([p.b1 for p in profiles]))
         profile = ComplexityProfile(times=times, b1=b1_mean, **means)
-    return EnsembleResult(
-        spec=spec,
-        b_list=b_list,
-        indices=indices,
-        D_values=D_values,
-        D_histogram=hist,
-        mean_b_sq=mean_b_sq,
-        std_b_sq=std_b_sq,
-        truncated_flags=truncated_flags,
-        failed=failed,
-        profile=profile,
-    )
+    return EnsembleResult(spec, b_list, [r["index"] for r in done], stack.mean(axis=0),
+                          stack.std(axis=0), failed, profile)
 
 
 def ensemble_to_dict(result: EnsembleResult) -> dict:
@@ -274,14 +252,8 @@ def ensemble_to_dict(result: EnsembleResult) -> dict:
         "mean_b_sq": result.mean_b_sq.tolist(),
         "std_b_sq": result.std_b_sq.tolist(),
         "realizations": [
-            {
-                "index": int(idx),
-                "D": int(D),
-                "truncated": bool(tr),
-                "b": b.tolist(),
-            }
-            for idx, D, tr, b in zip(result.indices, result.D_values,
-                                     result.truncated_flags, result.b_list)
+            {"index": int(idx), "D": b.size + 1, "b": b.tolist()}
+            for idx, b in zip(result.indices, result.b_list)
         ],
         "failed": [{"index": int(i), "error": msg} for i, msg in result.failed],
         "profile": None if result.profile is None else profile_to_dict(result.profile),

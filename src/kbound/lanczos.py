@@ -141,7 +141,7 @@ def default_policy(dim: int) -> ReorthPolicy:
 class LanczosResult:
     """Output of :func:`run_lanczos`.
 
-    b is the coefficient array (b[0] = b_1, length D - 1) and D the Krylov
+    b is the coefficient array (b[0] = b_1), and D = b.size + 1 the Krylov
     dimension reached.  basis, when stored, holds the column-major
     vectorized operators O_0 .. O_{D-1} as rows (O_n is
     ``basis[n].reshape((dim, dim), order="F")``), and ortho_error is then
@@ -155,7 +155,6 @@ class LanczosResult:
     """
 
     b: np.ndarray
-    D: int
     dim: int
     spec: InnerProductSpec
     basis: np.ndarray | None = None
@@ -163,6 +162,10 @@ class LanczosResult:
     truncated: bool = False
     halt_tol: float = DEFAULT_HALT_TOL
     reorth_passes: int | None = None
+
+    @property
+    def D(self) -> int:
+        return self.b.size + 1
 
 
 def _check_symmetric(s: np.ndarray, below: np.ndarray, above: np.ndarray,
@@ -439,10 +442,10 @@ def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
         b = np.sqrt(b2)
         if np.all(np.isfinite(b)):
             halt_scale = np.full(b.size, b[0] if b.size else 0.0)
-            halt_scale[:1] = max(fold.omega_scale, 1.0)
+            halt_scale[:1] = fold.omega_scale
             b = b[:np.argmax(np.append(b <= halt_tol * halt_scale, True))]
             truncated, b = b.size > fold.max_steps, b[:fold.max_steps]
-            return LanczosResult(b=b, D=b.size + 1, dim=d, spec=spec, truncated=truncated,
+            return LanczosResult(b=b, dim=d, spec=spec, truncated=truncated,
                                  halt_tol=halt_tol, reorth_passes=0)
 
     sqrt_m = np.sqrt(fold.m)
@@ -469,7 +472,7 @@ def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
         w, k = _reorthogonalize(w, families[fam][:counts[fam]])
         passes += k
         bnew = float(np.linalg.norm(w))
-        halt_scale = b[0] if b else max(fold.omega_scale, 1.0)
+        halt_scale = b[0] if b else fold.omega_scale
         if bnew <= halt_tol * halt_scale:
             break
         if n >= fold.max_steps:
@@ -480,10 +483,10 @@ def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
         cur[:] = w / bnew
         counts[fam] += 1
 
-    D = len(b) + 1
-    result = LanczosResult(b=np.asarray(b, dtype=np.float64), D=D, dim=d, spec=spec,
+    result = LanczosResult(b=np.asarray(b, dtype=np.float64), dim=d, spec=spec,
                            truncated=truncated, halt_tol=halt_tol, reorth_passes=passes)
     if fold.slot is not None:
+        D = result.D
         x, frame = fold.x, fold.frame
         odd_x = np.sign(frame.omega).ravel(order="F") * x
         frame_rows = np.empty((D, d * d), dtype=np.complex128)
@@ -592,7 +595,6 @@ def load_result_json(path) -> LanczosResult:
     dim = json_field(payload, "dim", integer, path)
     return LanczosResult(
         b=b,
-        D=D,
         dim=dim,
         spec=InnerProductSpec(
             json_field(payload, "beta", nonnegative, path, default=0.0),

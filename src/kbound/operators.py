@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from ._util import (_numbers, complex_array, integer, json_field, load_json_object,
                     nonnegative, positive, square_matrix, write_json)
 
@@ -55,7 +55,7 @@ class HermitianMatrix:
     """A square complex matrix of finite entries validated to be Hermitian.
 
     The deviation ``max |M - M^dag|`` must stay below ``HERMITICITY_TOL``
-    relative to max(1, max|M|); the matrix is stored as given (complex128
+    relative to max|M|; the matrix is stored as given (complex128
     copy), not resymmetrized.
     """
 
@@ -63,7 +63,7 @@ class HermitianMatrix:
 
     def __post_init__(self):
         m = square_matrix(self.entries, "entries")
-        scale = max(1.0, float(np.max(np.abs(m))))
+        scale = float(np.max(np.abs(m)))
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_TOL * scale:
             raise ValidationError(
@@ -147,12 +147,10 @@ class _Frame:
             shifted = energies - energies.min()
             w = np.exp(-spec.beta * shifted / 2.0)
             partition = float(np.sum(np.exp(-spec.beta * shifted)))
-            # Weights that underflow to 0 carry no mass: the fold drops them.
+            # Each w is in [0, 1] and Z >= 1 (the ground state's term is 1), so
+            # the weights are finite; those that underflow to 0 carry no mass:
+            # the fold drops them.
             weights = np.outer(w, w) / partition
-            if not np.all(np.isfinite(weights)):
-                raise NumericalError(
-                    "thermal weights are not finite; beta * spectral width too large"
-                )
         self.dim = dim
         self.vectors = vectors
         self.sqrt_weights = np.sqrt(weights)

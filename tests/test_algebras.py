@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from kbound.algebras import (
     AlgebraModel,
-    classify_algebra,
     closure_test,
     model_amplitudes,
     model_observables,
     parse_model_spec,
 )
 from kbound.dynamics import TAIL_TOL, complexity_profile, evolve_amplitudes
+from kbound.ensembles import goe_sample, uniform_observable
 from kbound.errors import NumericalError, ValidationError
+from kbound.lanczos import run_lanczos
 
 
 class TestAlgebraModel:
@@ -187,7 +188,7 @@ class TestClosureTest:
             M = (m.D - 1) if m.D else 40
             b = m.b(np.arange(1, M + 1))
             rep = closure_test(b, D=m.D)
-            assert rep.closed
+            assert rep.closed and rep.family == m.kind
             assert not rep.trivial
             assert rep.alpha == pytest.approx(m.alpha, abs=1e-10 * max(1, abs(m.alpha)))
             assert rep.gamma == pytest.approx(m.gamma, rel=1e-12)
@@ -228,11 +229,36 @@ class TestClosureTest:
         b = AlgebraModel.from_rates(0.5, 3.0).b(np.arange(1, 20))
         assert closure_test(b * 100.0).closed
 
-    def test_classification(self):
-        assert classify_algebra(-2.0) == "su2"
-        assert classify_algebra(0.0) == "hw"
-        assert classify_algebra(1e-12) == "hw"
-        assert classify_algebra(3.0) == "sl2r"
+    @pytest.mark.parametrize("model, sites", [
+        (AlgebraModel.su2(0.5, 3.0), None), (AlgebraModel.hw(1e4), 2000),
+        (AlgebraModel.sl2r(0.01), 20000), (AlgebraModel.su2(2e4), None),
+    ], ids=lambda v: v.label() if isinstance(v, AlgebraModel) else str(v))
+    def test_family_of_a_closed_chain(self, model, sites):
+        # Neither the scale nor the length of a chain decides its verdict or
+        # its family.  hw nu = 1e4 has f values of rounding size 1e-5 (an
+        # absolute limit read them as sl2r).  The f values of sl2r eta = 0.01
+        # round at max b_n^2 = 4e8, not at b_1^2 = 0.01 (a limit of
+        # tol * max(1, b_1^2) = 1e-8 called the chain open).  The second
+        # difference 2 nu^2 of a long sl2r or su2 chain is below
+        # tol * max b_n^2, but not its quadratic term over the whole chain.
+        b = model.b(np.arange(1, (model.D or sites + 1)))
+        rep = closure_test(b, D=model.D)
+        assert rep.closed and rep.family == model.kind
+
+    def test_no_family_for_an_open_chain(self):
+        b = AlgebraModel.sl2r(3.0, 1.0).b(np.arange(1, 25))
+        b[6] *= 1.1
+        assert closure_test(b).family is None
+
+    @pytest.mark.parametrize("D", [None, "full"])
+    def test_small_chain_is_not_closed_by_its_scale(self, D):
+        # A GOE chain does not saturate at any scale; at 1e-5 its f values
+        # (~1e-10) sat under an absolute limit of 1e-8.
+        H = goe_sample(8, seed=1)
+        res = run_lanczos(H, uniform_observable(H), store_basis=False)
+        for scale in (1.0, 1e-5):
+            rep = closure_test(scale * res.b, D=res.D if D else None)
+            assert not rep.closed and rep.family is None
 
 
 @settings(max_examples=40, deadline=None)

@@ -364,6 +364,17 @@ class TestClosureCommand:
         assert d["classification"] is None
         assert d["max_residual"] > d["tol"]
 
+    @pytest.mark.parametrize("spec, family", [("hw:nu=1e4", "hw"),
+                                              ("su2:j=3,nu=1e-5", "su2"),
+                                              ("syk:eta=0.01", "sl2r")])
+    def test_family_of_a_model_artifact(self, tmp_path, capsys, spec, family):
+        chain = tmp_path / "c.json"
+        assert main(["model", spec, "--coeffs", "2000", "--out", str(chain)]) == 0
+        code, out, _ = run_cli(capsys, "closure", str(chain))
+        assert code == 0
+        d = json.loads(out)
+        assert d["closed"] is True and d["classification"] == family
+
     def test_csv_report(self, tmp_path, capsys):
         chain = tmp_path / "c.json"
         chain.write_text(json.dumps(

@@ -5,6 +5,7 @@ import pytest
 
 import kbound._util as _util
 import kbound.ensembles as ens
+from kbound import lanczos
 from kbound.ensembles import (
     GoeSpec,
     ensemble_to_dict,
@@ -85,7 +86,7 @@ class TestRunEnsemble:
             res = run_ensemble(GoeSpec(dim=d, sigma=1.0, count=5, seed=1))
             assert res.D_values.tolist() == [max_chain_length(d)] * 5
             assert res.failed == []
-            assert not any(res.truncated_flags)
+            assert res.D_histogram == {max_chain_length(d): 5}
 
     def test_worker_count_does_not_change_results(self):
         spec = GoeSpec(dim=6, sigma=1.0, count=6, seed=42)
@@ -143,6 +144,48 @@ class TestRunEnsemble:
             H = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(i,)))
             np.testing.assert_array_equal(
                 b, run_lanczos(H, uniform_observable(H), store_basis=False).b)
+
+    def test_chain_and_evolution_failures_are_recorded(self, monkeypatch, capsys):
+        # A chain that fails inside the batch (realization 1) and an
+        # evolution that fails after it (realization 3) each cost their own
+        # realization only.
+        spec = GoeSpec(dim=4, sigma=1.0, count=5, seed=5)
+        t = np.linspace(0.0, 1.0, 5)
+        clean = run_ensemble(spec, profile_times=t)
+        real_fold, real_evolve = lanczos._fold, ens.evolve_amplitudes
+        H1 = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+
+        def fold(H, *args):
+            if np.array_equal(H, H1):
+                raise NumericalError("synthetic chain breakdown")
+            return real_fold(H, *args)
+
+        def evolve(b, times):
+            if np.array_equal(b, clean.b_list[3]):
+                raise NumericalError("synthetic evolution breakdown")
+            return real_evolve(b, times)
+
+        monkeypatch.setattr(lanczos, "_fold", fold)
+        monkeypatch.setattr(ens, "evolve_amplitudes", evolve)
+        res = run_ensemble(spec, profile_times=t, workers=1)
+        assert res.failed == [(1, "NumericalError: synthetic chain breakdown"),
+                              (3, "NumericalError: synthetic evolution breakdown")]
+        assert res.indices == [0, 2, 4]
+        for i, b in zip(res.indices, res.b_list):
+            np.testing.assert_array_equal(b, clean.b_list[i])
+        assert cli.main(["goe", "--dim", "4", "--count", "5", "--seed", "5",
+                         "--tmax", "1", "--steps", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert [f["index"] for f in json.loads(out)["failed"]] == [1, 3]
+        assert "warning: 2 of 5 realizations failed" in err
+
+    @pytest.mark.parametrize("sigma", [1e-12, 1e6])
+    def test_chains_do_not_depend_on_the_unit_of_energy(self, sigma):
+        base = run_ensemble(GoeSpec(dim=8, sigma=1.0, count=3, seed=7))
+        scaled = run_ensemble(GoeSpec(dim=8, sigma=sigma, count=3, seed=7))
+        assert scaled.D_histogram == base.D_histogram == {57: 3}
+        for b, ref in zip(scaled.b_list, base.b_list):
+            np.testing.assert_allclose(b / sigma, ref, rtol=0, atol=1e-12 * np.max(ref))
 
     def test_all_failures_raise(self, monkeypatch):
         def broken(dim, sigma, ss):

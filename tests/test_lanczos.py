@@ -586,6 +586,19 @@ class TestMeasureFold:
         np.testing.assert_allclose(scaled.b, c * base.b, rtol=0,
                                    atol=1e-10 * c * np.max(base.b))
 
+    @pytest.mark.parametrize("store_basis", [False, True])
+    @pytest.mark.parametrize("c", [1e-15, 1e-11, 1.0, 1e6])
+    def test_halting_is_unit_free(self, store_basis, c):
+        # The first step halts relative to the omega width alone; with a
+        # floor of 1 on it, a d = 8 GOE chain at c = 1e-11 stopped at D = 1.
+        H = goe_sample(8, seed=1)
+        O = uniform_observable(H)
+        base = run_lanczos(H, O, store_basis=False)
+        scaled = run_lanczos(c * H, O, store_basis=store_basis)
+        assert scaled.D == base.D == 57
+        np.testing.assert_allclose(scaled.b / c, base.b, rtol=0,
+                                   atol=1e-12 * np.max(base.b))
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -709,6 +722,14 @@ class TestSerialization:
         assert back.truncated == res.truncated
         assert back.reorth_passes == res.reorth_passes > 0
         np.testing.assert_allclose(back.basis, res.basis, atol=0.0)
+
+    def test_D_is_read_off_b(self, tmp_path):
+        res = LanczosResult(b=np.array([1.0, 2.0]), dim=2, spec=InnerProductSpec())
+        assert res.D == 3
+        path = tmp_path / "res.json"
+        save_result_json(res, path)
+        assert json.loads(path.read_text())["D"] == 3
+        assert load_result_json(path).D == 3
 
     def test_basis_excluded_by_default(self, rng, tmp_path):
         d = 3

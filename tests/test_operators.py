@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kbound.ensembles import goe_sample
 from kbound.errors import ValidationError
 from kbound.lanczos import run_lanczos
 from kbound.operators import (
@@ -40,6 +41,13 @@ class TestHermitianMatrix:
         m = random_hermitian(rng, 4)
         m[0, 1] += 1e-14
         HermitianMatrix(m)
+
+    def test_tolerance_is_relative_to_the_entries(self):
+        # A deviation as large as the matrix is not rounding, however small
+        # both are; a tiny Hermitian matrix is still Hermitian.
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix([[0.0, 1e-13], [0.0, 0.0]])
+        HermitianMatrix(1e-12 * goe_sample(8, seed=1))
 
     def test_as_hermitian_passthrough(self, rng):
         h = HermitianMatrix(random_hermitian(rng, 3))

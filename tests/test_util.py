@@ -18,8 +18,7 @@ import kbound
 from kbound import cli
 from kbound._util import (finite_or_none, integer, load_json_object, row_blocks, write_csv,
                           write_json)
-from kbound.algebras import (AlgebraModel, classify_algebra, closure_test,
-                             model_observables, parse_model_spec)
+from kbound.algebras import AlgebraModel, closure_test, model_observables, parse_model_spec
 from kbound.dynamics import deviation_time, evolve_amplitudes, short_time_coefficients
 from kbound.ensembles import GoeSpec, ensemble_to_dict, goe_sample, run_ensemble
 from kbound.errors import ValidationError
@@ -285,8 +284,6 @@ _ARGUMENTS = [
                  id="closure_test-tol-nan"),
     pytest.param(lambda _: closure_test([1.0, 2.0], tol=math.inf), "tol",
                  id="closure_test-tol-inf"),
-    pytest.param(lambda _: classify_algebra(0.0, tol=math.nan), "tol",
-                 id="classify_algebra-tol"),
     pytest.param(lambda _: parse_model_spec("sat:alpha=-4,gamma=4,D=3.5"), "D",
                  id="parse_model_spec-D"),
     pytest.param(lambda _: AlgebraModel.from_rates(-4.0, 4.0, D=True), "D",
@@ -295,7 +292,6 @@ _ARGUMENTS = [
                  id="from_rates-gamma"),
     pytest.param(lambda _: AlgebraModel.from_rates("-4", 4.0), "alpha",
                  id="from_rates-alpha-str"),
-    pytest.param(lambda _: classify_algebra(True), "alpha", id="classify_algebra-bool"),
     pytest.param(lambda _: AlgebraModel.su2(1.0, nu=math.inf), "nu", id="su2-nu"),
     pytest.param(lambda _: AlgebraModel("su2", 1.0), "j", id="su2-j-missing"),
     pytest.param(lambda _: AlgebraModel.sl2r(-1.0), "eta", id="sl2r-eta"),
@@ -533,8 +529,8 @@ def test_chain_shorter_than_its_D(tmp_path):
     message = re.escape(f"{path}: field 'b' lists 2 coefficients") + r".*'D' = 5.*D - 1 = 4"
     with pytest.raises(ValidationError, match=message):
         load_result_json(path)
-    b, D, cut = _load_chain(path)
-    assert b.size == 2 and D == 5 and cut
+    b, cut = _load_chain(path)
+    assert b.size == 2 and cut
 
 
 @pytest.mark.parametrize("points, sites", [(1, 1), (601, 2001), (5, (1 << 16) + 1),
