@@ -345,11 +345,17 @@ def _build_parser() -> _Parser:
     add_out(p)
 
     p = sub.add_parser("goe", help="random-matrix ensemble pipeline")
-    p.add_argument("--dim", type=_option(integer, 2), required=True)
-    p.add_argument("--sigma", type=_option(positive), default=1.0)
-    p.add_argument("--count", type=_option(integer), default=1)
-    p.add_argument("--seed", type=_option(integer, 0), default=0)
-    p.add_argument("--workers", type=_option(integer), default=1)
+    p.add_argument("--dim", type=_option(integer, 2), required=True,
+                   help="Hilbert-space dimension d of each GOE draw")
+    p.add_argument("--sigma", type=_option(positive), default=1.0,
+                   help="H = (X + X^T) / 2, X i.i.d. N(0, sigma^2) (default 1)")
+    p.add_argument("--count", type=_option(integer), default=1,
+                   help="number of realizations (default 1)")
+    p.add_argument("--seed", type=_option(integer, 0), default=0,
+                   help="ensemble seed; realization i draws from spawn key (i,) (default 0)")
+    p.add_argument("--workers", type=_option(integer), default=1,
+                   help="most processes to use (default 1); each takes whole batches "
+                        "of realizations, and a run of one batch starts none")
     add_halt(p)
     add_grid(p)
     add_out(p)

@@ -54,6 +54,17 @@ array is reported whole, its output allocated before the first block; the
 sites its window never reached, where |phi_n| < 1e-15, hold exact zeros.
 A family is reported up to the last site where |phi_n| exceeds
 ``TAIL_TOL``, plus 2.
+
+The complete chains of an ensemble's batch march together
+(``_batch_profiles``): a column each, zero past the end of each chain,
+whose end is then a closed wall.  One window, one a = 2 max b over it
+across the batch and one series per grid row serve every chain, and each
+block's rows are reduced to K, the rate and Delta K^2 of every chain as
+they are made, by the row reductions of complexity_profile; no amplitude
+grid is built.  The batch's window times its chain count stays within
+``_util._BLOCK_CELLS`` (its caller sizes the batch so), so its vectors take
+no more than a single chain's window of MAX_TRUNCATION sites, and its rows
+are made one row block of at most that many cells at a time.
 """
 
 from __future__ import annotations
@@ -224,15 +235,20 @@ def _bessel_series(x: float) -> np.ndarray:
     return np.array(f[:n + 1]) / scale
 
 
-def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray):
     """exp(h A) phi from the series coef[k] = J_k(a h), bonds = sign(h) 2 b / a.
 
     With M = 2 A / a the terms are R_1 = M phi / 2 and
     R_{k+1} = M R_k + R_{k-1}; the window has one site more than the
-    support of any R_k, so its end never reflects.  A 2-D coef holds one
-    series per row, for offsets h_j of one sign: the R_k are then stored as
-    a (K + 1, window) array and the rows exp(h_j A) phi come from one
-    product with them.  A 1-D coef accumulates its sum term by term.
+    support of any R_k, so its end never reflects.  phi and bonds may carry
+    a trailing chain axis, (window, r) and (window - 1, r): every operation
+    acts on each column alike.  A 1-D coef accumulates its sum term by term
+    and returns the state.  A 2-D coef holds one series per row, for offsets
+    h_j of one sign: the R_k are then stored as a (K + 1, window[, r])
+    array, and the rows exp(h_j A) phi come from products with them,
+    returned as (row slice, rows) pairs: a single chain's from one product,
+    a batch's from one per row block of at most _util._BLOCK_CELLS cells,
+    made as the pairs are taken.
     """
     def hop(x, out):
         out[1:] += bonds * x[:-1]
@@ -240,7 +256,7 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.
         return out
 
     if coef.ndim == 2:
-        R = np.empty((coef.shape[1], phi.size))
+        R = np.empty((coef.shape[1],) + phi.shape)
         R[0] = phi
         R[1] = 0.5 * hop(phi, np.zeros_like(phi))
         for k in range(2, R.shape[0]):
@@ -248,7 +264,11 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.
             hop(R[k - 1], R[k])
         weights = 2.0 * coef
         weights[:, 0] = coef[:, 0]
-        return weights @ R
+        if phi.ndim == 1:
+            return [(slice(None), weights @ R)]
+        R = R.reshape(R.shape[0], -1)
+        return ((rows, (weights[rows] @ R).reshape((-1,) + phi.shape))
+                for rows in row_blocks(weights.shape[0], R.shape[1]))
 
     prev = phi.copy()
     cur = 0.5 * hop(phi, np.zeros_like(phi))
@@ -261,12 +281,16 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray) -> np.
 
 
 def _last_site(phi: np.ndarray, threshold: float) -> int:
-    """Index of the last site with phi_n^2 above threshold (0 if none)."""
-    above = np.flatnonzero(phi * phi > threshold)
+    """Index of the last site with phi_n^2 above threshold, in any chain of
+    a (sites, r) state (0 if none)."""
+    above = phi * phi > threshold
+    if above.ndim > 1:
+        above = above.any(axis=1)
+    above = np.flatnonzero(above)
     return int(above[-1]) if above.size else 0
 
 
-def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajectory:
+def _evolve_window(source, times: np.ndarray, open_end: bool):
     """Chebyshev blocks on a window grown as the amplitude spreads.
 
     source is a family callable or a coefficient array.  The window stops
@@ -276,9 +300,16 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
     sites stays below TAIL_TOL.  An array is reported whole, its output
     allocated before the first block; a family's rows are collected and
     cut past the last site whose amplitude exceeds TAIL_TOL.
+
+    A (N - 1, r) array is a batch of r closed chains, one per column, each
+    zero past its own end: they march together, with one a = 2 max b over
+    the window of all of them and one series per grid row, and each block's
+    rows are reduced to K, the rate and Delta K^2 of every chain
+    (_row_moments) as they are made.  That returns a (3, points, r) array
+    of those columns and builds no grid.
     """
     family = callable(source)
-    end = None if family else source.size + 1
+    end = None if family else source.shape[0] + 1
     b = np.empty(0) if family else source
     cap = MAX_TRUNCATION if family else min(end, MAX_TRUNCATION)
     wall_mass = 0.0
@@ -344,28 +375,38 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
             else:
                 steps = shorten(steps)
 
-    out = None if family else output_array(times.size, end)
-    rows = [None] * times.size
+    batch = b.ndim == 2
+    out = None if family or batch else output_array(times.size, end)
+    if batch:
+        moments = np.empty((3, times.size, b.shape[1]))
+        ns = np.arange(end, dtype=np.float64)
+    kept = [None] * times.size
 
-    def record(k: int, row: np.ndarray) -> int:
-        """Keep row as phi(times[k]) up to its last occupied site; return that site."""
+    def record(ks: np.ndarray, block: np.ndarray) -> int:
+        """Keep block[j] as phi(times[ks[j]]) up to its last occupied site, or
+        reduce a batch's block; return the last row's last occupied site."""
         nonlocal wall_mass
-        reach = _last_site(row, _OCCUPIED)
-        if family:
-            rows[k] = row[:reach + 1].copy()
-        else:
-            out[k, :reach + 1] = row[:reach + 1]
-        if open_end:
-            # The last two sites, but never the seed's site 0.
-            last = row[max(1, end - 2):]
-            wall_mass = max(wall_mass, float(last @ last))
-            if wall_mass >= TAIL_TOL:
-                raise NumericalError(
-                    f"the chain lists {end - 1} coefficients, and by t = "
-                    f"{times[k]:g} its last two sites hold probability "
-                    f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
-                    "more coefficients or shorten the grid"
-                )
+        if batch:
+            sites = block.shape[1]
+            moments[:, ks] = _row_moments(block, b[:sites - 1], ns[:sites])
+            return _last_site(block[-1], _OCCUPIED)
+        for k, row in zip(ks, block):
+            reach = _last_site(row, _OCCUPIED)
+            if family:
+                kept[k] = row[:reach + 1].copy()
+            else:
+                out[k, :reach + 1] = row[:reach + 1]
+            if open_end:
+                # The last two sites, but never the seed's site 0.
+                last = row[max(1, end - 2):]
+                wall_mass = max(wall_mass, float(last @ last))
+                if wall_mass >= TAIL_TOL:
+                    raise NumericalError(
+                        f"the chain lists {end - 1} coefficients, and by t = "
+                        f"{times[k]:g} its last two sites hold probability "
+                        f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
+                        "more coefficients or shorten the grid"
+                    )
         return reach
 
     def march(order):
@@ -377,13 +418,13 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
         """
         nonlocal blocks, terms, widest
         order = np.asarray(order, dtype=np.intp)
-        phi = np.zeros(2)
+        phi = np.zeros((2,) + b.shape[1:])
         phi[0] = 1.0
         reach, t_now, i = 0, 0.0, 0
         while i < order.size:
             if times[order[i]] == t_now:
                 # t = 0 itself: the seed e_0, exactly.
-                reach = record(order[i], phi)
+                reach = record(order[i:i + 1], phi[None])
                 i += 1
                 continue
             a = 2.0 * float(chain(min(reach + 2, cap)).max())
@@ -402,21 +443,22 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
             blocks += 1
             terms += coef.shape[-1]
             widest = max(widest, sites)
-            state = np.zeros(sites)
-            keep = min(sites, phi.size)
+            state = np.zeros((sites,) + phi.shape[1:])
+            keep = min(sites, phi.shape[0])
             state[:keep] = phi[:keep]
             bonds = math.copysign(2.0 / a, steps[-1]) * b[:sites - 1]
-            phi = _chebyshev_step(state, bonds, coef)
-            if steps[-1] != offsets[m - 1]:
-                # A split step toward the next point.
-                t_now += float(steps[-1])
-                reach = _last_site(phi, _OCCUPIED)
-                continue
             if m > 1:
-                for k, row in zip(order[i:i + m - 1], phi[:-1]):
-                    record(k, row)
-                phi = phi[-1]
-            reach = record(order[i + m - 1], phi)
+                for rows, block in _chebyshev_step(state, bonds, coef):
+                    reach = record(order[i:i + m][rows], block)
+                phi = block[-1]
+            else:
+                phi = _chebyshev_step(state, bonds, coef)
+                if steps[-1] != offsets[0]:
+                    # A split step toward the next point.
+                    t_now += float(steps[-1])
+                    reach = _last_site(phi, _OCCUPIED)
+                    continue
+                reach = record(order[i:i + 1], phi[None])
             t_now = float(times[order[i + m - 1]])
             i += m
 
@@ -424,13 +466,15 @@ def _evolve_window(source, times: np.ndarray, open_end: bool) -> AmplitudeTrajec
     march(range(start - 1, -1, -1))
     march(range(start, times.size))
 
+    if batch:
+        return moments
     stats = ("window", blocks, terms, widest)
     if not family:
         return AmplitudeTrajectory(times, out, b, open_end, wall_mass, *stats)
-    n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in rows) + 2
+    n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in kept) + 2
     phi = output_array(times.size, n_sites)
     tail = 0.0
-    for k, row in enumerate(rows):
+    for k, row in enumerate(kept):
         keep = min(row.size, n_sites)
         phi[k, :keep] = row[:keep]
         tail = max(tail, float(row[keep:] @ row[keep:]))
@@ -514,20 +558,46 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     phi = trajectory.phi
     b = trajectory.b
     ns = np.arange(phi.shape[1], dtype=np.float64)
-    complexity = np.einsum("kn,kn,n->k", phi, phi, ns)
-    rate = 2.0 * np.einsum("kn,kn,n->k", phi[:, :-1], phi[:, 1:], b)
-    variance = np.empty_like(complexity)
+    moments = np.empty((3, phi.shape[0]))
     for rows in row_blocks(*phi.shape):
-        dev = ns - complexity[rows, None]
-        dev *= phi[rows]
-        variance[rows] = np.einsum("kn,kn->k", dev, dev)
-    dispersion = np.sqrt(variance)
+        moments[:, rows] = _row_moments(phi[rows], b, ns)
+    return _moments_profile(trajectory.times, *moments, float(b[0]) if b.size else 0.0)
 
-    b1 = float(b[0]) if b.size else 0.0
+
+def _row_moments(phi: np.ndarray, b: np.ndarray, ns: np.ndarray) -> tuple:
+    """K, the rate and Delta K^2 of each row of phi, (rows, sites), or of
+    each row and chain of phi, (rows, sites, r) with b (sites - 1, r), as
+    complexity_profile defines them; ns is arange(sites).  Each einsum
+    reduces every row on its own."""
+    complexity = np.einsum("kn...,kn...,n->k...", phi, phi, ns)
+    rate = 2.0 * np.einsum("kn...,kn...,n...->k...", phi[:, :-1], phi[:, 1:], b)
+    dev = ns.reshape(ns.shape + (1,) * (phi.ndim - 2)) - complexity[:, None]
+    dev *= phi
+    return complexity, rate, np.einsum("kn...,kn...->k...", dev, dev)
+
+
+def _moments_profile(times, complexity, rate, variance, b1: float) -> ComplexityProfile:
+    """The profile of a chain's K, rate and Delta K^2 columns, with the
+    floor of complexity_profile: 16 sqrt(eps) times the peak rms position,
+    and at least UNDEFINED_CUTOFF."""
     eps = float(np.finfo(np.float64).eps)
     rms_peak = float(np.sqrt(np.max(complexity**2 + variance, initial=0.0)))
     floor = max(UNDEFINED_CUTOFF, 16.0 * np.sqrt(eps) * rms_peak)
-    return _profile(trajectory.times, complexity, rate, dispersion, b1, floor)
+    return _profile(times, complexity, rate, np.sqrt(variance), b1, floor)
+
+
+def _batch_profiles(chains, times: np.ndarray) -> list[ComplexityProfile]:
+    """complexity_profile(evolve_amplitudes(b, times)) of each complete chain
+    b, to rounding, from one march of them all (_evolve_window on their
+    columns, zero past each chain's end), which builds no amplitude grid.
+    The caller keeps the chain count times the longest chain's D within
+    _util._BLOCK_CELLS, so that every one of the march's vectors is too."""
+    columns = np.zeros((max(b.size for b in chains), len(chains)))
+    for c, b in enumerate(chains):
+        columns[:b.size, c] = b
+    moments = _evolve_window(columns, times, False)
+    return [_moments_profile(times, *moments[:, :, c], float(b[0]) if b.size else 0.0)
+            for c, b in enumerate(chains)]
 
 
 def _profile(times, complexity, rate, dispersion, b1: float, floor: float) -> ComplexityProfile:

@@ -12,16 +12,21 @@ D = d^2 - d + 1 for a generic spectrum.
 Reproducibility scheme: realization i of an ensemble seeded with s draws
 from numpy's SeedSequence(entropy=s, spawn_key=(i,)) and a PCG64 generator,
 so results are independent of how realizations are distributed over worker
-processes, and any single realization can be redrawn in isolation.  Each
-worker chains its share in batches through one RKPW wavefront per batch
-(see ``kbound.lanczos``), and every chain comes out bit for bit as its own
-run_lanczos.
+processes, and any single realization can be redrawn in isolation.
+
+The realizations are cut into batches by index alone, of
+row_blocks(count, max_chain_length(dim)) realizations: as many as fill
+``_util._BLOCK_CELLS`` with the longest chains they can have (65 at
+d = 32).  A batch's chains run as one RKPW wavefront (see
+``kbound.lanczos``), and every chain comes out bit for bit as its own
+run_lanczos.  With a time grid, its chains are then evolved as one
+Chebyshev march whose rows are reduced to each chain's profile columns as
+they are made (``dynamics._batch_profiles``); no amplitude grid is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,9 +35,9 @@ from .errors import NumericalError, ValidationError
 from ._util import (fraction, integer, positive, row_blocks, validate_times, write_csv,
                     write_json)
 from .operators import InnerProductSpec, OperatorVector, _Frame, as_hermitian
-from .lanczos import DEFAULT_HALT_TOL, _run_batch
-from .dynamics import (ComplexityProfile, complexity_profile, evolve_amplitudes,
-                       profile_to_dict)
+from .lanczos import DEFAULT_HALT_TOL, _run_batch, max_chain_length
+from .dynamics import (ComplexityProfile, _batch_profiles, complexity_profile,
+                       evolve_amplitudes, profile_to_dict)
 
 __all__ = [
     "GoeSpec",
@@ -152,35 +157,57 @@ def _failure(index: int, exc: Exception) -> dict:
 
 
 def _run_share(args):
-    """The chains (and profiles) of one worker's share of the realizations,
-    or the numerical error each met, each realization on its own.
+    """The chains (and profiles) of one share's batches of realizations, or
+    the numerical error each met, each realization on its own.
 
-    The share is drawn and chained in batches of row_blocks(share, d(d-1)/2)
-    realizations, whose chains run as one RKPW wavefront
-    (``lanczos._run_batch``); evolution and profile stay per realization.
-    A ValidationError is not caught: it comes from the spec or the grid,
-    which every realization shares, so it is the run's error.
+    A batch's chains run as one RKPW wavefront (``lanczos._run_batch``) and
+    are evolved as one march (``dynamics._batch_profiles``).  A march that
+    meets a numerical error is redone chain by chain, so that only the
+    failing realization is recorded.  A ValidationError is not caught: it
+    comes from the spec or the grid, which every realization shares, so it
+    is the run's error.
     """
-    dim, sigma, members, halt_tol, times = args
+    dim, sigma, batches, halt_tol, times = args
     out = []
-    for block in row_blocks(len(members), dim * (dim - 1) // 2):
+    for batch in batches:
         indices, pairs = [], []
-        for index, ss in members[block]:
+        for index, ss in batch:
             try:
                 pairs.append(_draw(dim, sigma, ss))
                 indices.append(index)
             except _FAILURES as exc:
                 out.append(_failure(index, exc))
+        chains = []
         for index, res in zip(indices, _run_batch(pairs, halt_tol)):
-            try:
-                if isinstance(res, Exception):
-                    raise res
-                r = {"index": index, "b": res.b}
-                if times is not None:
-                    r["profile"] = complexity_profile(evolve_amplitudes(res.b, times))
-                out.append(r)
-            except _FAILURES as exc:
-                out.append(_failure(index, exc))
+            if isinstance(res, Exception):
+                out.append(_failure(index, res))
+            else:
+                chains.append((index, res.b))
+        profiles = [None] * len(chains)
+        if times is not None and chains:
+            profiles = _profiles([b for _, b in chains], times)
+        for (index, b), profile in zip(chains, profiles):
+            if isinstance(profile, Exception):
+                out.append(_failure(index, profile))
+            else:
+                out.append({"index": index, "b": b, "profile": profile})
+    return out
+
+
+def _profiles(chains, times) -> list:
+    """Each chain's profile on times, from one march of them all, or, if that
+    meets a numerical error, from one evolution per chain, with the error
+    of each chain that meets one in place of its profile."""
+    try:
+        return _batch_profiles(chains, times)
+    except _FAILURES:
+        pass
+    out = []
+    for b in chains:
+        try:
+            out.append(complexity_profile(evolve_amplitudes(b, times)))
+        except _FAILURES as exc:
+            out.append(exc)
     return out
 
 
@@ -194,10 +221,12 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
         When given, each realization is also evolved on this grid and the
         ensemble-averaged complexity profile is attached to the result.
     workers : int
-        Process count.  Each worker takes one contiguous share of the
-        realizations and runs their chains in batches, one RKPW wavefront
-        per batch with a column per chain (``lanczos._run_batch``); each
-        chain is bit for bit its own ``run_lanczos``.  Results are
+        Most processes the run uses.  The realizations are cut into
+        batches by index alone (module docstring), and the batches into at
+        most ``workers`` contiguous shares of whole batches.  This process
+        runs the first share, and a pool of one process per other share
+        runs the rest, so a run of one batch starts no process.  Each
+        chain is bit for bit its own ``run_lanczos``, and results are
         aggregated in realization order, so the outcome is identical for
         any worker count, bit for bit.
     """
@@ -209,14 +238,19 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
     # numpy.random (~15 ms to import) is loaded once, before the pool forks.
     members = [(i, np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
                for i in range(spec.count)]
-    bounds = [spec.count * k // workers for k in range(workers + 1)]
-    tasks = [(spec.dim, spec.sigma, members[lo:hi], spec.halt_tol, times)
-             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    batches = [members[rows] for rows in row_blocks(spec.count, max_chain_length(spec.dim))]
+    shares = min(workers, len(batches))
+    bounds = [len(batches) * k // shares for k in range(shares + 1)]
+    tasks = [(spec.dim, spec.sigma, batches[lo:hi], spec.halt_tol, times)
+             for lo, hi in zip(bounds, bounds[1:])]
     if len(tasks) == 1:
         raw = _run_share(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            raw = [r for share in pool.map(_run_share, tasks) for r in share]
+        # Imported only here: it loads multiprocessing, logging and socket.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
+            rest = pool.map(_run_share, tasks[1:])
+            raw = _run_share(tasks[0]) + [r for share in rest for r in share]
     raw.sort(key=lambda r: r["index"])
 
     done = [r for r in raw if "error" not in r]

@@ -18,6 +18,7 @@ from kbound.dynamics import (
     save_amplitudes_csv,
     save_profile_csv,
     short_time_coefficients,
+    _batch_profiles,
     _bessel_series,
     _sixth_coefficient,
 )
@@ -581,6 +582,58 @@ def test_grid_passes_keep_their_working_set_small(tmp_path):
     assert amplitudes_peak <= 1.5 * traj.phi.nbytes
     assert profile_peak < 2e6
     assert csv_peak < 1e6
+
+
+class TestBatchProfiles:
+    # Chains of unequal D marched together, a column each, zero past the end
+    # of each, against each chain's own evolution and profile.
+
+    @staticmethod
+    def chains():
+        out = []
+        for d in (2, 3, 5):
+            H = goe_sample(d, 1.0, seed=d)
+            out.append(run_lanczos(H, uniform_observable(H), store_basis=False).b)
+        out += [np.array([0.7]), np.linspace(2.5, 0.5, 40)]
+        assert len({b.size for b in out}) == len(out)
+        return out
+
+    @pytest.mark.parametrize("times, single_steps", [
+        (np.linspace(0.0, 3.0, 61), False),
+        (np.linspace(-2.5, 2.0, 46), False),
+        # Gaps of a |h| far past _BLOCK_ARG: steps of one point each.
+        (np.array([-40.0, -0.5, 0.0, 0.25, 30.0, 30.1]), True),
+    ], ids=["grid", "negative", "gaps"])
+    def test_each_chain_matches_its_own_profile(self, monkeypatch, times, single_steps):
+        import kbound.dynamics as dyn
+
+        calls = set()
+        step = dyn._chebyshev_step
+
+        def recording_step(phi, bonds, coef):
+            calls.add((phi.ndim, coef.ndim))
+            return step(phi, bonds, coef)
+
+        monkeypatch.setattr(dyn, "_chebyshev_step", recording_step)
+        chains = self.chains()
+        batch = _batch_profiles(chains, times)
+        assert calls <= {(2, 1), (2, 2)}
+        assert ((2, 1) in calls) == single_steps
+        monkeypatch.undo()
+        for b, prof in zip(chains, batch):
+            alone = complexity_profile(evolve_amplitudes(b, times))
+            assert prof.b1 == alone.b1
+            for name in ("complexity", "rate", "dispersion", "bound"):
+                want = getattr(alone, name)
+                np.testing.assert_allclose(getattr(prof, name), want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
+
+    def test_seed_rows_are_exact(self):
+        # t = 0 carries e_0 in every column, so K, rate and Delta K are 0.
+        batch = _batch_profiles(self.chains(), np.array([-1.0, 0.0, 1.0]))
+        for prof in batch:
+            assert prof.complexity[1] == prof.rate[1] == prof.dispersion[1] == 0.0
+            assert np.isnan(prof.ratio[1])
 
 
 class TestProfile:

@@ -1,4 +1,9 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from kbound.ensembles import (
     uniform_observable,
 )
 from kbound import cli
+from kbound.dynamics import complexity_profile, evolve_amplitudes
 from kbound.errors import NumericalError, ValidationError
 from kbound.lanczos import max_chain_length, run_lanczos
 from kbound.operators import InnerProductSpec
@@ -148,11 +154,13 @@ class TestRunEnsemble:
     def test_chain_and_evolution_failures_are_recorded(self, monkeypatch, capsys):
         # A chain that fails inside the batch (realization 1) and an
         # evolution that fails after it (realization 3) each cost their own
-        # realization only.
+        # realization only: the batch's march fails, and its chains are
+        # evolved again one at a time.
         spec = GoeSpec(dim=4, sigma=1.0, count=5, seed=5)
         t = np.linspace(0.0, 1.0, 5)
         clean = run_ensemble(spec, profile_times=t)
-        real_fold, real_evolve = lanczos._fold, ens.evolve_amplitudes
+        real_fold, real_march, real_evolve = (lanczos._fold, ens._batch_profiles,
+                                              ens.evolve_amplitudes)
         H1 = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(1,)))
 
         def fold(H, *args):
@@ -160,12 +168,18 @@ class TestRunEnsemble:
                 raise NumericalError("synthetic chain breakdown")
             return real_fold(H, *args)
 
+        def march(chains, times):
+            if any(np.array_equal(b, clean.b_list[3]) for b in chains):
+                raise NumericalError("synthetic march breakdown")
+            return real_march(chains, times)
+
         def evolve(b, times):
             if np.array_equal(b, clean.b_list[3]):
                 raise NumericalError("synthetic evolution breakdown")
             return real_evolve(b, times)
 
         monkeypatch.setattr(lanczos, "_fold", fold)
+        monkeypatch.setattr(ens, "_batch_profiles", march)
         monkeypatch.setattr(ens, "evolve_amplitudes", evolve)
         res = run_ensemble(spec, profile_times=t, workers=1)
         assert res.failed == [(1, "NumericalError: synthetic chain breakdown"),
@@ -195,9 +209,9 @@ class TestRunEnsemble:
         with pytest.raises(NumericalError, match="every realization failed"):
             run_ensemble(GoeSpec(dim=4, sigma=1.0, count=2, seed=5))
 
-    @pytest.mark.parametrize("block_cells", [None, 20])
+    @pytest.mark.parametrize("block_cells", [None, 42])
     def test_shares_and_batches_are_bit_equal(self, monkeypatch, block_cells):
-        # 20 cells are batches of two d = 5 realizations (10 pairs each).
+        # 42 cells are batches of two d = 5 realizations (D <= 21 each).
         if block_cells is not None:
             monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
         spec = GoeSpec(dim=5, sigma=1.0, count=7, seed=13)
@@ -210,6 +224,36 @@ class TestRunEnsemble:
             H = goe_sample(5, 1.0, seed=np.random.SeedSequence(entropy=13, spawn_key=(i,)))
             np.testing.assert_array_equal(
                 b, run_lanczos(H, uniform_observable(H), store_basis=False).b)
+
+    def test_a_single_batch_runs_one_wavefront_and_starts_no_pool(self, monkeypatch):
+        # Six d = 32 realizations are one batch (65 fill _BLOCK_CELLS), so
+        # two workers change nothing: this process does all the work.
+        widths = []
+        real = lanczos._rkpw
+
+        def rkpw(w0, s, h, last=None):
+            widths.append(s.shape)
+            return real(w0, s, h, last)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(lanczos, "_rkpw", rkpw)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        res = run_ensemble(GoeSpec(dim=32, sigma=1.0, count=6, seed=7),
+                           profile_times=np.linspace(0.0, 3.0, 31), workers=2)
+        assert widths == [(496, 6)]
+        assert res.indices == list(range(6))
+
+    def test_profile_is_the_mean_of_each_realization_alone(self):
+        t = np.linspace(0.0, 3.0, 301)
+        res = run_ensemble(GoeSpec(dim=32, sigma=1.0, count=6, seed=7), profile_times=t,
+                           workers=2)
+        alone = [complexity_profile(evolve_amplitudes(b, t)) for b in res.b_list]
+        for name in ("complexity", "rate", "dispersion"):
+            want = np.mean([getattr(p, name) for p in alone], axis=0)
+            got = getattr(res.profile, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -273,3 +317,16 @@ class TestSerialization:
         path.write_text("not json at all")
         assert cli.main(["bound", str(path), "--realization", "0"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_import_loads_no_process_pool():
+    # concurrent.futures (with multiprocessing, logging and socket) is
+    # imported by run_ensemble only when it starts a pool.
+    src = str(Path(ens.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = "import sys, kbound; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
