@@ -14,14 +14,15 @@ from numpy's SeedSequence(entropy=s, spawn_key=(i,)) and a PCG64 generator,
 so results are independent of how realizations are distributed over worker
 processes, and any single realization can be redrawn in isolation.
 
-The realizations are cut into batches by index alone, of
-row_blocks(count, max_chain_length(dim)) realizations: as many as fill
+The realizations are cut by index alone into ceil(count / cap) batches
+whose sizes differ by at most one, cap being as many realizations as fill
 ``_util._BLOCK_CELLS`` with the longest chains they can have (65 at
-d = 32).  A batch's chains run as one RKPW wavefront (see
-``kbound.lanczos``), and every chain comes out bit for bit as its own
-run_lanczos.  With a time grid, its chains are then evolved as one
-Chebyshev march whose rows are reduced to each chain's profile columns as
-they are made (``dynamics._batch_profiles``); no amplitude grid is built.
+d = 32, so count 100 is two batches of 50).  A batch's chains run as one
+qd wavefront (see ``kbound.lanczos``), and every chain comes out bit for
+bit as its own run_lanczos.  With a time grid, its chains are then evolved
+as one Chebyshev march whose rows are reduced to each chain's profile
+columns as they are made (``dynamics._batch_profiles``); no amplitude grid
+is built.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _run_share(args):
     """The chains (and profiles) of one share's batches of realizations, or
     the numerical error each met, each realization on its own.
 
-    A batch's chains run as one RKPW wavefront (``lanczos._run_batch``) and
+    A batch's chains run as one qd wavefront (``lanczos._run_batch``) and
     are evolved as one march (``dynamics._batch_profiles``).  A march that
     meets a numerical error is redone chain by chain, so that only the
     failing realization is recorded.  A ValidationError is not caught: it
@@ -192,6 +193,13 @@ def _run_share(args):
             else:
                 out.append({"index": index, "b": b, "profile": profile})
     return out
+
+
+def _batches(count: int, dim: int) -> list[slice]:
+    """The realizations' batches (module docstring): ceil(count / cap)
+    contiguous slices whose sizes differ by at most one."""
+    n = sum(1 for _ in row_blocks(count, max_chain_length(dim)))
+    return [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
 
 
 def _profiles(chains, times) -> list:
@@ -238,7 +246,7 @@ def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> Ensembl
     # numpy.random (~15 ms to import) is loaded once, before the pool forks.
     members = [(i, np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
                for i in range(spec.count)]
-    batches = [members[rows] for rows in row_blocks(spec.count, max_chain_length(spec.dim))]
+    batches = [members[rows] for rows in _batches(spec.count, spec.dim)]
     shares = min(workers, len(batches))
     bounds = [len(batches) * k // shares for k in range(shares + 1)]
     tasks = [(spec.dim, spec.sigma, batches[lo:hi], spec.halt_tol, times)

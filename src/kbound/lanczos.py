@@ -43,34 +43,70 @@ such a basis is refused.
 
 Because the chain depends on mu alone, a run that does not store the basis
 (every GOE realization, ``kbound lanczos`` without --store-basis, capped or
-not) skips the vectors: it rebuilds the Jacobi matrix of the measure with
-node 0 (if kept) and m_k / 2 at each of +-s_k by the
-Rutishauser-Kahan-Pal-Walker update (Gragg & Harrod, Numer. Math. 44, 1984),
-in O(N^2) scalar work and O(N) memory for N such nodes, with no
-reorthogonalization.  RKPW inserts one node per sweep down the Jacobi matrix;
-here the +s_k and -s_k sweeps run interleaved, position by position, which
-changes no operation, and the symmetry of the measure removes most of the
-operations: once a pair is in, every diagonal entry alpha is 0 again, so
-alpha is never stored, and the -s_k sweep's t is minus the +s_k sweep's at
-every position, so that sweep carries only gamma and p.  The same update is
-exact at the pair's two new positions, so one formula runs over the whole
-sweep, with no branch.  A chain capped at K stops every sweep past
-position K + 1, which later positions never feed: its head is the full
-chain's, bit for bit.  A weight that underflows to 0 on the way makes a NaN
-or an inf that reaches the chain; such a chain is discarded and the run
-takes the Gram-Schmidt recursion, which alone gives Krylov vectors.  Against
-a 40-digit reference on the same measure, the RKPW error on eleven GOE
-chains is at most 2.9e-12 of max b at d <= 48 (1.5e-12 at d = 48, where
-the recursion's is 1.2e-13) and 6.5e-12 at d = 64 (the recursion's 1.2e-12).
+not) skips the vectors and reads the chain off the folded measure
+nu = w0 delta(t) + sum_k m_k delta(t - s_k^2) on t = s^2 >= 0, with no
+reorthogonalization.  The Jacobi matrix of nu is L L^T with L lower
+bidiagonal, and the chain's squares are exactly nu's qd variables (its
+Stieltjes continued fraction): b^2 = (q_1, e_1, q_2, e_2, ...).  They are
+built by qd insertion (Laurie, J. Comput. Appl. Math. 112, 165, 1999; in
+differential form, as in Fernando & Parlett, Numer. Math. 67, 191, 1994):
+the nodes go in one at a time, in descending order, node 0 last.  With
+M_j = m_1 + ... + m_j, node j goes in at the origin of coordinates centred
+on it,
 
-Every operation of the wavefront is elementwise on slices of the pair axis,
-so chains with the same node count can share one wavefront, a column each,
-and each column comes out bit for bit as its chain run alone.
-``_run_batch`` groups the full chains of a GOE ensemble's batch by (node 0
-kept, node count) and runs each group so, which pays numpy's per-call
-overhead (most of a d = 32 chain's time) once per group instead of once
-per chain; a non-finite column takes the recursion for its chain alone.  A
-single chain keeps 1-D arrays.
+    delta = (m_j / M_j) q_1,  q_1 = (M_{j-1} / M_j) q_1,  then for each k
+    e_k' = e_k + delta,  r = q_{k+1} / e_k',  q_{k+1}' = e_k r,  delta = delta r,
+
+and the origin then moves to the next node by a stationary qd step with
+shift -Delta_j, Delta_j = (s_j - s_{j+1}) (s_j + s_{j+1}) and s_{J+1} = 0:
+
+    tau = Delta_j,  then for each k
+    q_k' = q_k + tau,  r = e_k / q_k',  e_k' = q_k r,  tau = tau r + Delta_j.
+
+Descending order is what makes this subtraction-free.  In coordinates
+centred on the node going in, every node already in lies at t > 0, so
+the measure stays on [0, inf) and its qd variables stay positive; the
+insertion only adds mass at the origin, and the move to the next node
+shifts the measure away from 0, by Delta_j > 0.  Every operation then adds,
+multiplies or divides positive numbers, each correct to an ulp, and the one
+subtraction is s_j - s_{j+1} of the exact nodes (the difference of their
+rounded squares would lose digits on close nodes: up to 7.9e-10 of max b
+at a relative gap of 1e-8, against 1.6e-15 from the product).  Ascending
+order would shift towards 0, by subtractions that cancel.  The q_1 of
+every sweep has a closed form, the mean of the shifted measure,
+x_j = sum_{i <= j} M_i Delta_i / M_j, from two cumulative sums.
+
+The insertion and the shift at position k fuse into one cell, which reads
+(e_k, q_{k+1}) as the previous sweep left them and writes them back.  Node
+j's sweep reaches position k at step j + k, so the double loop runs as a
+wavefront of about 2J steps of 9 elementwise calls (2 divisions) for J
+nodes: O(J^2) work and O(J) memory.  A chain capped at K stops every sweep
+at position K / 2, which later positions never feed: its head is the full
+chain's, bit for bit.  A weight that underflows to 0 on the way makes a NaN
+that reaches the chain; such a chain is discarded and the run takes the
+Gram-Schmidt recursion, which alone gives Krylov vectors.
+
+Against a 40-digit reference on the same measure, max |db| / max b on GOE
+ledger draws (d, seed, realization) is as below, beside the RKPW update
+with one +-s_k pair per sweep (Gragg & Harrod, Numer. Math. 44, 1984),
+which qd insertion replaced, and the Gram-Schmidt recursion:
+
+    draw       qd        RKPW pair sweep   Gram-Schmidt
+    16 7 0     2.5e-15   3.1e-15           2.2e-15
+    24 11 2    2.6e-15   1.8e-14           8.2e-15
+    32 8 0     7.6e-15   2.9e-12           1.5e-12
+    32 5 3     6.3e-15   5.6e-13           9.9e-14
+    48 7 0     9.9e-15   1.5e-12           1.2e-13
+    64 7 0     2.7e-14   6.5e-12           1.2e-12
+
+Every operation of the wavefront is elementwise on slices of the node
+axis, or a cumulative sum along it, so chains with the same node count can
+share one wavefront, a column each, and each column comes out bit for bit
+as its chain run alone.  ``_run_batch`` groups the full chains of a GOE
+ensemble's batch by (node 0 kept, node count) and runs each group so,
+which pays numpy's per-call overhead (most of a d = 32 chain's time) once
+per group instead of once per chain; a non-finite column takes the
+recursion for its chain alone.  A single chain keeps 1-D arrays.
 
 The chain terminates at D <= d^2 - d + 1 basis vectors: d^2 - d off-diagonal
 frequency slots plus a single direction out of the d-dimensional commutant
@@ -149,9 +185,9 @@ class LanczosResult:
     :func:`orthogonality_report` builds it.  truncated marks a run
     stopped by max_steps instead of the halting test.  reorth_passes counts
     the Gram-Schmidt passes of a run that stored its basis or had a chain
-    RKPW could not rebuild; it is 0 for every run rebuilt from the measure
-    by RKPW, capped or not, and None for a result reloaded from a file
-    that predates the count.
+    qd insertion could not rebuild; it is 0 for every run rebuilt from the
+    measure by qd insertion, capped or not, and None for a result reloaded
+    from a file that predates the count.
     """
 
     b: np.ndarray
@@ -206,69 +242,83 @@ def _reorthogonalize(w: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
     return w - B.T @ (B @ w), 2
 
 
-def _rkpw(w0, s: np.ndarray, h: np.ndarray, last: int | None = None) -> np.ndarray:
-    """Squared Lanczos coefficients b_1^2 .. b_last^2 of the symmetric
-    measure w0 delta(t) + sum_j h[j] (delta(t - s[j]) + delta(t + s[j])),
-    by the RKPW update (OPQ's ``RKPW``) with each +-s[j] pair inserted in
-    one sweep (module docstring); last is at most N - 1, its default, for
-    N = 2 s.size, plus 1 if w0 > 0.
+def _qd(w0, s: np.ndarray, m: np.ndarray, last: int | None = None) -> np.ndarray:
+    """Squared Lanczos coefficients b_1^2 .. b_last^2 of the folded measure
+    w0 delta(t) + sum_j m[j] delta(t - s[j]^2), s ascending, by qd insertion
+    (module docstring); last is at most its default, the chain length
+    2 s.size - 1, plus 1 if w0 > 0.
 
-    s and h may carry a trailing chain axis: (P, r) arrays of r measures
-    with the same P pairs, w0 then an (r,) array, all > 0 or all 0.  Column
+    s and m may carry a trailing chain axis: (n, r) arrays of r measures
+    with the same n nodes, w0 then an (r,) array, all > 0 or all 0.  Column
     c of the output is then the chain of column c, bit for bit as a call on
-    that column alone: every slice below is on axis 0, so each column gets
-    the same operations in the same order.
+    that column alone: every operation below is elementwise or a cumsum on
+    axis 0, so each column gets the same operations in the same order.
 
-    Pair j is inserted into the Jacobi matrix of node 0 and pairs 0 .. j - 1
-    by a sweep over positions k = 0 .. first + 2j + 1, stopped past last
-    (later positions never feed earlier ones), that carries the +s sweep's
-    (gamma, p, t) and the -s sweep's (gamma, p) from k to k + 1; every alpha
-    is 0.  Pair j reaches position k at step j + k, so at every step the
-    active sweeps hold distinct, contiguous positions and advance together:
-    the double loop as a wavefront, the same arithmetic in the same order.
-    Sweep state is stored in reverse (index P - 1 - j) so that it runs the
-    same way as the positions.  A zero weight divides 0 by 0 somewhere; the
-    NaN or inf it makes reaches the output, which the caller tests.
+    Node j = 0, 1, ... (descending, node 0 last) goes in by sweep j over
+    positions k = 1 .. min(j, last // 2), stopped there since later
+    positions never feed earlier ones.  Cell (j, k) inserts at
+    (e_k, q_{k+1}), shifts at (q_k, e_k) and writes the shifted q_{k+1}, at
+    step j + k, so at every step the active sweeps hold distinct, contiguous
+    positions and advance together: the double loop as a wavefront, the
+    same arithmetic in the same order.  Sweep state is stored in reverse
+    (index J - 1 - j) so that it runs the same way as the positions.  A zero
+    weight divides 0 by 0 somewhere; the NaN it makes reaches the output,
+    which the caller tests.
     """
-    P = s.shape[0]
     first = int(np.any(w0 > 0.0))
-    last = first + 2 * P - 1 if last is None else min(last, first + 2 * P - 1)
-    beta = np.zeros((last + 1,) + s.shape[1:])
-    beta[0] = w0
-    s, p_plus = s[::-1].copy(), h[::-1].copy()
-    p_minus = p_plus.copy()
-    g_plus, g_minus, t = np.ones(s.shape), np.ones(s.shape), np.zeros(s.shape)
-    # Work space sized for the widest step, so that no step allocates: the
-    # temporaries of ~1.5N steps otherwise leave heap fragments behind (2 MB
-    # of resident memory after a d = 48 chain).
-    work = np.empty((4,) + s.shape)
+    tail = (1,) + s.shape[1:]
+    s = np.concatenate([s[::-1], np.zeros(tail)]) if first else s[::-1]
+    m = np.concatenate([m[::-1], np.reshape(w0, tail)]) if first else m[::-1]
+    J = s.shape[0]
+    last = 2 * J - 1 - first if last is None else min(last, 2 * J - 1 - first)
+    cells = last // 2
+    b2 = np.zeros((2 * cells + 1,) + s.shape[1:])
+    q, e = b2[0::2], b2[1::2]
     with np.errstate(all="ignore"):
-        for step in range(P + last):
-            # Pairs j at this step: j <= step, step - j <= min(first + 2j + 1, last).
-            lo, hi = max(0, -((first + 1 - step) // 3), step - last), min(step, P - 1)
-            js = slice(P - 1 - hi, P - lo)
-            bk = beta[step - hi:step - lo + 1]
-            gp, pp, tj, gm, pm, sj = (g_plus[js], p_plus[js], t[js], g_minus[js],
-                                      p_minus[js], s[js])
-            rho, shrunk, u, t2 = work[:, :hi - lo + 1]
-            # +s: rho = beta + p, beta' = gamma rho, gamma = beta / rho,
-            # sigma = p / rho, t = sigma s - gamma t, p = t^2 / sigma.
-            np.add(bk, pp, out=rho)
-            np.multiply(gp, rho, out=shrunk)
-            np.divide(bk, rho, out=gp)
-            np.divide(pp, rho, out=pp)
-            np.multiply(pp, sj, out=u)
-            np.multiply(gp, tj, out=tj)
-            np.subtract(u, tj, out=tj)
-            np.multiply(tj, tj, out=t2)
-            np.divide(t2, pp, out=pp)
-            # -s on beta', with its t equal to minus the +s sweep's.
-            np.add(shrunk, pm, out=rho)
-            np.multiply(gm, rho, out=bk)
-            np.divide(shrunk, rho, out=gm)
-            np.divide(pm, rho, out=pm)
-            np.divide(t2, pm, out=pm)
-    return beta[1:]
+        # Delta_j = s_j^2 - s_{j+1}^2 as a product: no cancellation.
+        s_next = np.concatenate([s[1:], np.zeros(tail)])
+        shift = (s - s_next) * (s + s_next)
+        M = np.cumsum(m, axis=0)
+        M_prev = np.concatenate([np.zeros(tail), M[:-1]])
+        # q_1 after sweep j, in closed form, and before it.
+        x = np.cumsum(M * shift, axis=0) / M
+        x_prev = np.concatenate([np.zeros(tail), x[:-1]])
+        delta = (m / M * x_prev)[::-1].copy()
+        q_in = (M_prev / M * x_prev)[::-1]
+        shift = shift[::-1].copy()
+        tau = shift.copy()
+        # The unshifted q_k of each sweep, read from one buffer and written
+        # to the other, which trade places every step; a sweep's first read
+        # is its q_1, in both.
+        unshifted = np.stack([q_in, q_in])
+        # Work space sized for the widest step, so that no step allocates:
+        # the temporaries of ~2J steps otherwise leave heap fragments behind.
+        work = np.empty((2,) + s.shape)
+        for step in range(2, J + cells if cells else 0):
+            # Sweeps j at this step: step - cells <= j <= J - 1, 1 <= step - j <= j.
+            lo, hi = max((step + 1) // 2, step - cells), min(step - 1, J - 1)
+            if hi == step - 1:  # sweep hi starts: its shifted q_1
+                q[0] = x[hi]
+            ks, js = slice(step - hi - 1, step - lo), slice(J - 1 - hi, J - lo)
+            ek, qk, qn = e[ks], q[ks], q[step - hi:step - lo + 1]
+            dj, tj = delta[js], tau[js]
+            u, u_next = unshifted[step % 2, js], unshifted[(step + 1) % 2, js]
+            ins, r = work[:, :hi - lo + 1]
+            # Insert at 0: e' = e + delta, r = q_next / e', q_next' = e r,
+            # delta' = delta r.
+            np.add(ek, dj, out=ins)
+            np.divide(qn, ins, out=r)
+            np.multiply(ek, r, out=u_next)
+            np.multiply(dj, r, out=dj)
+            # Shift by -Delta, with q the sweep's own shifted q_k: r = e' / q,
+            # e'' = u r, tau' = tau r + Delta, q_next'' = q_next' + tau'.
+            np.divide(ins, qk, out=r)
+            np.multiply(u, r, out=ek)
+            np.multiply(tj, r, out=tj)
+            np.add(tj, shift[js], out=tj)
+            np.add(u_next, tj, out=qn)
+    q[0] = x[-1]
+    return b2[:last]
 
 
 def run_lanczos(
@@ -294,7 +344,7 @@ def run_lanczos(
     policy : ReorthPolicy, optional
         Accepted for compatibility and ignored: a run that stores its basis
         reorthogonalizes each family fully, and a chain rebuilt from the
-        measure by RKPW reorthogonalizes nothing.
+        measure by qd insertion reorthogonalizes nothing.
     halt_tol : float
         Stop when ||A_{n+1}|| <= halt_tol * b_1 (at the very first step the
         Liouvillian's spectral width stands in for b_1).
@@ -315,7 +365,7 @@ def run_lanczos(
         underflow to 0, or that span so many decades that the returned
         basis is orthonormal only to more than sqrt(eps), raises
         NumericalError; the chain alone (store_basis=False, rebuilt from
-        the measure by RKPW, capped or not) does not need the basis.
+        the measure by qd insertion, capped or not) does not need the basis.
 
     Raises
     ------
@@ -327,8 +377,8 @@ def run_lanczos(
         weights keep a stored basis from being held (see store_basis).
     """
     fold = _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis)
-    # No basis: RKPW, one past the cap so that the halting test comes first.
-    b2 = None if store_basis else _rkpw(*fold.rkpw_args(), fold.max_steps + 1)
+    # No basis: qd, one past the cap so that the halting test comes first.
+    b2 = None if store_basis else _qd(*fold.qd_args(), fold.max_steps + 1)
     return _chain(fold, b2)
 
 
@@ -352,10 +402,10 @@ class _Fold:
     x: np.ndarray | None = None
     slot: np.ndarray | None = None
 
-    def rkpw_args(self) -> tuple:
-        """_rkpw's (w0, s, h) for this measure: m_k / 2 at each of +-s_k."""
+    def qd_args(self) -> tuple:
+        """_qd's (w0, s, m) for this measure: w0 = 0 when node 0 is dropped."""
         first = int(self.node0)
-        return self.m[0] if first else 0.0, self.s[first:], 0.5 * self.m[first:]
+        return self.m[0] if first else 0.0, self.s[first:], self.m[first:]
 
 
 def _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis) -> _Fold:
@@ -434,7 +484,7 @@ def _fold(hamiltonian, operator, spec, halt_tol, max_steps, store_basis) -> _Fol
 
 
 def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
-    """The chain of a folded measure, from b2, the RKPW squares of its
+    """The chain of a folded measure, from b2, the qd squares of its
     chain's head, when given and finite, and otherwise by the Gram-Schmidt
     recursion, which also rebuilds a stored basis (module docstring)."""
     d, spec, halt_tol, s = fold.dim, fold.spec, fold.halt_tol, fold.s
@@ -508,7 +558,7 @@ def _chain(fold: _Fold, b2: np.ndarray | None = None) -> LanczosResult:
 
 def _run_batch(pairs, halt_tol: float = DEFAULT_HALT_TOL) -> list:
     """``run_lanczos(H, operator, halt_tol=halt_tol, store_basis=False)`` of
-    each (H, operator) pair, bit for bit, with the RKPW sweeps of the chains
+    each (H, operator) pair, bit for bit, with the qd sweeps of the chains
     that share (node 0 kept, node count) run as one wavefront, a column each.
 
     A column that comes out non-finite takes the recursion for its chain
@@ -526,8 +576,8 @@ def _run_batch(pairs, halt_tol: float = DEFAULT_HALT_TOL) -> list:
             continue
         groups.setdefault((fold.node0, fold.s.size), []).append((i, fold))
     for members in groups.values():
-        columns = zip(*(fold.rkpw_args() for _, fold in members))
-        b2 = _rkpw(*(np.stack(c, axis=-1) for c in columns))
+        columns = zip(*(fold.qd_args() for _, fold in members))
+        b2 = _qd(*(np.stack(c, axis=-1) for c in columns))
         for k, (i, fold) in enumerate(members):
             out[i] = _chain(fold, b2[:, k])
     return out

@@ -215,6 +215,52 @@ def rkpw_pair_chain(w0, s, h, dps=40):
         return np.array([float(mp.sqrt(v)) for v in beta[1:]])
 
 
+def qd_chain(w0, s, m, dps=40):
+    """Lanczos coefficients of w0 delta(t) + sum_j m[j] (delta(t - s[j]) +
+    delta(t + s[j])) / 2 by qd insertion on the folded measure, in mpmath.
+
+    The squares b_1^2, b_2^2, ... are the qd variables q_1, e_1, q_2, ...
+    of the measure in t^2.  The nodes go in descending order, node 0 (if
+    w0 > 0) last; each is inserted at the origin of coordinates centred on
+    it, and the origin then moves to the next node by a stationary qd step
+    with shift -Delta, Delta = (s_j - s_{j+1})(s_j + s_{j+1}).  q_1 after
+    each sweep is the mean of the shifted measure, sum_i M_i Delta_i / M_j
+    with M_j the partial weight sums.  A plain double loop at dps decimal
+    digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        first = int(w0 > 0)
+        nodes = [mp.mpf(float(v)) for v in reversed(s)] + [mp.mpf(0)] * first
+        weights = [mp.mpf(float(v)) for v in reversed(m)] + [mp.mpf(float(w0))] * first
+        J = len(nodes)
+        q, e = [mp.mpf(0)] * (J + 1), [mp.mpf(0)] * J
+        total = moment = x = mp.mpf(0)
+        for j in range(J):
+            nxt = nodes[j + 1] if j + 1 < J else mp.mpf(0)
+            shift = (nodes[j] - nxt) * (nodes[j] + nxt)
+            prev_total, total = total, total + weights[j]
+            moment = moment + total * shift
+            x_prev, x = x, moment / total
+            delta = weights[j] / total * x_prev
+            u = prev_total / total * x_prev
+            tau = shift
+            q[0] = x
+            for k in range(1, j + 1):
+                ins = e[k - 1] + delta
+                r = q[k] / ins
+                u_next = e[k - 1] * r
+                delta = delta * r
+                r = ins / q[k - 1]
+                e[k - 1] = u * r
+                tau = tau * r + shift
+                q[k] = u_next + tau
+                u = u_next
+        b2 = [v for pair in zip(q, e) for v in pair][:2 * J - 1 - first]
+        return np.array([float(mp.sqrt(v)) for v in b2])
+
+
 def dense_heisenberg(H, O, t):
     """O(t) = e^{iHt} O e^{-iHt} via dense exponentials."""
     U = scipy.linalg.expm(1j * t * H)

@@ -211,7 +211,7 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("block_cells", [None, 42])
     def test_shares_and_batches_are_bit_equal(self, monkeypatch, block_cells):
-        # 42 cells are batches of two d = 5 realizations (D <= 21 each).
+        # 42 cells are batches of at most two d = 5 realizations (D <= 21 each).
         if block_cells is not None:
             monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
         spec = GoeSpec(dim=5, sigma=1.0, count=7, seed=13)
@@ -229,21 +229,35 @@ class TestRunEnsemble:
         # Six d = 32 realizations are one batch (65 fill _BLOCK_CELLS), so
         # two workers change nothing: this process does all the work.
         widths = []
-        real = lanczos._rkpw
+        real = lanczos._qd
 
-        def rkpw(w0, s, h, last=None):
+        def qd(w0, s, m, last=None):
             widths.append(s.shape)
-            return real(w0, s, h, last)
+            return real(w0, s, m, last)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(lanczos, "_rkpw", rkpw)
+        monkeypatch.setattr(lanczos, "_qd", qd)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         res = run_ensemble(GoeSpec(dim=32, sigma=1.0, count=6, seed=7),
                            profile_times=np.linspace(0.0, 3.0, 31), workers=2)
         assert widths == [(496, 6)]
         assert res.indices == list(range(6))
+
+    def test_batches_are_balanced(self):
+        # ceil(count / 65) batches at d = 32 (65 chains fill _BLOCK_CELLS),
+        # contiguous, their sizes within one of each other: count 100 is
+        # 50 + 50, not 65 + 35.
+        for count in range(1, 400):
+            batches = ens._batches(count, 32)
+            sizes = [rows.stop - rows.start for rows in batches]
+            assert len(sizes) == -(-count // 65)
+            assert max(sizes) - min(sizes) <= 1
+            assert [rows.start for rows in batches] == [0] + [rows.stop for rows in batches[:-1]]
+            assert batches[-1].stop == count
+        assert [rows.stop - rows.start for rows in ens._batches(100, 32)] == [50, 50]
+        assert [rows.stop - rows.start for rows in ens._batches(300, 32)] == [60] * 5
 
     def test_profile_is_the_mean_of_each_realization_alone(self):
         t = np.linspace(0.0, 3.0, 301)

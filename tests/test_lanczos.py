@@ -15,7 +15,7 @@ from kbound.lanczos import (
     LanczosResult,
     ReorthPolicy,
     _reorthogonalize,
-    _rkpw,
+    _qd,
     default_policy,
     load_result_json,
     max_chain_length,
@@ -32,6 +32,7 @@ from oracles import (
     gram_schmidt_lanczos,
     liouvillian_measure,
     random_hermitian,
+    qd_chain,
     rkpw_chain,
     rkpw_pair_chain,
     stieltjes_chain,
@@ -343,7 +344,7 @@ class TestReorthogonalization:
 
 class TestRkpwAgainstGramSchmidt:
     # A run without a stored basis, capped or not, rebuilds the chain from
-    # the measure by RKPW; a stored basis, or an RKPW chain that is not
+    # the measure by qd insertion; a stored basis, or a qd chain that is not
     # finite, runs the Gram-Schmidt recursion.
 
     def _same_chain(self, H, O):
@@ -369,7 +370,7 @@ class TestRkpwAgainstGramSchmidt:
         assert self._same_chain(H, O) == max_chain_length(d)
 
     def test_capped_chain_is_the_head_of_the_full_one(self, rng):
-        # The capped RKPW sweeps give the full chain's head bit for bit; a
+        # The capped qd sweeps give the full chain's head bit for bit; a
         # cap at or past the end of the halted chain is no truncation.
         H = goe_sample(24, seed=rng)
         obs = uniform_observable(H)
@@ -409,15 +410,15 @@ class TestRkpwAgainstGramSchmidt:
     @pytest.mark.parametrize("node0", [False, True])
     @pytest.mark.parametrize("columns", [(), (3,)])
     def test_bound_stops_at_the_head(self, rng, node0, columns):
-        # On a single measure and on (P, r) columns, with and without node 0.
+        # On a single measure and on (n, r) columns, with and without node 0.
         s = np.sort(rng.uniform(0.1, 1.0, size=(30,) + columns), axis=0)
-        h = rng.uniform(0.1, 1.0, size=(30,) + columns)
+        m = rng.uniform(0.1, 1.0, size=(30,) + columns)
         w0 = rng.uniform(0.1, 1.0, size=columns) if node0 else np.zeros(columns)
-        full = _rkpw(w0, s, h)
+        full = _qd(w0, s, m)
         n = full.shape[0]
         assert n == int(node0) + 59
         for last in (1, 2, 31, n, n + 7):
-            np.testing.assert_array_equal(_rkpw(w0, s, h, last), full[:last])
+            np.testing.assert_array_equal(_qd(w0, s, m, last), full[:last])
 
     @pytest.mark.parametrize("store_basis", [True, False])
     @pytest.mark.parametrize("nudge", [0.0, 1e-12])
@@ -431,26 +432,28 @@ class TestRkpwAgainstGramSchmidt:
         assert res.b.size == 0
 
     def test_wavefront_is_the_pair_loop(self, rng):
-        # At 53 bits the oracle rounds every operation as float64 does; with
-        # and without a node at 0.
+        # At 53 bits the qd oracle rounds every operation as float64 does;
+        # with and without a node at 0.  At 40 digits it is the RKPW pair
+        # loop's chain, which shares none of its arithmetic.
         pytest.importorskip("mpmath")
         s = np.sort(rng.uniform(0.1, 1.0, size=30))
-        h = rng.uniform(0.1, 1.0, size=30)
+        m = rng.uniform(0.1, 1.0, size=30)
         for w0 in (0.0, 0.7):
-            np.testing.assert_array_equal(np.sqrt(_rkpw(w0, s, h)),
-                                          rkpw_pair_chain(w0, s, h, dps=15))
+            np.testing.assert_array_equal(np.sqrt(_qd(w0, s, m)), qd_chain(w0, s, m, dps=15))
+            ref = rkpw_pair_chain(w0, s, 0.5 * m)
+            np.testing.assert_allclose(qd_chain(w0, s, m), ref, rtol=1e-15, atol=0)
 
     def test_zero_weight_gives_a_non_finite_chain(self, rng):
         s = np.sort(rng.uniform(0.1, 1.0, size=30))
-        h = rng.uniform(0.1, 1.0, size=30)
-        h[[0, 17]] = 0.0
-        assert not np.all(np.isfinite(_rkpw(0.7, s, h)))
+        m = rng.uniform(0.1, 1.0, size=30)
+        m[[0, 17]] = 0.0
+        assert not np.all(np.isfinite(_qd(0.7, s, m)))
 
     def test_non_finite_chain_falls_back_to_the_recursion(self, rng, monkeypatch):
         H = goe_sample(12, seed=rng)
         obs = uniform_observable(H)
         gs = run_lanczos(H, obs, store_basis=True)
-        monkeypatch.setattr(lanczos, "_rkpw", lambda *args: np.array([np.nan]))
+        monkeypatch.setattr(lanczos, "_qd", lambda *args: np.array([np.nan]))
         res = run_lanczos(H, obs, store_basis=False)
         np.testing.assert_array_equal(res.b, gs.b)
         assert (res.D, res.truncated) == (gs.D, False)
@@ -465,37 +468,37 @@ class TestRkpwAgainstGramSchmidt:
         rng = np.random.default_rng(seed)
         H = goe_sample(16, seed=rng)
         folded = []
-        monkeypatch.setattr(lanczos, "_rkpw", lambda *args: folded.append(args) or _rkpw(*args))
+        monkeypatch.setattr(lanczos, "_qd", lambda *args: folded.append(args) or _qd(*args))
         run_lanczos(H, uniform_observable(H), store_basis=False)
-        w0, s, h = folded[0][:3]
+        w0, s, m = folded[0][:3]
         assert w0 > 0.0 and s.size == 120
         k = rng.integers(s.size - 1)
         s = s.copy()
         s[k + 1] = s[k] * (1.0 + 1e-8)
         nodes = np.concatenate([[0.0], np.stack([s, -s], 1).ravel()])
-        ref = rkpw_chain(nodes, np.concatenate([[w0], np.repeat(h, 2)]))
-        np.testing.assert_allclose(np.sqrt(_rkpw(w0, s, h)), ref, rtol=0,
-                                   atol=1e-9 * np.max(ref))
+        ref = rkpw_chain(nodes, np.concatenate([[w0], np.repeat(0.5 * m, 2)]))
+        np.testing.assert_allclose(np.sqrt(_qd(w0, s, m)), ref, rtol=0,
+                                   atol=1e-13 * np.max(ref))
 
 
 class TestBatchedChains:
     # lanczos._run_batch runs the full chains of many measures through one
-    # RKPW wavefront, a column per chain, each bit for bit its own run.
+    # qd wavefront, a column per chain, each bit for bit its own run.
 
     @pytest.mark.parametrize("node0", [False, True])
     def test_columns_are_single_calls(self, rng, node0):
         s = np.sort(rng.uniform(0.1, 1.0, size=(30, 3)), axis=0)
-        h = rng.uniform(0.1, 1.0, size=(30, 3))
+        m = rng.uniform(0.1, 1.0, size=(30, 3))
         w0 = rng.uniform(0.1, 1.0, size=3) if node0 else np.zeros(3)
-        batch = _rkpw(w0, s, h)
+        batch = _qd(w0, s, m)
         assert batch.shape == (int(node0) + 59, 3)
         for c in range(3):
-            np.testing.assert_array_equal(batch[:, c], _rkpw(w0[c], s[:, c], h[:, c]))
+            np.testing.assert_array_equal(batch[:, c], _qd(w0[c], s[:, c], m[:, c]))
         # At 53 bits the oracle rounds every operation as float64 does.
         pytest.importorskip("mpmath")
         for c in range(3):
             np.testing.assert_array_equal(np.sqrt(batch[:, c]),
-                                          rkpw_pair_chain(w0[c], s[:, c], h[:, c], dps=15))
+                                          qd_chain(w0[c], s[:, c], m[:, c], dps=15))
 
     def test_batch_mixes_node_counts(self, rng):
         # Two GOE chains share a group; the degenerate spin chain has fewer
@@ -527,12 +530,12 @@ class TestBatchedChains:
         alone = [run_lanczos(*pair, store_basis=False) for pair in pairs]
         gs = run_lanczos(*pairs[1], store_basis=True)
 
-        def poisoned(w0, s, h):
-            out = _rkpw(w0, s, h)
+        def poisoned(w0, s, m):
+            out = _qd(w0, s, m)
             out[-1, 1] = np.nan
             return out
 
-        monkeypatch.setattr(lanczos, "_rkpw", poisoned)
+        monkeypatch.setattr(lanczos, "_qd", poisoned)
         out = lanczos._run_batch(pairs)
         np.testing.assert_array_equal(out[1].b, gs.b)
         assert out[1].reorth_passes == gs.reorth_passes > 0
