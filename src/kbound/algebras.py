@@ -22,9 +22,11 @@ family, and every formula below reads them from there.
 rate pair (alpha, gamma) to its family member, ``b`` gives its chain,
 :func:`model_observables` its closed-form profile and
 :func:`model_amplitudes` its amplitudes.  Their distribution over sites
-(binomial, Poisson, negative binomial) is evaluated in log space, so chains
-with thousands of sites neither overflow nor underflow; the infinite
-families are cut where it leaves less than TAIL_TOL past the last site.
+(binomial, Poisson, negative binomial) is evaluated in log space, with
+log-weights from math.lgamma, so chains with thousands of sites neither
+overflow nor underflow.  The infinite families are cut where the summed
+tail of that distribution leaves at most TAIL_TOL past the last site but
+one (see _cut).  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -56,89 +58,168 @@ __all__ = [
 ]
 
 
-def _power_rows(ns, logw, base, log_envelope):
+def _lgamma(z):
+    """math.lgamma of each element of z.  Against 40-digit mpmath it is
+    within 3.6e-12 absolute at arguments up to 4200 (scipy's gammaln:
+    7.3e-12)."""
+    return np.fromiter(map(math.lgamma, z.tolist()), np.float64, len(z))
+
+
+def _power_rows(logw, log_size, negative, log_envelope):
     """Rows envelope(x) sqrt(weight_n) base(x)^n on the (x, n) grid, from the
-    logs logw of sqrt(weight_n) and log_envelope of envelope(x) > 0: one
-    outer product, exponentiated in place.  base^n is exact at 0^0 = 1, and
-    its sign is (-1)^n where base < 0."""
-    size = np.abs(base)
-    zero = size == 0.0
-    phi = np.outer(np.log(np.where(zero, 1.0, size)), ns)
+    logs logw of sqrt(weight_n) over the sites n = 0, 1, ..., log_size of
+    |base(x)| (-inf where base is 0), the mask negative of base(x) < 0 and
+    log_envelope of envelope(x) > 0: one outer product, exponentiated in
+    place.  base^n is exact at 0^0 = 1, and its sign is (-1)^n where
+    base < 0."""
+    zero = log_size == -np.inf
+    phi = np.outer(np.where(zero, 0.0, log_size), np.arange(logw.size, dtype=np.float64))
     phi[zero, 1:] = -np.inf
     phi += logw
     phi += log_envelope[:, None]
     np.exp(phi, out=phi)
-    phi[base < 0.0, 1::2] *= -1.0
+    phi[negative, 1::2] *= -1.0
     return phi
 
 
-# rows(ns, w) of a family: the function from a block of x = nu t to its
-# amplitude rows over the sites ns.  scipy.special, imported where it is
-# used, is most of a cold `import kbound`.
+def _log_abs(v):
+    """log |v|, -inf where v is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(v))
 
-def _su2_rows(ns, w):
+
+def _log_tanh(a):
+    """log tanh a for a >= 0, to rounding relative to its value.  Where tanh a
+    is near 1, log(tanh a) would carry the rounding of tanh a, about 1e-16,
+    and the n-th site multiplies it by n; -2 atanh(e^(-2a)) does not."""
+    with np.errstate(divide="ignore"):
+        return np.where(a < 0.5, np.log(np.tanh(a)), -2.0 * np.arctanh(np.exp(-2.0 * a)))
+
+
+# Each family has logw(ns, w), the log of sqrt(weight_n) at the sites ns,
+# and rows(xs, logw, w), its amplitude rows at a block of x = nu t over the
+# sites of logw.
+
+def _su2_logw(ns, w):
+    """log sqrt(C(w, n))."""
+    return 0.5 * (math.lgamma(w + 1.0) - _lgamma(ns + 1.0) - _lgamma(w - ns + 1.0))
+
+
+def _su2_rows(xs, logw, w):
     """sqrt(C(w, n)) cos^w x tan^n x, each row divided by its norm (one
-    einsum per row), which takes out the rounding of the gammaln sums."""
-    from scipy.special import gammaln
-    logw = 0.5 * (gammaln(w + 1.0) - gammaln(ns + 1.0) - gammaln(w - ns + 1.0))
-
-    def rows(xs):
-        c = np.cos(xs)
-        phi = _power_rows(ns, logw, np.tan(xs), w * np.log(np.abs(c)))
-        phi *= (np.sign(c) ** w / np.sqrt(np.einsum("kn,kn->k", phi, phi)))[:, None]
-        return phi
-    return rows
+    einsum per row), which takes out the rounding of the lgamma sums."""
+    c, tan = np.cos(xs), np.tan(xs)
+    phi = _power_rows(logw, _log_abs(tan), tan < 0.0, w * np.log(np.abs(c)))
+    phi *= (np.sign(c) ** w / np.sqrt(np.einsum("kn,kn->k", phi, phi)))[:, None]
+    return phi
 
 
-def _hw_rows(ns, w):
+def _hw_logw(ns, w):
+    """log sqrt(1 / n!)."""
+    return -0.5 * _lgamma(ns + 1.0)
+
+
+def _hw_rows(xs, logw, w):
     """x^n e^(-x^2/2) / sqrt(n!)."""
-    from scipy.special import gammaln
-    logw = -0.5 * gammaln(ns + 1.0)
-    return lambda xs: _power_rows(ns, logw, xs, -0.5 * xs * xs)
+    return _power_rows(logw, _log_abs(xs), xs < 0.0, -0.5 * xs * xs)
 
 
-def _sl2r_rows(ns, w):
+def _sl2r_logw(ns, w):
+    """log sqrt(Gamma(n + w) / (n! Gamma(w)))."""
+    return 0.5 * (_lgamma(ns + w) - _lgamma(ns + 1.0) - math.lgamma(w))
+
+
+def _sl2r_rows(xs, logw, w):
     """sqrt(Gamma(n + w) / (n! Gamma(w))) tanh^n x sech^w x."""
-    from scipy.special import gammaln
-    logw = 0.5 * (gammaln(ns + w) - gammaln(ns + 1.0) - gammaln(w))
-    return lambda xs: _power_rows(ns, logw, np.tanh(xs), -w * np.log(np.cosh(xs)))
-
-
-# cut(x, w) of an infinite family: the quantile at 1 - TAIL_TOL of its site
-# distribution phi_n^2 at |x|, and the probability past a number of sites.
-
-def _hw_cut(x, w):
-    """Poisson(x^2)."""
-    from scipy.special import pdtrc, pdtrik
-    return pdtrik(1.0 - TAIL_TOL, x * x), lambda sites: pdtrc(sites - 1, x * x)
-
-
-def _sl2r_cut(x, w):
-    """Negative binomial (w, sech^2 x).  Where cosh overflows the quantile
-    is infinite; nbdtrik would return its search bound instead."""
-    from scipy.special import betainc, nbdtrik
-    with np.errstate(over="ignore"):
-        p = 1.0 / np.cosh(x) ** 2
-    k = nbdtrik(1.0 - TAIL_TOL, w, p) if p > 0.0 else math.inf
-    return k, lambda sites: betainc(sites, w, math.tanh(x) ** 2)
+    return _power_rows(logw, _log_tanh(np.abs(xs)), xs < 0.0, -w * np.log(np.cosh(xs)))
 
 
 class _Law(NamedTuple):
     """A family of b_n^2 = nu^2 n (w + kappa (n - 1)): kappa, the map from a
-    model to its w, S, and its rows and cut (the finite family has none)."""
+    model to its w, S, and its logw and rows."""
 
     kappa: float
     w: Callable
     S: Callable
+    logw: Callable
     rows: Callable
-    cut: Callable | None = None
 
 
 _LAWS = {
-    "su2": _Law(-1.0, lambda m: 2.0 * m.j, np.sin, _su2_rows),
-    "hw": _Law(0.0, lambda m: 1.0, np.positive, _hw_rows, _hw_cut),
-    "sl2r": _Law(1.0, lambda m: m.eta, np.sinh, _sl2r_rows, _sl2r_cut),
+    "su2": _Law(-1.0, lambda m: 2.0 * m.j, np.sin, _su2_logw, _su2_rows),
+    "hw": _Law(0.0, lambda m: 1.0, np.positive, _hw_logw, _hw_rows),
+    "sl2r": _Law(1.0, lambda m: m.eta, np.sinh, _sl2r_logw, _sl2r_rows),
 }
+
+
+def _cut(model, x):
+    """The sites an infinite family keeps at |x| = x, the probability past
+    them, and their logw.
+
+    The site distribution p_n = phi_n(x)^2 (Poisson(x^2) for hw, negative
+    binomial (w, sech^2 x) for sl2r) has mean K = w S(x)^2 and spread
+    Delta K = sqrt(w / 4) |S(2x)|, and p_(n+1) / p_n = T^2 (w + kappa n) / (n + 1)
+    with T^2 = K / (w + kappa K) (x^2, tanh^2 x).  Past N > K sites that
+    ratio stays below rho = T^2 max(kappa, (w + kappa (N - 1)) / N) < 1, so
+    the mass past N is at most p_(N-1) rho / (1 - rho).  p_0 .. p_(N-1) come
+    from the family's rows; the tail past each site count is their reversed
+    cumulative sum, which adds the small terms first.  The family keeps one
+    site more than the first site count whose tail is at most TAIL_TOL:
+    ceil(k) + 2 sites for the quantile k of the distribution at
+    1 - TAIL_TOL.
+
+    N starts at K + 8 Delta K + 64 (at most MAX_MODEL_SITES + 1), and its
+    distance past K doubles until the bound on the mass past N is below
+    2^-53 of the tail at the cut, so the returned tail is the mass past the
+    kept sites to rounding.  A non-finite K, a K past MAX_MODEL_SITES or a
+    cut past it raises NumericalError, and so does a tail that needs more
+    than 2 MAX_MODEL_SITES sites for that bound or whose rho rounds to 1
+    (sl2r at w << 1 and large x, where p_n ~ w tanh^(2n) x / n falls
+    slowly).
+    """
+    law, w = model._law()
+    with np.errstate(over="ignore"):
+        K = w * float(law.S(x)) ** 2
+        spread = math.sqrt(w / 4.0) * abs(float(law.S(2.0 * x)))
+
+    def past_the_cap(needed):
+        return NumericalError(
+            f"the {model.label()} chain needs {needed} sites to hold all but "
+            f"{TAIL_TOL:g} of its probability at nu t = {x:g}, past "
+            f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; the grid reaches times too "
+            "large to materialize"
+        )
+
+    def too_slow(why):
+        return NumericalError(
+            f"the tail of the {model.label()} chain at nu t = {x:g} decays too "
+            f"slowly to sum: {why}"
+        )
+
+    if not math.isfinite(K):
+        raise past_the_cap("a non-finite number of")
+    if K > MAX_MODEL_SITES:
+        raise past_the_cap(f"more than {K:.4g}")
+    t2 = K / (w + law.kappa * K)
+    limit = 2 * MAX_MODEL_SITES
+    n = math.ceil(min(K + 8.0 * spread + 64.0, MAX_MODEL_SITES + 1.0))
+    logw = np.empty(0)
+    while True:
+        rho = t2 * max(law.kappa, (w + law.kappa * (n - 1)) / n)
+        if rho >= 1.0:
+            raise too_slow(f"the ratio of its terms past {n} sites rounds to 1")
+        logw = np.concatenate((logw, law.logw(np.arange(logw.size, n, dtype=np.float64), w)))
+        p = law.rows(np.array([x]), logw, w)[0] ** 2
+        tail = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+        sites = int(np.argmax(tail <= TAIL_TOL)) + 1
+        if sites > MAX_MODEL_SITES:
+            raise past_the_cap(f"at least {sites}")
+        if sites <= n and p[-1] * rho / (1.0 - rho) <= 2.0**-53 * tail[sites]:
+            return sites, float(tail[sites]), logw[:sites]
+        if n == limit:
+            raise too_slow(f"the mass past {n} sites is not bounded below 2^-53 of "
+                           f"the {tail[sites]:.3g} summed past {sites} sites")
+        n = min(2 * n - math.floor(K), limit)
 
 
 @dataclass(frozen=True)
@@ -413,39 +494,30 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     su2 uses its full finite chain and is exact, each row divided by its
     norm.  hw and sl2r are cut at the largest |x| = nu |t| of the grid,
     where their site distribution (Poisson(x^2), negative binomial
-    (eta, sech^2 x)) has its widest tail: its quantile k at 1 - TAIL_TOL
-    covers sites 0 .. ceil(k), and one more site absorbs the root finder's
-    tolerance on k.  The probability past the last site is the trajectory's
-    tail_mass.  The output is allocated first (an output the machine cannot
-    hold raises NumericalError naming its size) and filled a few rows at a
-    time, so the intermediate arrays stay small.  Each row is computed on
-    its own, so the rows come out the same however the grid is split.
+    (eta, sech^2 x)) has its widest tail: they keep one site more than the
+    first site count past which at most TAIL_TOL of it lies (see _cut), and
+    the probability past the last site is the trajectory's tail_mass.  A
+    grid whose cut passes MAX_MODEL_SITES raises NumericalError.  The output
+    is allocated first (an output the machine cannot hold raises
+    NumericalError naming its size) and filled a few rows at a time, so the
+    intermediate arrays stay small.  Each row is computed on its own, so
+    the rows come out the same however the grid is split.
     """
     if not isinstance(model, AlgebraModel):
         raise ValidationError("model must be an AlgebraModel")
     t = validate_times(times)
     law, w = model._law()
     x = model.nu * t
-    n_sites, tail = model.D, 0.0
-    if n_sites is None:
-        x_max = float(np.max(np.abs(x)))
-        k, tail_past = law.cut(x_max, w)
-        if not k + 2.0 <= MAX_MODEL_SITES:
-            needed = f"{k + 2.0:.4g}" if math.isfinite(k) else "a non-finite number of"
-            raise NumericalError(
-                f"the {model.label()} chain needs {needed} sites to hold all but "
-                f"{TAIL_TOL:g} of its probability at nu t = {x_max:g}, past "
-                f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; the grid reaches times too "
-                "large to materialize"
-            )
-        n_sites = math.ceil(k) + 2
-        tail = float(tail_past(n_sites))
-    rows = law.rows(np.arange(n_sites, dtype=np.float64), w)
+    if model.D is None:
+        n_sites, tail, logw = _cut(model, float(np.max(np.abs(x))))
+    else:
+        n_sites, tail = model.D, 0.0
+        logw = law.logw(np.arange(n_sites, dtype=np.float64), w)
     phi = output_array(t.size, n_sites)
     # One row block at a time: the ~8 temporaries of rows() hold one block
     # each (512 KB), not the grid.
     for block in row_blocks(t.size, n_sites):
-        phi[block] = rows(x[block])
+        phi[block] = law.rows(x[block], logw, w)
     bchain = model.b(np.arange(1, n_sites))
     return AmplitudeTrajectory(t, phi, bchain, model.D is None, tail, "closed-form")
 

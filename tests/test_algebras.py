@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbound import algebras
 from kbound.algebras import (
+    _LAWS,
+    MAX_MODEL_SITES,
     AlgebraModel,
+    _cut,
     closure_test,
     model_amplitudes,
     model_observables,
@@ -374,9 +378,19 @@ class TestModelAmplitudes:
 
     def test_tail_mass_bounds_the_geometric_tail(self):
         # sl2r at eta = 1 puts tanh^(2n) x sech^2 x on site n: the mass
-        # past the last of N sites is exactly tanh^(2N) x.
+        # past the last of N sites is exactly tanh^(2N) x.  Both sides round
+        # it, the right one through the rounding of tanh 4, which 2N = 41186
+        # multiplies to 4e-13 relative.
         traj = model_amplitudes(AlgebraModel.sl2r(1.0), np.array([0.0, 2.0, 4.0]))
-        assert TAIL_TOL > traj.tail_mass >= math.tanh(4.0) ** (2 * traj.sites)
+        assert traj.tail_mass == pytest.approx(math.tanh(4.0) ** (2 * traj.sites),
+                                               rel=1e-12, abs=0.0)
+        assert traj.tail_mass < TAIL_TOL
+        # Against tanh 4 in 40 digits it is within 1.6e-15: site n carries
+        # n log tanh x to the rounding of that log (log(np.tanh) gave 4.2e-13).
+        import mpmath
+        with mpmath.workdps(40):
+            exact = float(mpmath.tanh(4) ** (2 * traj.sites))
+        assert traj.tail_mass == pytest.approx(exact, rel=1e-13, abs=0.0)
         np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
                                    atol=2e-12)
 
@@ -393,6 +407,68 @@ class TestModelAmplitudes:
         assert traj.tail_mass < TAIL_TOL
         np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
                                    atol=2e-12)
+
+    @pytest.mark.parametrize("kind, w, x", [
+        *[("hw", 1.0, x) for x in (0.0, 1e-3, 0.1, 1.0, 2.7, 10.0, 40.0, 100.0)],
+        *[("sl2r", w, x) for w in (1e-6, 0.3, 1.0, 2.5, 101.0)
+          for x in (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0)],
+    ])
+    def test_cut_is_the_scipy_quantile(self, kind, w, x):
+        # scipy's quantile k at 1 - TAIL_TOL of Poisson(x^2) or negative
+        # binomial (w, sech^2 x) keeps ceil(k) + 2 sites, and its tail
+        # function gives the mass past them.  Twice the cut keeps one site
+        # less, where the tail past an integer is within 2e-6 below
+        # TAIL_TOL and nbdtrik's root lands just past that integer:
+        #   w = 1e-6, x = 1e-3: P(n >= 1) = (1 - 1.7e-7) TAIL_TOL, k = 1.5e-6;
+        #   w = 1,    x = 1e-3: P(n >= 2) = (1 - 1.3e-6) TAIL_TOL, k = 1 + 1.5e-6.
+        from scipy.special import betainc, nbdtrik, pdtrc, pdtrik
+        model = AlgebraModel.hw(1.0) if kind == "hw" else AlgebraModel.sl2r(w)
+        sites, tail, logw = _cut(model, x)
+        if kind == "hw":
+            k, past = pdtrik(1.0 - TAIL_TOL, x * x), pdtrc(sites - 1, x * x)
+        else:
+            k = nbdtrik(1.0 - TAIL_TOL, w, 1.0 / math.cosh(x) ** 2)
+            past = betainc(sites, w, math.tanh(x) ** 2)
+        off_by_one = (kind, w, x) in {("sl2r", 1e-6, 1e-3), ("sl2r", 1.0, 1e-3)}
+        assert sites == math.ceil(k) + 2 - off_by_one
+        assert logw.size == sites
+        # The log-weights of site n carry about n log n ulps of rounding.
+        assert tail == pytest.approx(past, rel=64 * 2.0**-52 * sites * math.log(sites),
+                                     abs=0.0)
+        assert tail <= TAIL_TOL
+
+    def test_cut_near_the_site_cap(self):
+        # hw at x = 2044 keeps 4192325 sites, 1979 below MAX_MODEL_SITES.
+        # pdtrc's tail is 5.6e-4 off there, so the tail is checked against
+        # a 40-digit sum of the Poisson terms; the log-weights near 4.2e6
+        # round to 7.5e-9.
+        import mpmath
+        from scipy.special import pdtrik
+        x = 2044.0
+        sites, tail, _ = _cut(AlgebraModel.hw(1.0), x)
+        assert sites == math.ceil(pdtrik(1.0 - TAIL_TOL, x * x)) + 2 == MAX_MODEL_SITES - 1979
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(x) ** 2
+            term = mpmath.exp(sites * mpmath.log(lam) - lam - mpmath.loggamma(sites + 1))
+            n, past = sites, mpmath.mpf(0)
+            while term > past * mpmath.mpf(10) ** -30:
+                past += term
+                n += 1
+                term *= lam / n
+        assert tail == pytest.approx(float(past), rel=1e-8, abs=0.0)
+        # At x = 2045 the mean x^2 is below the cap and the cut past it.
+        with pytest.raises(NumericalError, match="at least 4194306 sites"):
+            _cut(AlgebraModel.hw(1.0), 2045.0)
+
+    def test_tail_too_slow_to_sum(self, monkeypatch):
+        # sl2r at w << 1 puts about w tanh^(2n) x / n on site n.  At x = 20
+        # the ratio of its terms rounds to 1; at x = 3.5, under a cap of
+        # 4096 sites, bounding the mass past the window takes about 11000.
+        with pytest.raises(NumericalError, match="past 4194305 sites rounds to 1"):
+            model_amplitudes(AlgebraModel.sl2r(1e-20), np.array([0.0, 20.0]))
+        monkeypatch.setattr(algebras, "MAX_MODEL_SITES", 1 << 12)
+        with pytest.raises(NumericalError, match="mass past 8192 sites is not bounded"):
+            model_amplitudes(AlgebraModel.sl2r(1e-12), np.array([0.0, 3.5]))
 
     def test_grid_past_the_site_cap(self):
         with pytest.raises(NumericalError, match="MAX_MODEL_SITES"):
@@ -447,6 +523,35 @@ class TestModelObservables:
         np.testing.assert_allclose(evolved.complexity, closed.complexity, atol=1e-9)
         np.testing.assert_allclose(evolved.rate, closed.rate, atol=1e-8)
         np.testing.assert_allclose(evolved.dispersion, closed.dispersion, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind, w", [("su2", 4199.0), ("hw", 1.0), ("sl2r", 0.3),
+                                     ("sl2r", 101.0)])
+def test_log_weights_against_mpmath(kind, w):
+    # Each log-weight is half a sum of up to three math.lgamma values below
+    # 3.2e4, each within about an ulp (3.6e-12) of its 40-digit value.
+    import mpmath
+    ns = np.arange(0.0, 4200.0, 3.0)
+    lg = mpmath.loggamma
+    exact = {"su2": lambda n: (lg(w + 1) - lg(n + 1) - lg(w - n + 1)) / 2,
+             "hw": lambda n: -lg(n + 1) / 2,
+             "sl2r": lambda n: (lg(n + w) - lg(n + 1) - lg(w)) / 2}[kind]
+    with mpmath.workdps(40):
+        want = np.array([float(exact(mpmath.mpf(n))) for n in ns])
+    got = _LAWS[kind].logw(ns, w)
+    assert np.max(np.abs(got - want)) <= 2.0 * math.ulp(3.2e4)
+
+
+def test_log_tanh_against_mpmath():
+    # sl2r's site n carries n log tanh x, so log tanh x must be good to
+    # rounding relative to its value: log(np.tanh(4.0)) is 1.5e-14 off.
+    import mpmath
+    a = np.array([1e-300, 1e-8, 1e-3, 0.1, 0.49, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 300.0])
+    with mpmath.workdps(300):             # tanh 300 = 1 - 5e-261
+        want = np.array([float(mpmath.log(mpmath.tanh(mpmath.mpf(v)))) for v in a])
+    got = algebras._log_tanh(a)
+    np.testing.assert_allclose(got, want, rtol=4 * 2.0**-52, atol=0.0)
+    assert algebras._log_tanh(np.array([0.0]))[0] == -np.inf
 
 
 def _family_formulas(m, t):

@@ -564,7 +564,6 @@ def test_grid_passes_keep_their_working_set_small(tmp_path):
     # whole grid 39 MB.
     model = AlgebraModel.su2(999.5)
     t = np.linspace(0.0, 3.0, 601)
-    model_amplitudes(model, t[:2])           # scipy.special is imported here
     tracemalloc.start()
     try:
         traj = model_amplitudes(model, t)

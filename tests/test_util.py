@@ -498,17 +498,43 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special"])
-def test_import_leaves_scipy_linalg_unloaded(module):
+def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg adds roughly 0.1 s to a fresh `import kbound`; the
     # package evolves chains without an eigensolve and needs none of it.
-    # scipy.special is most of the rest, and only the closed-form family
-    # amplitudes need it: they import it when called.
     env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
-    code = f"import sys, kbound; print({module!r} in sys.modules)"
+    code = "import sys, kbound; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_runs_without_scipy(tmp_path):
+    # kbound depends on numpy and orjson alone: with every scipy import
+    # failing, the three families, the closure test and the model, lanczos
+    # and bound commands all run.
+    env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from kbound import cli
+from kbound.algebras import AlgebraModel, closure_test, model_amplitudes
+from kbound.operators import save_matrix
+t = np.linspace(0.0, 2.0, 21)
+for model in (AlgebraModel.su2(3.5), AlgebraModel.hw(1.0), AlgebraModel.sl2r(2.0)):
+    traj = model_amplitudes(model, t)
+    assert traj.sites > 2 and closure_test(traj.b, D=model.D).closed
+work = {str(tmp_path)!r}
+save_matrix(work + "/H.json", np.diag(np.arange(6.0)) + np.eye(6, k=1) + np.eye(6, k=-1))
+for argv in (["model", "hw:nu=1", "--out", work + "/model.json"],
+             ["lanczos", work + "/H.json", "--out", work + "/chain.json"],
+             ["bound", work + "/chain.json", "--out", work + "/bound.json"]):
+    assert cli.main(argv) == 0, argv
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
 def test_chain_longer_than_its_D_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "c.json"
