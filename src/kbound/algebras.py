@@ -61,8 +61,13 @@ __all__ = [
 def _lgamma(z):
     """math.lgamma of each element of z.  Against 40-digit mpmath it is
     within 3.6e-12 absolute at arguments up to 4200 (scipy's gammaln:
-    7.3e-12)."""
-    return np.fromiter(map(math.lgamma, z.tolist()), np.float64, len(z))
+    7.3e-12).  It goes 65536 elements at a time, so the Python floats of a
+    window of millions of sites never exist at once."""
+    out = np.empty(len(z))
+    for i in range(0, len(z), 1 << 16):
+        out[i:i + (1 << 16)] = np.fromiter(map(math.lgamma, z[i:i + (1 << 16)].tolist()),
+                                           np.float64)
+    return out
 
 
 def _power_rows(logw, log_size, negative, log_envelope):
@@ -153,8 +158,8 @@ _LAWS = {
 
 
 def _cut(model, x):
-    """The sites an infinite family keeps at |x| = x, the probability past
-    them, and their logw.
+    """The sites an infinite family keeps at |x| = x, a bound on the
+    probability past them, and their logw.
 
     The site distribution p_n = phi_n(x)^2 (Poisson(x^2) for hw, negative
     binomial (w, sech^2 x) for sl2r) has mean K = w S(x)^2 and spread
@@ -163,19 +168,24 @@ def _cut(model, x):
     ratio stays below rho = T^2 max(kappa, (w + kappa (N - 1)) / N) < 1, so
     the mass past N is at most p_(N-1) rho / (1 - rho).  p_0 .. p_(N-1) come
     from the family's rows; the tail past each site count is their reversed
-    cumulative sum, which adds the small terms first.  The family keeps one
-    site more than the first site count whose tail is at most TAIL_TOL:
-    ceil(k) + 2 sites for the quantile k of the distribution at
-    1 - TAIL_TOL.
+    cumulative sum, which adds the small terms first, plus that bound.  The
+    family keeps one site more than the first site count whose tail is at
+    most TAIL_TOL, and the tail there is returned: the mass the kept sites
+    leave out, or more, never less.
 
     N starts at K + 8 Delta K + 64 (at most MAX_MODEL_SITES + 1), and its
-    distance past K doubles until the bound on the mass past N is below
-    2^-53 of the tail at the cut, so the returned tail is the mass past the
-    kept sites to rounding.  A non-finite K, a K past MAX_MODEL_SITES or a
-    cut past it raises NumericalError, and so does a tail that needs more
-    than 2 MAX_MODEL_SITES sites for that bound or whose rho rounds to 1
-    (sl2r at w << 1 and large x, where p_n ~ w tanh^(2n) x / n falls
-    slowly).
+    distance past K doubles until that site count lies within N and
+    MAX_MODEL_SITES.  Then, as p_(N'-1) <= p_(N-1) rho^(N' - N), N grows
+    to where the bound no longer moves the cut, as far as
+    2 MAX_MODEL_SITES, and to where it is below 2^-53 of the tail, if that
+    is within 2 MAX_MODEL_SITES.  So the family keeps ceil(k) + 2 sites for
+    the quantile k of the distribution at 1 - TAIL_TOL, and the tail is the
+    mass past them to rounding, unless the tail falls too slowly for that
+    window (sl2r at w << 1 and large x, where p_n ~ w tanh^(2n) x / n): then
+    the tail is an upper bound and the cut may keep a few more sites.  A
+    non-finite K, a K past MAX_MODEL_SITES or a cut past it raises
+    NumericalError, and so does a tail whose rho rounds to 1 or whose bound
+    leaves no cut within MAX_MODEL_SITES at 2 MAX_MODEL_SITES.
     """
     law, w = model._law()
     with np.errstate(over="ignore"):
@@ -201,25 +211,41 @@ def _cut(model, x):
     if K > MAX_MODEL_SITES:
         raise past_the_cap(f"more than {K:.4g}")
     t2 = K / (w + law.kappa * K)
-    limit = 2 * MAX_MODEL_SITES
+    limit, block = 2 * MAX_MODEL_SITES, 1 << 16
     n = math.ceil(min(K + 8.0 * spread + 64.0, MAX_MODEL_SITES + 1.0))
     logw = np.empty(0)
     while True:
         rho = t2 * max(law.kappa, (w + law.kappa * (n - 1)) / n)
         if rho >= 1.0:
             raise too_slow(f"the ratio of its terms past {n} sites rounds to 1")
-        logw = np.concatenate((logw, law.logw(np.arange(logw.size, n, dtype=np.float64), w)))
-        p = law.rows(np.array([x]), logw, w)[0] ** 2
-        tail = np.append(np.cumsum(p[::-1])[::-1], 0.0)
-        sites = int(np.argmax(tail <= TAIL_TOL)) + 1
-        if sites > MAX_MODEL_SITES:
-            raise past_the_cap(f"at least {sites}")
-        if sites <= n and p[-1] * rho / (1.0 - rho) <= 2.0**-53 * tail[sites]:
-            return sites, float(tail[sites]), logw[:sites]
-        if n == limit:
-            raise too_slow(f"the mass past {n} sites is not bounded below 2^-53 of "
-                           f"the {tail[sites]:.3g} summed past {sites} sites")
-        n = min(2 * n - math.floor(K), limit)
+        logw = np.concatenate([logw] + [law.logw(np.arange(i, min(i + block, n),
+                                                          dtype=np.float64), w)
+                                        for i in range(logw.size, n, block)])
+        # p_0 .. p_(N-1) and a 0 past them, summed in place from the end.
+        tail = np.append(law.rows(np.array([x]), logw, w)[0], 0.0)
+        np.square(tail, out=tail)
+        past = tail[-2] * rho / (1.0 - rho)
+        np.cumsum(tail[-2::-1], out=tail[-2::-1])
+        # least is the cut of the summed tail alone, sites that of the bound.
+        least = int(np.argmax(tail <= TAIL_TOL)) + 1
+        if least > MAX_MODEL_SITES:
+            raise past_the_cap(f"at least {least}")
+        bounded = tail <= TAIL_TOL - past
+        sites = int(np.argmax(bounded)) + 1 if bounded[-1] else limit + 1
+        if sites > min(n, MAX_MODEL_SITES):
+            if n == limit:
+                raise too_slow(f"the bound {past:.3g} on the mass past {n} sites leaves "
+                               f"no cut within MAX_MODEL_SITES = {MAX_MODEL_SITES}")
+            n = min(2 * n - math.floor(K), limit)
+            continue
+        want = n
+        for gap, short in ((TAIL_TOL - tail[least - 1], limit), (2.0**-53 * tail[sites], n)):
+            if past > gap:
+                need = n + math.log(gap / past) / math.log(rho) if gap > 0.0 else math.inf
+                want = max(want, need if need <= limit else short)
+        if want == n:
+            return sites, float(tail[sites] + past), logw[:sites].copy()
+        n = min(max(2 * n - math.floor(K), math.ceil(want)), limit)
 
 
 @dataclass(frozen=True)
@@ -496,7 +522,8 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     where their site distribution (Poisson(x^2), negative binomial
     (eta, sech^2 x)) has its widest tail: they keep one site more than the
     first site count past which at most TAIL_TOL of it lies (see _cut), and
-    the probability past the last site is the trajectory's tail_mass.  A
+    the trajectory's tail_mass is the probability past the last site, or a
+    bound on it where the tail falls too slowly to sum to rounding.  A
     grid whose cut passes MAX_MODEL_SITES raises NumericalError.  The output
     is allocated first (an output the machine cannot hold raises
     NumericalError naming its size) and filled a few rows at a time, so the

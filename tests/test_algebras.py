@@ -462,13 +462,38 @@ class TestModelAmplitudes:
 
     def test_tail_too_slow_to_sum(self, monkeypatch):
         # sl2r at w << 1 puts about w tanh^(2n) x / n on site n.  At x = 20
-        # the ratio of its terms rounds to 1; at x = 3.5, under a cap of
-        # 4096 sites, bounding the mass past the window takes about 11000.
+        # the ratio of its terms rounds to 1.
+        from scipy.special import betainc
         with pytest.raises(NumericalError, match="past 4194305 sites rounds to 1"):
             model_amplitudes(AlgebraModel.sl2r(1e-20), np.array([0.0, 20.0]))
+        # Under a cap of 4096 sites, at x = 3.5 a window of 2434 sites
+        # bounds the mass past it well enough to fix the cut, but no window
+        # within 8192 sites bounds it to 2^-53 of the tail: tail_mass is an
+        # upper bound, 1.5e-6 above the tail.
         monkeypatch.setattr(algebras, "MAX_MODEL_SITES", 1 << 12)
-        with pytest.raises(NumericalError, match="mass past 8192 sites is not bounded"):
-            model_amplitudes(AlgebraModel.sl2r(1e-12), np.array([0.0, 3.5]))
+        x, w = 3.5, 1e-12
+        traj = model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, x]))
+        t2 = math.tanh(x) ** 2
+        assert betainc(traj.sites - 2, w, t2) > TAIL_TOL >= betainc(traj.sites - 1, w, t2)
+        past = betainc(traj.sites, w, t2)
+        assert past <= traj.tail_mass <= past * (1.0 + 1e-5)
+        assert traj.tail_mass <= TAIL_TOL
+        # At x = 5.5 the bound past 8192 sites leaves no cut under the cap.
+        with pytest.raises(NumericalError, match="leaves no cut within MAX_MODEL_SITES = 4096"):
+            model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, 5.5]))
+
+    def test_slow_tail_is_cut_where_betainc_cuts(self):
+        # sl2r at eta = 1e-12 and x = 7 keeps 79595 sites: its tail falls
+        # by 1e-5 a site, and nbdtrik's root lands 3 sites past the cut.
+        # The window grows to where the bound no longer moves the cut.
+        from scipy.special import betainc, nbdtrik
+        x, w = 7.0, 1e-12
+        sites, tail, _ = _cut(AlgebraModel.sl2r(w), x)
+        t2 = math.tanh(x) ** 2
+        assert betainc(sites - 2, w, t2) > TAIL_TOL >= betainc(sites - 1, w, t2)
+        assert sites == math.ceil(nbdtrik(1.0 - TAIL_TOL, w, 1.0 / math.cosh(x) ** 2)) - 1
+        past = betainc(sites, w, t2)
+        assert past <= tail <= past * (1.0 + 1e-6)
 
     def test_grid_past_the_site_cap(self):
         with pytest.raises(NumericalError, match="MAX_MODEL_SITES"):
