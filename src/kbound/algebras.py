@@ -24,9 +24,12 @@ rate pair (alpha, gamma) to its family member, ``b`` gives its chain,
 :func:`model_amplitudes` its amplitudes.  Their distribution over sites
 (binomial, Poisson, negative binomial) is evaluated in log space, with
 log-weights from math.lgamma, so chains with thousands of sites neither
-overflow nor underflow.  The infinite families are cut where the summed
-tail of that distribution leaves at most TAIL_TOL past the last site but
-one (see _cut).  The module needs numpy alone.
+overflow nor underflow.  The infinite families are cut where the tail of
+that distribution leaves at most TAIL_TOL past the last site but one, and
+the mass past the window the cut is taken from is summed exactly, by the
+continued fraction of the incomplete beta function (see _cut).  So the
+tail_mass of a family is the probability its kept sites leave out.  The
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -157,35 +160,59 @@ _LAWS = {
 }
 
 
+def _tail_ratio(kappa, w, t2, n):
+    """(p_n + p_(n+1) + ...) / p_n for the site distribution whose terms have
+    the ratio p_(m+1) / p_m = t2 (w + kappa m) / (m + 1), or None where the
+    limit kappa t2 of that ratio rounds to 1 or the fraction does not settle
+    within MAX_MODEL_SITES terms.
+
+    For kappa = 1 it is the continued fraction of the incomplete beta
+    function I_t2(n, w) over its leading term (Numerical Recipes' betacf),
+    and kappa = 0 is its Poisson limit.  It is summed by the modified Lentz
+    method (Thompson & Barnett, J. Comput. Phys. 64, 490, 1986), which puts
+    a tiny number in place of a zero denominator.  Its terms 1 + a d cancel
+    to about 1 - kappa t2 of their size, so its rounding grows as
+    1 / (1 - kappa t2): 2e-10 at sl2r's x = 8, where that is 2.2e6."""
+    if kappa * t2 >= 1.0:
+        return None
+    # The fraction is 1 / (1 + a_1 / (1 + a_2 / ...)) with a_j = q (w - kappa q)
+    # t2 / ((n + j - 1)(n + j)), q = j / 2 for even j, -(n + (j - 1) / 2) for
+    # odd j.  Lentz's C, D and value start as they stand after its leading 1.
+    tiny = 1e-300
+    c, d, ratio = 1.0 / tiny, 1.0, 1.0
+    for j in range(1, MAX_MODEL_SITES + 1):
+        q = j / 2.0 if j % 2 == 0 else -(n + (j - 1) / 2.0)
+        a = q * t2 * (w - kappa * q) / ((n + j - 1.0) * (n + j))
+        d = 1.0 / ((1.0 + a * d) or tiny)
+        c = (1.0 + a / c) or tiny
+        ratio *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return ratio
+    return None
+
+
 def _cut(model, x):
-    """The sites an infinite family keeps at |x| = x, a bound on the
-    probability past them, and their logw.
+    """The sites an infinite family keeps at |x| = x, the probability past
+    them, and their logw.
 
     The site distribution p_n = phi_n(x)^2 (Poisson(x^2) for hw, negative
     binomial (w, sech^2 x) for sl2r) has mean K = w S(x)^2 and spread
     Delta K = sqrt(w / 4) |S(2x)|, and p_(n+1) / p_n = T^2 (w + kappa n) / (n + 1)
-    with T^2 = K / (w + kappa K) (x^2, tanh^2 x).  Past N > K sites that
-    ratio stays below rho = T^2 max(kappa, (w + kappa (N - 1)) / N) < 1, so
-    the mass past N is at most p_(N-1) rho / (1 - rho).  p_0 .. p_(N-1) come
-    from the family's rows; the tail past each site count is their reversed
-    cumulative sum, which adds the small terms first, plus that bound.  The
-    family keeps one site more than the first site count whose tail is at
-    most TAIL_TOL, and the tail there is returned: the mass the kept sites
-    leave out, or more, never less.
+    with T^2 = K / (w + kappa K) (x^2, tanh^2 x).  A window holds the sites
+    0 .. N of the family's rows, with p_N times _tail_ratio in place of p_N:
+    the whole mass from N on.  The tail past each site count is the
+    reversed cumulative sum of the window, which adds the small terms
+    first.  The family keeps one site more than the first site count whose
+    tail is at most TAIL_TOL, and the tail there is returned: the mass the
+    kept sites leave out, to the rounding of the rows and of the fraction.
 
-    N starts at K + 8 Delta K + 64 (at most MAX_MODEL_SITES + 1), and its
-    distance past K doubles until that site count lies within N and
-    MAX_MODEL_SITES.  Then, as p_(N'-1) <= p_(N-1) rho^(N' - N), N grows
-    to where the bound no longer moves the cut, as far as
-    2 MAX_MODEL_SITES, and to where it is below 2^-53 of the tail, if that
-    is within 2 MAX_MODEL_SITES.  So the family keeps ceil(k) + 2 sites for
-    the quantile k of the distribution at 1 - TAIL_TOL, and the tail is the
-    mass past them to rounding, unless the tail falls too slowly for that
-    window (sl2r at w << 1 and large x, where p_n ~ w tanh^(2n) x / n): then
-    the tail is an upper bound and the cut may keep a few more sites.  A
-    non-finite K, a K past MAX_MODEL_SITES or a cut past it raises
-    NumericalError, and so does a tail whose rho rounds to 1 or whose bound
-    leaves no cut within MAX_MODEL_SITES at 2 MAX_MODEL_SITES.
+    N starts at K + 8 Delta K + 64 (at most MAX_MODEL_SITES), and its
+    distance past K doubles until the window holds the cut.  So the family
+    keeps ceil(k) + 2 sites for the quantile k of the distribution at
+    1 - TAIL_TOL.  A non-finite K, a K past MAX_MODEL_SITES or a cut past
+    it raises NumericalError, and so does a tail too slow to sum: one whose
+    term ratio rounds to 1 (sl2r at w << 1 and x near 20, where
+    p_n ~ w tanh^(2n) x / n), or whose fraction does not settle.
     """
     law, w = model._law()
     with np.errstate(over="ignore"):
@@ -200,52 +227,44 @@ def _cut(model, x):
             "large to materialize"
         )
 
-    def too_slow(why):
-        return NumericalError(
-            f"the tail of the {model.label()} chain at nu t = {x:g} decays too "
-            f"slowly to sum: {why}"
-        )
-
     if not math.isfinite(K):
         raise past_the_cap("a non-finite number of")
     if K > MAX_MODEL_SITES:
         raise past_the_cap(f"more than {K:.4g}")
     t2 = K / (w + law.kappa * K)
-    limit, block = 2 * MAX_MODEL_SITES, 1 << 16
-    n = math.ceil(min(K + 8.0 * spread + 64.0, MAX_MODEL_SITES + 1.0))
+    n = math.ceil(min(K + 8.0 * spread + 64.0, MAX_MODEL_SITES))
     logw = np.empty(0)
     while True:
-        rho = t2 * max(law.kappa, (w + law.kappa * (n - 1)) / n)
-        if rho >= 1.0:
-            raise too_slow(f"the ratio of its terms past {n} sites rounds to 1")
-        logw = np.concatenate([logw] + [law.logw(np.arange(i, min(i + block, n),
+        ratio = _tail_ratio(law.kappa, w, t2, n)
+        if ratio is None:
+            raise NumericalError(f"the tail of the {model.label()} chain at nu t = {x:g} "
+                                 f"decays too slowly to sum past {n} sites: the ratio of "
+                                 f"its terms tends to {law.kappa * t2!r}")
+        logw = np.concatenate([logw] + [law.logw(np.arange(i, min(i + (1 << 16), n + 1),
                                                           dtype=np.float64), w)
-                                        for i in range(logw.size, n, block)])
-        # p_0 .. p_(N-1) and a 0 past them, summed in place from the end.
-        tail = np.append(law.rows(np.array([x]), logw, w)[0], 0.0)
+                                        for i in range(logw.size, n + 1, 1 << 16)])
+        # p_0 .. p_(N-1) and the mass from N on, summed in place from the end.
+        tail = law.rows(np.array([x]), logw, w)[0]
         np.square(tail, out=tail)
-        past = tail[-2] * rho / (1.0 - rho)
-        np.cumsum(tail[-2::-1], out=tail[-2::-1])
-        # least is the cut of the summed tail alone, sites that of the bound.
-        least = int(np.argmax(tail <= TAIL_TOL)) + 1
-        if least > MAX_MODEL_SITES:
-            raise past_the_cap(f"at least {least}")
-        bounded = tail <= TAIL_TOL - past
-        sites = int(np.argmax(bounded)) + 1 if bounded[-1] else limit + 1
-        if sites > min(n, MAX_MODEL_SITES):
-            if n == limit:
-                raise too_slow(f"the bound {past:.3g} on the mass past {n} sites leaves "
-                               f"no cut within MAX_MODEL_SITES = {MAX_MODEL_SITES}")
-            n = min(2 * n - math.floor(K), limit)
-            continue
-        want = n
-        for gap, short in ((TAIL_TOL - tail[least - 1], limit), (2.0**-53 * tail[sites], n)):
-            if past > gap:
-                need = n + math.log(gap / past) / math.log(rho) if gap > 0.0 else math.inf
-                want = max(want, need if need <= limit else short)
-        if want == n:
-            return sites, float(tail[sites] + past), logw[:sites].copy()
-        n = min(max(2 * n - math.floor(K), math.ceil(want)), limit)
+        tail[-1] *= ratio
+        np.cumsum(tail[::-1], out=tail[::-1])
+        sites = int(np.argmax(tail <= TAIL_TOL)) + 1 if tail[-1] <= TAIL_TOL else n + 2
+        if sites <= n:
+            return sites, float(tail[sites]), logw[:sites].copy()
+        if n == MAX_MODEL_SITES:
+            raise past_the_cap(f"at least {sites}")
+        n = min(2 * n - math.floor(K), MAX_MODEL_SITES)
+
+
+def _chain_sites(model) -> int:
+    """The D sites of a su2 chain, refused with NumericalError past
+    MAX_MODEL_SITES before anything is allocated for them."""
+    if model.D > MAX_MODEL_SITES:
+        raise NumericalError(
+            f"the {model.label()} chain has D = {model.D} sites, past "
+            f"MAX_MODEL_SITES = {MAX_MODEL_SITES}; it is too long to materialize"
+        )
+    return model.D
 
 
 @dataclass(frozen=True)
@@ -522,9 +541,9 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     where their site distribution (Poisson(x^2), negative binomial
     (eta, sech^2 x)) has its widest tail: they keep one site more than the
     first site count past which at most TAIL_TOL of it lies (see _cut), and
-    the trajectory's tail_mass is the probability past the last site, or a
-    bound on it where the tail falls too slowly to sum to rounding.  A
-    grid whose cut passes MAX_MODEL_SITES raises NumericalError.  The output
+    the trajectory's tail_mass is the probability past the last site.  A
+    grid whose cut passes MAX_MODEL_SITES, and a su2 chain longer than
+    that, raise NumericalError before they allocate their sites.  The output
     is allocated first (an output the machine cannot hold raises
     NumericalError naming its size) and filled a few rows at a time, so the
     intermediate arrays stay small.  Each row is computed on its own, so
@@ -538,7 +557,7 @@ def model_amplitudes(model: AlgebraModel, times) -> AmplitudeTrajectory:
     if model.D is None:
         n_sites, tail, logw = _cut(model, float(np.max(np.abs(x))))
     else:
-        n_sites, tail = model.D, 0.0
+        n_sites, tail = _chain_sites(model), 0.0
         logw = law.logw(np.arange(n_sites, dtype=np.float64), w)
     phi = output_array(t.size, n_sites)
     # One row block at a time: the ~8 temporaries of rows() hold one block

@@ -94,7 +94,7 @@ def _cmd_model(ns: argparse.Namespace) -> int:
     times = _time_grid(ns)
     profile = algebras.model_observables(model, times)
     if model.D is not None:
-        bchain = model.b(np.arange(1, model.D))
+        bchain = model.b(np.arange(1, algebras._chain_sites(model)))
     else:
         bchain = model.b(np.arange(1, ns.coeffs + 1))
     fmt = _resolve_format(ns, "json")
@@ -275,6 +275,18 @@ def _option(check, *args):
     return number
 
 
+def _coefficient_count(value, name: str) -> int:
+    """A count of coefficients to materialize: an integer from 1 to
+    MAX_MODEL_SITES."""
+    count = integer(value, name)
+    if count > algebras.MAX_MODEL_SITES:
+        raise ValidationError(
+            f"{name} must be at most MAX_MODEL_SITES = {algebras.MAX_MODEL_SITES}, "
+            f"got {count}"
+        )
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -305,7 +317,7 @@ def _build_parser() -> _Parser:
     p.add_argument("model_spec", metavar="SPEC",
                    help="su2:j=..,nu=.. | hw:nu=.. | syk:eta=..,nu=.. | "
                         "sat:alpha=..,gamma=..[,D=..]")
-    p.add_argument("--coeffs", type=_option(integer), default=256,
+    p.add_argument("--coeffs", type=_option(_coefficient_count), default=256,
                    help="coefficients to materialize for infinite families")
     p.add_argument("--coeffs-out", dest="coeffs_out", default=None,
                    help="also write the coefficients as CSV here")

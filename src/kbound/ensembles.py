@@ -148,8 +148,9 @@ class EnsembleResult:
 
 
 def _draw(dim, sigma, ss):
-    """One realization's GOE draw and its uniform observable."""
-    H = goe_sample(dim, sigma, ss)
+    """One realization's GOE draw and its uniform observable; the draw's one
+    HermitianMatrix carries its eigendecomposition on to the chain."""
+    H = as_hermitian(goe_sample(dim, sigma, ss))
     return H, uniform_observable(H)
 
 

@@ -22,6 +22,7 @@ nowhere else (``_Frame``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,14 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """The energies and eigenvectors of np.linalg.eigh, computed once per
+        matrix and read-only, so every frame of it shares them."""
+        energies, vectors = np.linalg.eigh(self.entries)
+        energies.flags.writeable = vectors.flags.writeable = False
+        return energies, vectors
 
 
 def as_hermitian(matrix) -> HermitianMatrix:
@@ -139,7 +148,7 @@ class _Frame:
         if H is None:
             energies, vectors = np.zeros(dim), np.eye(dim)
         else:
-            energies, vectors = np.linalg.eigh(H.entries)
+            energies, vectors = H.eigensystem
         if spec.beta == 0.0:
             weights = np.full((dim, dim), spec.norm_factor(dim))
         else:

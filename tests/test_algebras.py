@@ -462,38 +462,59 @@ class TestModelAmplitudes:
 
     def test_tail_too_slow_to_sum(self, monkeypatch):
         # sl2r at w << 1 puts about w tanh^(2n) x / n on site n.  At x = 20
-        # the ratio of its terms rounds to 1.
-        from scipy.special import betainc
-        with pytest.raises(NumericalError, match="past 4194305 sites rounds to 1"):
+        # the ratio of its terms, tanh^2 x, rounds to 1: the cut raises
+        # before it evaluates a single row.
+        def unreached(*args):
+            raise AssertionError("rows evaluated")
+        law = _LAWS["sl2r"]
+        monkeypatch.setitem(_LAWS, "sl2r", law._replace(logw=unreached, rows=unreached))
+        with pytest.raises(NumericalError, match="too slowly to sum past 4194304 sites: "
+                                                 "the ratio of its terms tends to 1.0$"):
             model_amplitudes(AlgebraModel.sl2r(1e-20), np.array([0.0, 20.0]))
-        # Under a cap of 4096 sites, at x = 3.5 a window of 2434 sites
-        # bounds the mass past it well enough to fix the cut, but no window
-        # within 8192 sites bounds it to 2^-53 of the tail: tail_mass is an
-        # upper bound, 1.5e-6 above the tail.
+        monkeypatch.setitem(_LAWS, "sl2r", law)
+        # Under a cap of 4096 sites eta = 1e-12 is cut exactly where betainc
+        # cuts it, and tail_mass is the mass past the kept sites, two-sided.
+        from scipy.special import betainc
         monkeypatch.setattr(algebras, "MAX_MODEL_SITES", 1 << 12)
-        x, w = 3.5, 1e-12
-        traj = model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, x]))
-        t2 = math.tanh(x) ** 2
-        assert betainc(traj.sites - 2, w, t2) > TAIL_TOL >= betainc(traj.sites - 1, w, t2)
-        past = betainc(traj.sites, w, t2)
-        assert past <= traj.tail_mass <= past * (1.0 + 1e-5)
-        assert traj.tail_mass <= TAIL_TOL
-        # At x = 5.5 the bound past 8192 sites leaves no cut under the cap.
-        with pytest.raises(NumericalError, match="leaves no cut within MAX_MODEL_SITES = 4096"):
-            model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, 5.5]))
+        w = 1e-12
+        for x, sites in ((3.5, 75), (5.5, 3965)):
+            traj = model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, x]))
+            t2 = math.tanh(x) ** 2
+            assert traj.sites == sites
+            assert betainc(sites - 2, w, t2) > TAIL_TOL >= betainc(sites - 1, w, t2)
+            assert traj.tail_mass == pytest.approx(betainc(sites, w, t2), rel=1e-11, abs=0.0)
+        # At x = 6 the cut (10774 sites) lies past the cap.
+        with pytest.raises(NumericalError, match="at least 4098 sites"):
+            model_amplitudes(AlgebraModel.sl2r(w), np.array([0.0, 6.0]))
 
     def test_slow_tail_is_cut_where_betainc_cuts(self):
-        # sl2r at eta = 1e-12 and x = 7 keeps 79595 sites: its tail falls
-        # by 1e-5 a site, and nbdtrik's root lands 3 sites past the cut.
-        # The window grows to where the bound no longer moves the cut.
-        from scipy.special import betainc, nbdtrik
-        x, w = 7.0, 1e-12
-        sites, tail, _ = _cut(AlgebraModel.sl2r(w), x)
-        t2 = math.tanh(x) ** 2
-        assert betainc(sites - 2, w, t2) > TAIL_TOL >= betainc(sites - 1, w, t2)
-        assert sites == math.ceil(nbdtrik(1.0 - TAIL_TOL, w, 1.0 / math.cosh(x) ** 2)) - 1
-        past = betainc(sites, w, t2)
-        assert past <= tail <= past * (1.0 + 1e-6)
+        # sl2r at eta = 1e-12 falls by 1e-5 a site at x = 7 and by 4.5e-7
+        # at x = 8.  40-digit betainc puts the cut where it is kept and the
+        # mass past it at past; tail_mass carries the rounding of tanh^2 x,
+        # which 1 / sech^2 x magnifies.
+        import mpmath
+        w = 1e-12
+        for x, sites, past in ((7.0, 79595, 9.99990028128e-13),
+                               (8.0, 588123, 9.99997499180e-13)):
+            kept, tail, _ = _cut(AlgebraModel.sl2r(w), x)
+            assert kept == sites
+            with mpmath.workdps(40):
+                t2 = mpmath.tanh(mpmath.mpf(x)) ** 2
+                I = [mpmath.betainc(n, w, 0, t2, regularized=True)
+                     for n in (sites - 2, sites - 1, sites)]
+            assert I[0] > TAIL_TOL >= I[1]
+            assert float(I[2]) == pytest.approx(past, rel=1e-11, abs=0.0)
+            assert tail == pytest.approx(past, rel=1e-9, abs=0.0)
+
+    def test_su2_past_the_site_cap(self, monkeypatch):
+        # D = 2e9 sites would take 15 GB of log-weights: the chain is refused
+        # before they are computed.
+        def unreached(*args):
+            raise AssertionError("log-weights computed")
+        monkeypatch.setitem(_LAWS, "su2", _LAWS["su2"]._replace(logw=unreached))
+        with pytest.raises(NumericalError, match="D = 2000000001 sites, past "
+                                                 "MAX_MODEL_SITES = 4194304"):
+            model_amplitudes(AlgebraModel.su2(1e9), np.array([0.0, 1.0]))
 
     def test_grid_past_the_site_cap(self):
         with pytest.raises(NumericalError, match="MAX_MODEL_SITES"):
@@ -565,6 +586,52 @@ def test_log_weights_against_mpmath(kind, w):
         want = np.array([float(exact(mpmath.mpf(n))) for n in ns])
     got = _LAWS[kind].logw(ns, w)
     assert np.max(np.abs(got - want)) <= 2.0 * math.ulp(3.2e4)
+
+
+# (kappa, w, x) and the site counts n where the cut's window starts and
+# where it cuts (hw at w = 1, sl2r at w = eta; sl2r at eta = 1e-6, x = 8 is
+# cut past the site cap).
+_TAIL_CASES = [
+    (0.0, 1.0, 0.5, (69, 11)), (0.0, 1.0, 2.0, (84, 27)), (0.0, 1.0, 4.0, (112, 53)),
+    (0.0, 1.0, 8.0, (192, 130)),
+    (1.0, 1e-12, 0.5, (65, 2)), (1.0, 1e-12, 2.0, (65, 6)), (1.0, 1e-12, 4.0, (65, 199)),
+    (1.0, 1e-12, 8.0, (82, 588123)),
+    (1.0, 1e-6, 0.5, (65, 9)), (1.0, 1e-6, 2.0, (65, 156)), (1.0, 1e-6, 4.0, (70, 8431)),
+    (1.0, 1e-6, 8.0, (17839,)),
+    (1.0, 0.3, 0.5, (67, 18)), (1.0, 0.3, 2.0, (128, 333)), (1.0, 0.3, 4.0, (3553, 18093)),
+    (1.0, 1.0, 0.5, (69, 19)), (1.0, 1.0, 2.0, (187, 379)), (1.0, 1.0, 4.0, (6771, 20593)),
+    (1.0, 101.0, 0.5, (139, 83)), (1.0, 101.0, 2.0, (2490, 2526)),
+    (1.0, 101.0, 4.0, (135200, 140500)),
+]
+
+
+@pytest.mark.parametrize("kappa, w, x, n", [(kappa, w, x, n) for kappa, w, x, ns in _TAIL_CASES
+                                            for n in ns])
+def test_tail_ratio_against_mpmath(kappa, w, x, n):
+    # The mass from site n on over p_n: for sl2r the 40-digit incomplete beta
+    # I_t2(n, w) over its leading term, for hw the 40-digit Poisson(x^2) tail
+    # summed term by term.  The fraction's terms 1 + a d cancel to about
+    # 1 - kappa t2 (sech^2 x for sl2r) of their size, so its rounding grows
+    # as 1 / (1 - kappa t2): over these cases it is at most 78 ulps times
+    # that (2e-10 at x = 8, n = 588123), and 256 are allowed.
+    import mpmath
+    S = x if kappa == 0.0 else math.sinh(x)
+    K = w * S * S
+    t2 = K / (w + kappa * K)
+    got = algebras._tail_ratio(kappa, w, t2, n)
+    with mpmath.workdps(40):
+        T2 = mpmath.mpf(t2)
+        if kappa:
+            want = mpmath.betainc(n, w, 0, T2, regularized=True) / mpmath.exp(
+                mpmath.loggamma(n + w) - mpmath.loggamma(n + 1) - mpmath.loggamma(w)
+                + n * mpmath.log(T2) + w * mpmath.log(1 - T2))
+        else:
+            term, want, m = mpmath.mpf(1), mpmath.mpf(0), n
+            while term > want * mpmath.mpf(10) ** -30:
+                want += term
+                m += 1
+                term *= T2 * w / m
+    assert got == pytest.approx(float(want), rel=2.0**-44 / (1.0 - kappa * t2), abs=0.0)
 
 
 def test_log_tanh_against_mpmath():

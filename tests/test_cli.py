@@ -136,6 +136,22 @@ class TestModelCommand:
         assert lines[0] == "n,b"
         assert len(lines) == 4  # D - 1 = 3 coefficients
 
+    def test_chains_past_the_site_cap(self, monkeypatch, capsys):
+        # A su2 chain of D = 2e9 sites, or a count of 1e10 coefficients, is
+        # refused before any coefficient is computed.
+        from kbound.algebras import AlgebraModel
+
+        def unreached(self, n):
+            raise AssertionError("coefficients computed")
+        monkeypatch.setattr(AlgebraModel, "b", unreached)
+        code, _, err = run_cli(capsys, "model", "su2:j=1e9")
+        assert code == 2
+        assert "D = 2000000001 sites, past MAX_MODEL_SITES = 4194304" in err
+        code, _, err = run_cli(capsys, "model", "hw:nu=1", "--coeffs", "10000000000")
+        assert code == 1
+        assert ("argument --coeffs: value must be at most MAX_MODEL_SITES = 4194304, "
+                "got 10000000000") in err
+
     def test_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "model", "su2:j=banana")
         assert code == 1
@@ -156,6 +172,13 @@ class TestLanczosCommand:
         d = json.loads(out)
         assert d["D"] == 3
         np.testing.assert_allclose(d["b"], [math.sqrt(2)] * 2, atol=1e-12)
+
+    def test_default_observable_decomposes_h_once(self, sigma3_file, monkeypatch, capsys):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        assert run_cli(capsys, "lanczos", sigma3_file)[0] == 0
+        assert len(calls) == 1
 
     def test_explicit_observable(self, sigma3_file, mixed_obs_file, capsys):
         code, out, _ = run_cli(capsys, "lanczos", sigma3_file,

@@ -164,7 +164,7 @@ class TestRunEnsemble:
         H1 = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(1,)))
 
         def fold(H, *args):
-            if np.array_equal(H, H1):
+            if np.array_equal(H.entries, H1):
                 raise NumericalError("synthetic chain breakdown")
             return real_fold(H, *args)
 
@@ -331,6 +331,16 @@ class TestSerialization:
         path.write_text("not json at all")
         assert cli.main(["bound", str(path), "--realization", "0"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_each_draw_is_decomposed_once(monkeypatch):
+    # The uniform observable and the chain read one eigendecomposition of
+    # each draw's Hamiltonian.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    result = run_ensemble(GoeSpec(dim=8, count=30, seed=7))
+    assert len(result.b_list) == 30 and len(calls) == 30
 
 
 def test_import_loads_no_process_pool():

@@ -510,8 +510,8 @@ def test_import_leaves_scipy_linalg_unloaded():
 
 def test_runs_without_scipy(tmp_path):
     # kbound depends on numpy and orjson alone: with every scipy import
-    # failing, the three families, the closure test and the model, lanczos
-    # and bound commands all run.
+    # failing, the three families, the exact cut of a slow sl2r tail, the
+    # closure test and the model, lanczos and bound commands all run.
     env = dict(os.environ, PYTHONPATH=str(Path(kbound.__file__).parents[1]))
     code = f"""
 import sys
@@ -524,6 +524,8 @@ t = np.linspace(0.0, 2.0, 21)
 for model in (AlgebraModel.su2(3.5), AlgebraModel.hw(1.0), AlgebraModel.sl2r(2.0)):
     traj = model_amplitudes(model, t)
     assert traj.sites > 2 and closure_test(traj.b, D=model.D).closed
+traj = model_amplitudes(AlgebraModel.sl2r(1e-12), np.array([0.0, 8.0]))
+assert traj.sites == 588123 and traj.tail_mass <= 1e-12
 work = {str(tmp_path)!r}
 save_matrix(work + "/H.json", np.diag(np.arange(6.0)) + np.eye(6, k=1) + np.eye(6, k=-1))
 for argv in (["model", "hw:nu=1", "--out", work + "/model.json"],
