@@ -191,11 +191,11 @@ def json_chain(payload: dict, path, complete: bool = False):
     return b, D, json_field(payload, "truncated", boolean, path, default=False)
 
 
-def json_entry(value, name: str, index: int):
-    """Entry ``index`` of the JSON list ``value``."""
-    if not (isinstance(value, list) and 0 <= index < len(value)):
-        raise ValidationError(f"{name} must be a list with an entry {index}")
-    return value[index]
+def json_list(value, name: str) -> list:
+    """The JSON list ``value``."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list")
+    return value
 
 
 def complex_array(value, name: str, shape: tuple) -> np.ndarray:

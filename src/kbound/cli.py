@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._util import (finite_or_none, fraction, integer, json_chain, json_entry, json_field,
+from ._util import (finite_or_none, fraction, integer, json_chain, json_field, json_list,
                     load_json_object, nonnegative, positive, write_csv, write_json)
 from . import algebras, dynamics, ensembles, lanczos, operators
 
@@ -58,7 +58,7 @@ def _load_chain(path, realization: int | None = None):
     """(b, cut_flag) from a chain JSON artifact.
 
     Accepts model artifacts, Lanczos results, closure inputs ({"b": ...}),
-    and entry ``realization`` of an ensemble file.  cut_flag means the
+    and realization ``realization`` of an ensemble file.  cut_flag means the
     listed coefficients continue past the list (truncated result or
     infinite family), so the chain end is not a physical boundary.
     """
@@ -66,7 +66,7 @@ def _load_chain(path, realization: int | None = None):
     if realization is not None:
         if "realizations" not in payload:
             raise ValidationError(f"{path} is not an ensemble file; drop --realization")
-        payload = json_field(payload, "realizations", json_entry, path, realization)
+        payload = _realization(payload, path, realization)
         path = f"{path}: realization {realization}"
     elif "realizations" in payload:
         raise ValidationError(f"{path} is an ensemble file; pick one with --realization")
@@ -76,15 +76,20 @@ def _load_chain(path, realization: int | None = None):
     return b, truncated or D is None or D != b.size + 1
 
 
-def _evolve_chain(ns: argparse.Namespace) -> dynamics.AmplitudeTrajectory:
-    """The amplitudes of the input chain on the configured grid.
-
-    Every listed coefficient is reported.  A cut chain's are open-ended: a
-    grid that carries probability onto their last two sites is a
-    NumericalError.
-    """
-    b, cut = _load_chain(ns.inputs[0], ns.realization)
-    return dynamics.evolve_amplitudes(b, _time_grid(ns), open_end=cut)
+def _realization(payload: dict, path, index: int) -> dict:
+    """The entry of an ensemble file's realizations whose 'index' is index
+    (an entry without one stands at its place in the list).  The file lists
+    only the realizations that succeeded; a missing one is an input error
+    that says whether it failed."""
+    for place, entry in enumerate(json_field(payload, "realizations", json_list, path)):
+        if json_field(entry, "index", integer, f"{path}: realization {place}", 0,
+                      default=place) == index:
+            return entry
+    failed = json_field(payload, "failed", json_list, path, default=[])
+    if any(json_field(entry, "index", integer, f"{path}: failed entry {place}", 0) == index
+           for place, entry in enumerate(failed)):
+        raise ValidationError(f"{path}: realization {index} failed; it has no chain")
+    raise ValidationError(f"{path}: realization {index} is neither listed nor failed")
 
 
 # ------------------------------------------------------------- subcommands
@@ -151,7 +156,9 @@ def _cmd_lanczos(ns: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(ns: argparse.Namespace) -> int:
-    traj = _evolve_chain(ns)
+    # A cut chain is open-ended: a grid that fills its last two sites fails.
+    b, cut = _load_chain(ns.inputs[0], ns.realization)
+    traj = dynamics.evolve_amplitudes(b, _time_grid(ns), open_end=cut)
     fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
         dynamics.save_amplitudes_csv(traj, _output(ns))
@@ -171,20 +178,16 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_and_tau(ns: argparse.Namespace):
-    traj = _evolve_chain(ns)
-    profile = dynamics.complexity_profile(traj)
-    tau_d = float("nan")
-    if traj.b.size >= 3:
-        try:
-            tau_d = dynamics.deviation_time(traj.b[0], traj.b[1], traj.b[2])
-        except NumericalError:
-            tau_d = float("nan")
-    return profile, tau_d
-
-
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    profile, tau_d = _profile_and_tau(ns)
+    # The profile is reduced from the rows as they are made, with no grid.
+    b, cut = _load_chain(ns.inputs[0], ns.realization)
+    profile = dynamics._chain_profile(b, _time_grid(ns), cut)
+    tau_d = float("nan")
+    if b.size >= 3:
+        try:
+            tau_d = dynamics.deviation_time(b[0], b[1], b[2])
+        except NumericalError:
+            pass
     fmt = _resolve_format(ns, "csv")
     if fmt == "csv":
         dynamics.save_profile_csv(profile, _output(ns), tau_d=tau_d)

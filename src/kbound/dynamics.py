@@ -45,26 +45,22 @@ within a few rounding errors over the blocks.
 
 An order-K block moves amplitude at most K sites, so before each one the
 window is sized to the last occupied site + K + 2 and only the
-coefficients new to it are fetched; memory is the output plus the block's
-vectors.  ``MAX_TRUNCATION`` caps the window.  The window stops at the end
-of an array: there a closed chain reflects, and an open-ended array, which
-lists only the first coefficients of a longer chain, is used while its
-last two sites stay below ``TAIL_TOL``.  There are two output rules.  An
-array is reported whole, its output allocated before the first block; the
-sites its window never reached, where |phi_n| < 1e-15, hold exact zeros.
-A family is reported up to the last site where |phi_n| exceeds
-``TAIL_TOL``, plus 2.
+coefficients new to it are fetched.  ``MAX_TRUNCATION`` caps the window.
+The window stops at the end of an array: there a closed chain reflects,
+and an open-ended array, which lists only the first coefficients of a
+longer chain, is used while its last two sites stay below ``TAIL_TOL``.
 
-The complete chains of an ensemble's batch march together
-(``_batch_profiles``): a column each, zero past the end of each chain,
-whose end is then a closed wall.  One window, one a = 2 max b over it
-across the batch and one series per grid row serve every chain, and each
-block's rows are reduced to K, the rate and Delta K^2 of every chain as
-they are made, by the row reductions of complexity_profile; no amplitude
-grid is built.  The batch's window times its chain count stays within
-``_util._BLOCK_CELLS`` (its caller sizes the batch so), so its vectors take
-no more than a single chain's window of MAX_TRUNCATION sites, and its rows
-are made one row block of at most that many cells at a time.
+The march keeps no row: it hands each block's rows to its caller as it
+makes them.  evolve_amplitudes stores them: an array whole, its output
+allocated before the first block, with exact zeros on the sites its
+window never reached (|phi_n| < 1e-15); a family up to the last site
+where |phi_n| exceeds ``TAIL_TOL``, plus 2.  A profile builds no grid: its
+rows are reduced as they are made, by the row reductions of
+complexity_profile, so memory is the window's vectors and one block's
+rows.  A single array's profile (``_chain_profile``, which ``kbound
+bound`` runs) is complexity_profile's bit for bit; an ensemble's batch of
+chains marches as one, a column each (``_batch_profiles``), and its
+profiles agree with each chain's own to rounding.
 """
 
 from __future__ import annotations
@@ -84,10 +80,11 @@ TAIL_TOL = 1e-12
 # 0/0 points, where the quotient is the amplitudes' rounding and not a
 # growth rate.
 UNDEFINED_CUTOFF = 1e-12
-# Most sites an evolution window may span.  The window's vectors are small;
-# the output holds one float64 per grid time and site (201 times over the
-# whole window take 105 MB), so this is a memory limit: a grid that needs a
-# wider window raises NumericalError before the window is fetched.
+# Most sites an evolution window may span, a memory limit: a grid that needs
+# a wider window raises NumericalError before the window is fetched.  The
+# output grid of evolve_amplitudes holds one float64 per grid time and site
+# (201 times over the whole window take 105 MB); a profile builds no grid,
+# and its limit is the window's vectors (up to ~100 of them per block).
 MAX_TRUNCATION = 1 << 16
 # A site is occupied while phi_n^2 exceeds this, an amplitude at the
 # rounding of a unit vector's entries.
@@ -290,23 +287,26 @@ def _last_site(phi: np.ndarray, threshold: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def _evolve_window(source, times: np.ndarray, open_end: bool):
+def _store(out: np.ndarray, ks, block: np.ndarray) -> None:
+    """out[ks[j]] = block[j] up to its last occupied site, out's zeros past it."""
+    for k, row in zip(ks, block):
+        reach = _last_site(row, _OCCUPIED)
+        out[k, :reach + 1] = row[:reach + 1]
+
+
+def _evolve_window(source, times: np.ndarray, open_end: bool, record):
     """Chebyshev blocks on a window grown as the amplitude spreads.
 
-    source is a family callable or a coefficient array.  The window stops
-    growing at an array's last site.  The end of a closed array is a real
-    wall; the end of an open-ended one stands in for the coefficients it
-    does not list, which holds only while the probability in its last two
-    sites stays below TAIL_TOL.  An array is reported whole, its output
-    allocated before the first block; a family's rows are collected and
-    cut past the last site whose amplitude exceeds TAIL_TOL.
-
-    A (N - 1, r) array is a batch of r closed chains, one per column, each
-    zero past its own end: they march together, with one a = 2 max b over
-    the window of all of them and one series per grid row, and each block's
-    rows are reduced to K, the rate and Delta K^2 of every chain
-    (_row_moments) as they are made.  That returns a (3, points, r) array
-    of those columns and builds no grid.
+    source is a family callable, a coefficient array or a (N - 1, r) batch
+    of closed chains, one per column and zero past its own end, which march
+    together with one a = 2 max b over the window of all of them.  The end
+    of an open-ended array stands in for the coefficients it does not list
+    while its last two sites hold less than TAIL_TOL; the first row that
+    puts more there raises.  Each block goes to record(ks, block, b) as it
+    is made: block[j] is phi(times[ks[j]]) on the window, (rows, sites[,
+    r]), and b holds the coefficients fetched so far.  Returns (b,
+    tail_mass, blocks, terms, widest), tail_mass the most probability an
+    open end's last two sites held (else 0).
     """
     family = callable(source)
     end = None if family else source.shape[0] + 1
@@ -375,39 +375,22 @@ def _evolve_window(source, times: np.ndarray, open_end: bool):
             else:
                 steps = shorten(steps)
 
-    batch = b.ndim == 2
-    out = None if family or batch else output_array(times.size, end)
-    if batch:
-        moments = np.empty((3, times.size, b.shape[1]))
-        ns = np.arange(end, dtype=np.float64)
-    kept = [None] * times.size
-
-    def record(ks: np.ndarray, block: np.ndarray) -> int:
-        """Keep block[j] as phi(times[ks[j]]) up to its last occupied site, or
-        reduce a batch's block; return the last row's last occupied site."""
+    def emit(ks: np.ndarray, block: np.ndarray) -> int:
+        """Record the rows past the open end's test; the last one's reach."""
         nonlocal wall_mass
-        if batch:
-            sites = block.shape[1]
-            moments[:, ks] = _row_moments(block, b[:sites - 1], ns[:sites])
-            return _last_site(block[-1], _OCCUPIED)
-        for k, row in zip(ks, block):
-            reach = _last_site(row, _OCCUPIED)
-            if family:
-                kept[k] = row[:reach + 1].copy()
-            else:
-                out[k, :reach + 1] = row[:reach + 1]
-            if open_end:
-                # The last two sites, but never the seed's site 0.
-                last = row[max(1, end - 2):]
-                wall_mass = max(wall_mass, float(last @ last))
-                if wall_mass >= TAIL_TOL:
-                    raise NumericalError(
-                        f"the chain lists {end - 1} coefficients, and by t = "
-                        f"{times[k]:g} its last two sites hold probability "
-                        f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
-                        "more coefficients or shorten the grid"
-                    )
-        return reach
+        for k, row in zip(ks, block if open_end else ()):
+            # The last two sites, but never the seed's site 0.
+            last = row[max(1, end - 2):]
+            wall_mass = max(wall_mass, float(last @ last))
+            if wall_mass >= TAIL_TOL:
+                raise NumericalError(
+                    f"the chain lists {end - 1} coefficients, and by t = "
+                    f"{times[k]:g} its last two sites hold probability "
+                    f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
+                    "more coefficients or shorten the grid"
+                )
+        record(ks, block, b)
+        return _last_site(block[-1], _OCCUPIED)
 
     def march(order):
         """Evolve from e_0 at t = 0 through the grid points in order.
@@ -424,7 +407,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool):
         while i < order.size:
             if times[order[i]] == t_now:
                 # t = 0 itself: the seed e_0, exactly.
-                reach = record(order[i:i + 1], phi[None])
+                reach = emit(order[i:i + 1], phi[None])
                 i += 1
                 continue
             a = 2.0 * float(chain(min(reach + 2, cap)).max())
@@ -449,7 +432,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool):
             bonds = math.copysign(2.0 / a, steps[-1]) * b[:sites - 1]
             if m > 1:
                 for rows, block in _chebyshev_step(state, bonds, coef):
-                    reach = record(order[i:i + m][rows], block)
+                    reach = emit(order[i:i + m][rows], block)
                 phi = block[-1]
             else:
                 phi = _chebyshev_step(state, bonds, coef)
@@ -458,7 +441,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool):
                     t_now += float(steps[-1])
                     reach = _last_site(phi, _OCCUPIED)
                     continue
-                reach = record(order[i:i + 1], phi[None])
+                reach = emit(order[i:i + 1], phi[None])
             t_now = float(times[order[i + m - 1]])
             i += m
 
@@ -466,19 +449,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool):
     march(range(start - 1, -1, -1))
     march(range(start, times.size))
 
-    if batch:
-        return moments
-    stats = ("window", blocks, terms, widest)
-    if not family:
-        return AmplitudeTrajectory(times, out, b, open_end, wall_mass, *stats)
-    n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in kept) + 2
-    phi = output_array(times.size, n_sites)
-    tail = 0.0
-    for k, row in enumerate(kept):
-        keep = min(row.size, n_sites)
-        phi[k, :keep] = row[:keep]
-        tail = max(tail, float(row[keep:] @ row[keep:]))
-    return AmplitudeTrajectory(times, phi, b[:n_sites - 1].copy(), True, tail, *stats)
+    return b, wall_mass, blocks, terms, widest
 
 
 def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
@@ -504,26 +475,35 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
 
     Notes
     -----
-    Every chain is evolved on a window (method "window"): before each block
-    of Chebyshev order K it spans the last occupied site (phi_n^2 > 1e-30)
-    + K + 2 sites.  A step that needs a window wider than MAX_TRUNCATION
-    sites is split, and one of a |h| = 1 that still does not fit raises
-    NumericalError; no coefficient past the ceiling is fetched.
-
-    An array, closed or open-ended, is reported whole; a closed one is a
-    closed system whose amplitudes reflect off its end, with tail_mass 0.
-    A family is reported up to r + 2 sites, r the last site whose amplitude
-    |phi_r| exceeds TAIL_TOL somewhere on the grid, so every amplitude it
-    leaves out stays within TAIL_TOL; its tail_mass is the largest
-    probability the window held past the reported sites.  A grid point at
-    exactly t = 0 (also an interior one of a grid with negative times)
-    carries the initial condition e_0 exactly, so K and Delta K are exactly
-    0 there.  An output the machine cannot allocate raises NumericalError
-    naming its size.
+    Each block of Chebyshev order K runs on a window of the last occupied
+    site (phi_n^2 > 1e-30) + K + 2 sites (module docstring).  A step that
+    needs more than MAX_TRUNCATION sites is split, and one of a |h| = 1
+    that still does not fit raises NumericalError; no coefficient past the
+    ceiling is fetched.  An array, closed or open-ended, is reported whole;
+    a closed one reflects off its end.  A family is reported up to r + 2
+    sites, r the last site whose |phi_r| exceeds TAIL_TOL somewhere on the
+    grid, so every amplitude it leaves out stays within TAIL_TOL.
+    AmplitudeTrajectory defines tail_mass and the exact seed at t = 0.  An
+    output the machine cannot allocate raises NumericalError naming its size.
     """
     t = validate_times(times)
     if callable(b):
-        return _evolve_window(b, t, False)
+        kept = [None] * t.size
+
+        def keep(ks, block, _):
+            for k, row in zip(ks, block):
+                kept[k] = row[:_last_site(row, _OCCUPIED) + 1].copy()
+
+        b, _, *stats = _evolve_window(b, t, False, keep)
+        n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in kept) + 2
+        phi = output_array(t.size, n_sites)
+        tail = 0.0
+        for k, row in enumerate(kept):
+            cut = min(row.size, n_sites)
+            phi[k, :cut] = row[:cut]
+            tail = max(tail, float(row[cut:] @ row[cut:]))
+        return AmplitudeTrajectory(t, phi, b[:n_sites - 1].copy(), True, tail, "window",
+                                   *stats)
     b = coefficients(b)
     open_end = bool(open_end)
     if b.size == 0:
@@ -533,7 +513,10 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
         phi = output_array(t.size, 1)
         phi[:] = 1.0
         return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
-    return _evolve_window(b, t, open_end)
+    phi = output_array(t.size, b.size + 1)
+    _, tail, *stats = _evolve_window(b, t, open_end,
+                                     lambda ks, block, _: _store(phi, ks, block))
+    return AmplitudeTrajectory(t, phi, b, open_end, tail, "window", *stats)
 
 
 def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
@@ -549,11 +532,9 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     the current over the bonds, with no n-weighted cancellation.  Delta K^2
     is the centred sum sum_n (n - K)^2 phi_n^2, not <n^2> - K^2, whose
     difference of squares cancels where K is large and Delta K small.
-    bound = 2 b_1 Delta K; ratio = |rate| / bound.  K and the rate are one
-    einsum over the grid each, which allocates nothing past its output; the
-    centred sum takes one row block (_util.row_blocks) at a time.  Every row
-    is reduced on its own: a row's values do not depend on the other rows
-    of the grid.
+    bound = 2 b_1 Delta K; ratio = |rate| / bound.  The grid is reduced one
+    row block (_util.row_blocks) at a time, and every row on its own: a
+    row's values do not depend on the other rows of the grid.
     """
     phi = trajectory.phi
     b = trajectory.b
@@ -586,16 +567,46 @@ def _moments_profile(times, complexity, rate, variance, b1: float) -> Complexity
     return _profile(times, complexity, rate, np.sqrt(variance), b1, floor)
 
 
+def _stream_moments(source: np.ndarray, times: np.ndarray, open_end: bool = False):
+    """(3, points[, r]) K, rate and Delta K^2 of a coefficient array, or of
+    each chain of a (N - 1, r) batch, from the rows of its march reduced by
+    _row_moments as they are made.  A batch's rows are reduced on the
+    window as they come.  A chain's are reduced as evolve_amplitudes stores
+    them, zero past their last occupied site, over the window rounded up to
+    whole 64-site chunks (or the whole chain): einsum sums a row in SIMD
+    chunks of at most 32 doubles, so the zeros that follow in the grid leave
+    each moment as complexity_profile's, bit for bit."""
+    moments = np.empty((3, times.size) + source.shape[1:])
+    ns = np.arange(source.shape[0] + 1, dtype=np.float64)
+
+    def reduce(ks, block, b):
+        if block.ndim == 2:
+            stored = np.zeros((len(block), min(ns.size, -(-block.shape[1] // 64) * 64)))
+            _store(stored, range(len(block)), block)
+            block = stored
+        sites = block.shape[1]
+        moments[:, ks] = _row_moments(block, b[:sites - 1], ns[:sites])
+
+    _evolve_window(source, times, open_end, reduce)
+    return moments
+
+
+def _chain_profile(b: np.ndarray, times: np.ndarray, open_end: bool = False) -> ComplexityProfile:
+    """complexity_profile(evolve_amplitudes(b, times, open_end)) bit for bit,
+    for a non-empty coefficient array b and a valid grid, with no grid."""
+    return _moments_profile(times, *_stream_moments(b, times, open_end), float(b[0]))
+
+
 def _batch_profiles(chains, times: np.ndarray) -> list[ComplexityProfile]:
     """complexity_profile(evolve_amplitudes(b, times)) of each complete chain
-    b, to rounding, from one march of them all (_evolve_window on their
+    b, to rounding, from one march of them all (_stream_moments on their
     columns, zero past each chain's end), which builds no amplitude grid.
     The caller keeps the chain count times the longest chain's D within
     _util._BLOCK_CELLS, so that every one of the march's vectors is too."""
     columns = np.zeros((max(b.size for b in chains), len(chains)))
     for c, b in enumerate(chains):
         columns[:b.size, c] = b
-    moments = _evolve_window(columns, times, False)
+    moments = _stream_moments(columns, times)
     return [_moments_profile(times, *moments[:, :, c], float(b[0]) if b.size else 0.0)
             for c, b in enumerate(chains)]
 

@@ -22,7 +22,8 @@ qd wavefront (see ``kbound.lanczos``), and every chain comes out bit for
 bit as its own run_lanczos.  With a time grid, its chains are then evolved
 as one Chebyshev march whose rows are reduced to each chain's profile
 columns as they are made (``dynamics._batch_profiles``); no amplitude grid
-is built.
+is built.  A march that fails costs its batch, which is not redone chain
+by chain (``_run_share``).
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from ._util import (fraction, integer, positive, row_blocks, validate_times, wri
                     write_json)
 from .operators import InnerProductSpec, OperatorVector, _Frame, as_hermitian
 from .lanczos import DEFAULT_HALT_TOL, _run_batch, max_chain_length
-from .dynamics import (ComplexityProfile, _batch_profiles, complexity_profile,
-                       evolve_amplitudes, profile_to_dict)
+from .dynamics import ComplexityProfile, _batch_profiles, profile_to_dict
 
 __all__ = [
     "GoeSpec",
@@ -160,14 +160,15 @@ def _failure(index: int, exc: Exception) -> dict:
 
 def _run_share(args):
     """The chains (and profiles) of one share's batches of realizations, or
-    the numerical error each met, each realization on its own.
+    the numerical error each met.
 
     A batch's chains run as one qd wavefront (``lanczos._run_batch``) and
-    are evolved as one march (``dynamics._batch_profiles``).  A march that
-    meets a numerical error is redone chain by chain, so that only the
-    failing realization is recorded.  A ValidationError is not caught: it
-    comes from the spec or the grid, which every realization shares, so it
-    is the run's error.
+    are evolved as one march (``dynamics._batch_profiles``).  A march's
+    numerical error is recorded for each of its chains: a closed chain's
+    march fails only on a window past MAX_TRUNCATION sites, and a batch
+    holds more than one chain only when each is at most half that long.  A
+    ValidationError is not caught: it comes from the spec or the grid,
+    which every realization shares, so it is the run's error.
     """
     dim, sigma, batches, halt_tol, times = args
     out = []
@@ -187,12 +188,13 @@ def _run_share(args):
                 chains.append((index, res.b))
         profiles = [None] * len(chains)
         if times is not None and chains:
-            profiles = _profiles([b for _, b in chains], times)
-        for (index, b), profile in zip(chains, profiles):
-            if isinstance(profile, Exception):
-                out.append(_failure(index, profile))
-            else:
-                out.append({"index": index, "b": b, "profile": profile})
+            try:
+                profiles = _batch_profiles([b for _, b in chains], times)
+            except _FAILURES as exc:
+                out += [_failure(index, exc) for index, _ in chains]
+                continue
+        out += [{"index": index, "b": b, "profile": profile}
+                for (index, b), profile in zip(chains, profiles)]
     return out
 
 
@@ -201,23 +203,6 @@ def _batches(count: int, dim: int) -> list[slice]:
     contiguous slices whose sizes differ by at most one."""
     n = sum(1 for _ in row_blocks(count, max_chain_length(dim)))
     return [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
-
-
-def _profiles(chains, times) -> list:
-    """Each chain's profile on times, from one march of them all, or, if that
-    meets a numerical error, from one evolution per chain, with the error
-    of each chain that meets one in place of its profile."""
-    try:
-        return _batch_profiles(chains, times)
-    except _FAILURES:
-        pass
-    out = []
-    for b in chains:
-        try:
-            out.append(complexity_profile(evolve_amplitudes(b, times)))
-        except _FAILURES as exc:
-            out.append(exc)
-    return out
 
 
 def run_ensemble(spec: GoeSpec, profile_times=None, workers: int = 1) -> EnsembleResult:

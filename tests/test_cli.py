@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,29 @@ class TestEvolveCommand:
         assert code == 0
         assert len(json.loads(out)["t"]) == 4
 
+    def test_realization_is_picked_by_its_index(self, tmp_path, capsys):
+        # An ensemble file lists only the realizations that succeeded, each
+        # with its index: with realization 1 failed, the second entry is
+        # realization 2.
+        ens = tmp_path / "e.json"
+        assert main(["goe", "--dim", "4", "--count", "3", "--seed", "5",
+                     "--out", str(ens)]) == 0
+        d = json.loads(ens.read_text())
+        del d["realizations"][1]
+        d["failed"] = [{"index": 1, "error": "NumericalError: synthetic"}]
+        ens.write_text(json.dumps(d))
+        for n, entry in zip((0, 2), d["realizations"]):
+            code, out, _ = run_cli(capsys, "evolve", str(ens), "--realization", str(n),
+                                   "--steps", "2", "--format", "json")
+            assert code == 0
+            assert json.loads(out)["b"] == entry["b"]
+        code, _, err = run_cli(capsys, "closure", str(ens), "--realization", "1")
+        assert code == 1
+        assert err == f"error: {ens}: realization 1 failed; it has no chain\n"
+        code, _, err = run_cli(capsys, "closure", str(ens), "--realization", "3")
+        assert code == 1
+        assert err == f"error: {ens}: realization 3 is neither listed nor failed\n"
+
     def test_realization_flag_rejected_elsewhere(self, tmp_path, capsys):
         chain = tmp_path / "c.json"
         chain.write_text(json.dumps({"b": [1.0], "D": 2}))
@@ -358,6 +382,23 @@ class TestBoundCommand:
         assert d["ratio"][0] is None
         assert d["ratio"][1] == pytest.approx(1.0, abs=1e-8)
         assert d["b1"] == pytest.approx(math.sqrt(2))
+
+    def test_bound_builds_no_grid(self, tmp_path):
+        # 2001 points to t = 10 on a 20000-coefficient hw head: the grid of
+        # evolve_amplitudes takes 2001 x 20001 floats (320 MB), while the
+        # profile is reduced from the rows as they are made.
+        chain, csv = tmp_path / "hw.json", tmp_path / "bound.csv"
+        assert main(["model", "hw:nu=1", "--coeffs", "20000", "--out", str(chain)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["bound", str(chain), "--tmax", "10", "--steps", "2001",
+                         "--out", str(csv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10e6
+        assert len(csv.read_text().splitlines()) == 2003
 
 
 class TestClosureCommand:

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import kbound._util
 
 from kbound.dynamics import (
     AmplitudeTrajectory,
+    ComplexityProfile,
     complexity_profile,
     deviation_time,
     evolve_amplitudes,
@@ -20,6 +22,7 @@ from kbound.dynamics import (
     short_time_coefficients,
     _batch_profiles,
     _bessel_series,
+    _chain_profile,
     _sixth_coefficient,
 )
 from kbound.algebras import AlgebraModel, model_amplitudes, model_observables
@@ -633,6 +636,64 @@ class TestBatchProfiles:
         for prof in batch:
             assert prof.complexity[1] == prof.rate[1] == prof.dispersion[1] == 0.0
             assert np.isnan(prof.ratio[1])
+
+
+def _ledger_chain(d, seed):
+    H = goe_sample(d, 1.0, seed=np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    return run_lanczos(H, uniform_observable(H), store_basis=False).b
+
+
+# (b, open_end) of each chain the streamed profile is checked on: GOE ledger
+# draws (realization 0), random chains, su2 D = 2000 and two open-ended heads.
+_STREAMED_CHAINS = {
+    **{f"goe-d{d}-s{seed}": (lambda d=d, seed=seed: (_ledger_chain(d, seed), False))
+       for d, seed in [(8, 1), (16, 7), (24, 11), (32, 8), (32, 5), (48, 7)]},
+    **{f"random-{n}": (lambda n=n: (np.random.default_rng(n).uniform(0.3, 2.0, n), False))
+       for n in (3, 10, 255, 2000)},
+    "su2-D2000": lambda: (AlgebraModel.su2(999.5).b(np.arange(1, 2000)), False),
+    "hw-head400": lambda: (AlgebraModel.hw(1.0).b(np.arange(1, 401)), True),
+    "sl2r-head3000": lambda: (AlgebraModel.sl2r(2.5).b(np.arange(1, 3001)), True),
+}
+_STREAMED_GRIDS = {
+    "grid": np.linspace(0.0, 3.0, 301),
+    "negative": np.linspace(-2.5, 2.0, 46),
+    "gaps": np.array([-40.0, -0.5, 0.0, 0.25, 30.0, 30.1]),
+    "one": np.array([0.7]),
+    "long": np.linspace(0.0, 20.0, 2001),
+    # Times down to 1e-8, where sites past the last occupied one would move
+    # the last bits of K: a row is reduced as the grid stores it.
+    "tiny": np.geomspace(1e-8, 1.0, 200),
+}
+# The cases where the open end's wall fills, and both paths raise.
+_WALL_CASES = {("hw-head400", "long"), ("sl2r-head3000", "gaps"),
+               ("sl2r-head3000", "long")}
+
+
+@functools.lru_cache(maxsize=None)
+def _streamed_chain(name):
+    return _STREAMED_CHAINS[name]()
+
+
+@pytest.mark.parametrize("grid", list(_STREAMED_GRIDS))
+@pytest.mark.parametrize("chain", list(_STREAMED_CHAINS))
+def test_streamed_profile_is_the_grid_profile(chain, grid):
+    # The profile reduced from the rows as the march makes them equals
+    # complexity_profile of the stored grid bit for bit (NaN where it is
+    # NaN); where the grid path raises, it raises the same message.
+    b, open_end = _streamed_chain(chain)
+    times = _STREAMED_GRIDS[grid]
+    try:
+        want = complexity_profile(evolve_amplitudes(b, times, open_end=open_end))
+    except NumericalError as exc:
+        assert (chain, grid) in _WALL_CASES
+        with pytest.raises(NumericalError) as info:
+            _chain_profile(b, times, open_end)
+        assert str(info.value) == str(exc)
+        return
+    assert (chain, grid) not in _WALL_CASES
+    got = _chain_profile(b, times, open_end)
+    for name in ComplexityProfile.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestProfile:

@@ -152,16 +152,18 @@ class TestRunEnsemble:
                 b, run_lanczos(H, uniform_observable(H), store_basis=False).b)
 
     def test_chain_and_evolution_failures_are_recorded(self, monkeypatch, capsys):
-        # A chain that fails inside the batch (realization 1) and an
-        # evolution that fails after it (realization 3) each cost their own
-        # realization only: the batch's march fails, and its chains are
-        # evolved again one at a time.
+        # A chain that fails inside its batch (realization 1) costs its own
+        # realization only.  A march that fails (the batch holding
+        # realization 3) costs every chain of that batch, and no chain is
+        # evolved again.  26 cells make batches of at most two d = 4
+        # realizations (D <= 13 each): {0}, {1, 2} and {3, 4}.
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", 26)
         spec = GoeSpec(dim=4, sigma=1.0, count=5, seed=5)
         t = np.linspace(0.0, 1.0, 5)
         clean = run_ensemble(spec, profile_times=t)
-        real_fold, real_march, real_evolve = (lanczos._fold, ens._batch_profiles,
-                                              ens.evolve_amplitudes)
+        real_fold, real_march = lanczos._fold, ens._batch_profiles
         H1 = goe_sample(4, 1.0, seed=np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+        marched = []
 
         def fold(H, *args):
             if np.array_equal(H.entries, H1):
@@ -169,29 +171,26 @@ class TestRunEnsemble:
             return real_fold(H, *args)
 
         def march(chains, times):
+            marched.append(len(chains))
             if any(np.array_equal(b, clean.b_list[3]) for b in chains):
                 raise NumericalError("synthetic march breakdown")
             return real_march(chains, times)
 
-        def evolve(b, times):
-            if np.array_equal(b, clean.b_list[3]):
-                raise NumericalError("synthetic evolution breakdown")
-            return real_evolve(b, times)
-
         monkeypatch.setattr(lanczos, "_fold", fold)
         monkeypatch.setattr(ens, "_batch_profiles", march)
-        monkeypatch.setattr(ens, "evolve_amplitudes", evolve)
         res = run_ensemble(spec, profile_times=t, workers=1)
+        assert marched == [1, 1, 2]
         assert res.failed == [(1, "NumericalError: synthetic chain breakdown"),
-                              (3, "NumericalError: synthetic evolution breakdown")]
-        assert res.indices == [0, 2, 4]
+                              (3, "NumericalError: synthetic march breakdown"),
+                              (4, "NumericalError: synthetic march breakdown")]
+        assert res.indices == [0, 2]
         for i, b in zip(res.indices, res.b_list):
             np.testing.assert_array_equal(b, clean.b_list[i])
         assert cli.main(["goe", "--dim", "4", "--count", "5", "--seed", "5",
                          "--tmax", "1", "--steps", "5"]) == 0
         out, err = capsys.readouterr()
-        assert [f["index"] for f in json.loads(out)["failed"]] == [1, 3]
-        assert "warning: 2 of 5 realizations failed" in err
+        assert [f["index"] for f in json.loads(out)["failed"]] == [1, 3, 4]
+        assert "warning: 3 of 5 realizations failed" in err
 
     @pytest.mark.parametrize("sigma", [1e-12, 1e6])
     def test_chains_do_not_depend_on_the_unit_of_energy(self, sigma):
