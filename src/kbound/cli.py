@@ -181,7 +181,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
 def _cmd_bound(ns: argparse.Namespace) -> int:
     # The profile is reduced from the rows as they are made, with no grid.
     b, cut = _load_chain(ns.inputs[0], ns.realization)
-    profile = dynamics._chain_profile(b, _time_grid(ns), cut)
+    profile = dynamics._batch_profiles([b], _time_grid(ns), cut)[0]
     tau_d = float("nan")
     if b.size >= 3:
         try:

@@ -50,17 +50,19 @@ The window stops at the end of an array: there a closed chain reflects,
 and an open-ended array, which lists only the first coefficients of a
 longer chain, is used while its last two sites stay below ``TAIL_TOL``.
 
-The march keeps no row: it hands each block's rows to its caller as it
-makes them.  evolve_amplitudes stores them: an array whole, its output
-allocated before the first block, with exact zeros on the sites its
-window never reached (|phi_n| < 1e-15); a family up to the last site
-where |phi_n| exceeds ``TAIL_TOL``, plus 2.  A profile builds no grid: its
-rows are reduced as they are made, by the row reductions of
-complexity_profile, so memory is the window's vectors and one block's
-rows.  A single array's profile (``_chain_profile``, which ``kbound
-bound`` runs) is complexity_profile's bit for bit; an ensemble's batch of
-chains marches as one, a column each (``_batch_profiles``), and its
-profiles agree with each chain's own to rounding.
+Every march runs on (sites, r) columns, one chain each: an array or a
+family is r = 1, an ensemble's batch one column per chain.  The march
+keeps no row: it hands each block's rows to its caller as it makes them,
+on the window it made them on.  evolve_amplitudes stores those rows as
+they are: an array whole, one slice assignment per block into an output
+allocated before the first block, which stays 0 past each block's window;
+a family up to the last site where |phi_n| exceeds ``TAIL_TOL``, plus 2.
+A profile builds no grid: ``_batch_profiles`` reduces the same rows as
+they are made, by the row reductions of complexity_profile, so memory is
+the window's vectors and one block's rows.  A single chain's profile
+(``_batch_profiles([b], ...)``, which ``kbound bound`` runs) is
+complexity_profile's of its stored grid bit for bit; a batch's profiles
+agree with each chain's own to rounding.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ UNDEFINED_CUTOFF = 1e-12
 # and its limit is the window's vectors (up to ~100 of them per block).
 MAX_TRUNCATION = 1 << 16
 # A site is occupied while phi_n^2 exceeds this, an amplitude at the
-# rounding of a unit vector's entries.
+# rounding of a unit vector's entries: it sizes the next block's window.
 _OCCUPIED = 1e-30
 # Chebyshev terms stop once |J_k| drops below this: every R_k has norm at
 # most 1, and the J_k fall off faster than geometrically past k = a h.
@@ -235,17 +237,17 @@ def _bessel_series(x: float) -> np.ndarray:
 def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray):
     """exp(h A) phi from the series coef[k] = J_k(a h), bonds = sign(h) 2 b / a.
 
+    phi is a (window, r) state, one chain per column, and bonds its
+    (window - 1, r) coefficients: every operation acts on each column alike.
     With M = 2 A / a the terms are R_1 = M phi / 2 and
     R_{k+1} = M R_k + R_{k-1}; the window has one site more than the
-    support of any R_k, so its end never reflects.  phi and bonds may carry
-    a trailing chain axis, (window, r) and (window - 1, r): every operation
-    acts on each column alike.  A 1-D coef accumulates its sum term by term
-    and returns the state.  A 2-D coef holds one series per row, for offsets
-    h_j of one sign: the R_k are then stored as a (K + 1, window[, r])
-    array, and the rows exp(h_j A) phi come from products with them,
-    returned as (row slice, rows) pairs: a single chain's from one product,
-    a batch's from one per row block of at most _util._BLOCK_CELLS cells,
-    made as the pairs are taken.
+    support of any R_k, so its end never reflects.  A 1-D coef accumulates
+    its sum term by term and returns the state.  A 2-D coef holds one series
+    per row, for offsets h_j of one sign: the R_k are then stored as a
+    (K + 1, window, r) array, and the rows exp(h_j A) phi, (rows, window, r),
+    come from one product with them per row block of at most
+    _util._BLOCK_CELLS cells, returned as (row slice, rows) pairs made as
+    they are taken.
     """
     def hop(x, out):
         out[1:] += bonds * x[:-1]
@@ -261,8 +263,6 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray):
             hop(R[k - 1], R[k])
         weights = 2.0 * coef
         weights[:, 0] = coef[:, 0]
-        if phi.ndim == 1:
-            return [(slice(None), weights @ R)]
         R = R.reshape(R.shape[0], -1)
         return ((rows, (weights[rows] @ R).reshape((-1,) + phi.shape))
                 for rows in row_blocks(weights.shape[0], R.shape[1]))
@@ -280,37 +280,28 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray):
 def _last_site(phi: np.ndarray, threshold: float) -> int:
     """Index of the last site with phi_n^2 above threshold, in any chain of
     a (sites, r) state (0 if none)."""
-    above = phi * phi > threshold
-    if above.ndim > 1:
-        above = above.any(axis=1)
-    above = np.flatnonzero(above)
+    above = np.flatnonzero((phi * phi > threshold).any(axis=1))
     return int(above[-1]) if above.size else 0
-
-
-def _store(out: np.ndarray, ks, block: np.ndarray) -> None:
-    """out[ks[j]] = block[j] up to its last occupied site, out's zeros past it."""
-    for k, row in zip(ks, block):
-        reach = _last_site(row, _OCCUPIED)
-        out[k, :reach + 1] = row[:reach + 1]
 
 
 def _evolve_window(source, times: np.ndarray, open_end: bool, record):
     """Chebyshev blocks on a window grown as the amplitude spreads.
 
-    source is a family callable, a coefficient array or a (N - 1, r) batch
-    of closed chains, one per column and zero past its own end, which march
+    source is a family callable, marched as one column, or an (N - 1, r)
+    array of chains, one per column and zero past its own end, which march
     together with one a = 2 max b over the window of all of them.  The end
     of an open-ended array stands in for the coefficients it does not list
-    while its last two sites hold less than TAIL_TOL; the first row that
-    puts more there raises.  Each block goes to record(ks, block, b) as it
-    is made: block[j] is phi(times[ks[j]]) on the window, (rows, sites[,
-    r]), and b holds the coefficients fetched so far.  Returns (b,
-    tail_mass, blocks, terms, widest), tail_mass the most probability an
-    open end's last two sites held (else 0).
+    while the last two sites of each of its chains hold less than TAIL_TOL;
+    the first row that puts more there raises.  Each block goes to
+    record(ks, block, b) as it is made: block[j] is phi(times[ks[j]]) on the
+    window, (rows, sites, r), and b, (fetched, r), holds the coefficients
+    fetched so far.  Returns (b, tail_mass, blocks, terms, widest),
+    tail_mass the most probability an open end's last two sites held (else
+    0).
     """
     family = callable(source)
     end = None if family else source.shape[0] + 1
-    b = np.empty(0) if family else source
+    b = np.empty((0, 1)) if family else source
     cap = MAX_TRUNCATION if family else min(end, MAX_TRUNCATION)
     wall_mass = 0.0
     blocks = terms = widest = 0
@@ -319,7 +310,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
         """b_1 .. b_{sites-1}; a family is asked only for ones not yet held."""
         nonlocal b
         if family and b.size < sites - 1:
-            b = np.concatenate([b, _eval_family(source, b.size + 1, sites)])
+            b = np.concatenate([b, _eval_family(source, b.size + 1, sites)[:, None]])
         return b[:sites - 1]
 
     def plan(reach: int, offsets: np.ndarray):
@@ -378,15 +369,18 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
     def emit(ks: np.ndarray, block: np.ndarray) -> int:
         """Record the rows past the open end's test; the last one's reach."""
         nonlocal wall_mass
-        for k, row in zip(ks, block if open_end else ()):
-            # The last two sites, but never the seed's site 0.
-            last = row[max(1, end - 2):]
-            wall_mass = max(wall_mass, float(last @ last))
+        if open_end:
+            # Each row's most probability in any chain's last two sites, but
+            # never the seed's site 0; the first row at TAIL_TOL raises.
+            last = block[:, max(1, end - 2):]
+            mass = np.max(np.sum(last * last, axis=1), axis=1)
+            wall_mass = max(wall_mass, float(mass.max()))
             if wall_mass >= TAIL_TOL:
+                j = int(np.argmax(mass >= TAIL_TOL))
                 raise NumericalError(
                     f"the chain lists {end - 1} coefficients, and by t = "
-                    f"{times[k]:g} its last two sites hold probability "
-                    f"{wall_mass:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
+                    f"{times[ks[j]]:g} its last two sites hold probability "
+                    f"{mass[j]:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
                     "more coefficients or shorten the grid"
                 )
         record(ks, block, b)
@@ -401,7 +395,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
         """
         nonlocal blocks, terms, widest
         order = np.asarray(order, dtype=np.intp)
-        phi = np.zeros((2,) + b.shape[1:])
+        phi = np.zeros((2, b.shape[1]))
         phi[0] = 1.0
         reach, t_now, i = 0, 0.0, 0
         while i < order.size:
@@ -426,7 +420,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
             blocks += 1
             terms += coef.shape[-1]
             widest = max(widest, sites)
-            state = np.zeros((sites,) + phi.shape[1:])
+            state = np.zeros((sites, phi.shape[1]))
             keep = min(sites, phi.shape[0])
             state[:keep] = phi[:keep]
             bonds = math.copysign(2.0 / a, steps[-1]) * b[:sites - 1]
@@ -479,30 +473,30 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
     site (phi_n^2 > 1e-30) + K + 2 sites (module docstring).  A step that
     needs more than MAX_TRUNCATION sites is split, and one of a |h| = 1
     that still does not fit raises NumericalError; no coefficient past the
-    ceiling is fetched.  An array, closed or open-ended, is reported whole;
-    a closed one reflects off its end.  A family is reported up to r + 2
-    sites, r the last site whose |phi_r| exceeds TAIL_TOL somewhere on the
-    grid, so every amplitude it leaves out stays within TAIL_TOL.
+    ceiling is fetched.  Every row holds the values the march made, on
+    the window it made them on.  An array, closed or open-ended, is
+    reported whole, 0 past that window; a closed one reflects off its end.
+    A family is reported up to r + 2 sites, r the last site whose |phi_r|
+    exceeds TAIL_TOL somewhere on the grid, so every amplitude it leaves
+    out stays within TAIL_TOL.
     AmplitudeTrajectory defines tail_mass and the exact seed at t = 0.  An
     output the machine cannot allocate raises NumericalError naming its size.
     """
     t = validate_times(times)
     if callable(b):
-        kept = [None] * t.size
-
-        def keep(ks, block, _):
-            for k, row in zip(ks, block):
-                kept[k] = row[:_last_site(row, _OCCUPIED) + 1].copy()
-
-        b, _, *stats = _evolve_window(b, t, False, keep)
-        n_sites = max(_last_site(row, TAIL_TOL * TAIL_TOL) for row in kept) + 2
+        kept = []
+        b, _, *stats = _evolve_window(b, t, False,
+                                      lambda ks, block, _: kept.append((ks, block[..., 0])))
+        # Each block's rows taken as the chains of one state.
+        n_sites = max(_last_site(block.T, TAIL_TOL * TAIL_TOL)
+                      for _, block in kept) + 2
         phi = output_array(t.size, n_sites)
         tail = 0.0
-        for k, row in enumerate(kept):
-            cut = min(row.size, n_sites)
-            phi[k, :cut] = row[:cut]
-            tail = max(tail, float(row[cut:] @ row[cut:]))
-        return AmplitudeTrajectory(t, phi, b[:n_sites - 1].copy(), True, tail, "window",
+        for ks, block in kept:
+            phi[ks, :block.shape[1]] = block[:, :n_sites]
+            past = block[:, n_sites:]
+            tail = max(tail, float(np.max(np.einsum("kn,kn->k", past, past))))
+        return AmplitudeTrajectory(t, phi, b[:n_sites - 1, 0].copy(), True, tail, "window",
                                    *stats)
     b = coefficients(b)
     open_end = bool(open_end)
@@ -514,8 +508,11 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
         phi[:] = 1.0
         return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
     phi = output_array(t.size, b.size + 1)
-    _, tail, *stats = _evolve_window(b, t, open_end,
-                                     lambda ks, block, _: _store(phi, ks, block))
+
+    def store(ks, block, _):
+        phi[ks, :block.shape[1]] = block[..., 0]
+
+    _, tail, *stats = _evolve_window(b[:, None], t, open_end, store)
     return AmplitudeTrajectory(t, phi, b, open_end, tail, "window", *stats)
 
 
@@ -539,22 +536,22 @@ def complexity_profile(trajectory: AmplitudeTrajectory) -> ComplexityProfile:
     phi = trajectory.phi
     b = trajectory.b
     ns = np.arange(phi.shape[1], dtype=np.float64)
-    moments = np.empty((3, phi.shape[0]))
+    moments = np.empty((3, phi.shape[0], 1))
     for rows in row_blocks(*phi.shape):
-        moments[:, rows] = _row_moments(phi[rows], b, ns)
-    return _moments_profile(trajectory.times, *moments, float(b[0]) if b.size else 0.0)
+        moments[:, rows] = _row_moments(phi[rows, :, None], b[:, None], ns)
+    return _moments_profile(trajectory.times, *moments[..., 0],
+                            float(b[0]) if b.size else 0.0)
 
 
 def _row_moments(phi: np.ndarray, b: np.ndarray, ns: np.ndarray) -> tuple:
-    """K, the rate and Delta K^2 of each row of phi, (rows, sites), or of
-    each row and chain of phi, (rows, sites, r) with b (sites - 1, r), as
-    complexity_profile defines them; ns is arange(sites).  Each einsum
-    reduces every row on its own."""
-    complexity = np.einsum("kn...,kn...,n->k...", phi, phi, ns)
-    rate = 2.0 * np.einsum("kn...,kn...,n...->k...", phi[:, :-1], phi[:, 1:], b)
-    dev = ns.reshape(ns.shape + (1,) * (phi.ndim - 2)) - complexity[:, None]
+    """(rows, r) K, rate and Delta K^2 of each row and chain of phi,
+    (rows, sites, r) with b (sites - 1, r), as complexity_profile defines
+    them; ns is arange(sites).  Each einsum reduces every row on its own."""
+    complexity = np.einsum("knr,knr,n->kr", phi, phi, ns)
+    rate = 2.0 * np.einsum("knr,knr,nr->kr", phi[:, :-1], phi[:, 1:], b)
+    dev = ns[:, None] - complexity[:, None]
     dev *= phi
-    return complexity, rate, np.einsum("kn...,kn...->k...", dev, dev)
+    return complexity, rate, np.einsum("knr,knr->kr", dev, dev)
 
 
 def _moments_profile(times, complexity, rate, variance, b1: float) -> ComplexityProfile:
@@ -567,23 +564,14 @@ def _moments_profile(times, complexity, rate, variance, b1: float) -> Complexity
     return _profile(times, complexity, rate, np.sqrt(variance), b1, floor)
 
 
-def _stream_moments(source: np.ndarray, times: np.ndarray, open_end: bool = False):
-    """(3, points[, r]) K, rate and Delta K^2 of a coefficient array, or of
-    each chain of a (N - 1, r) batch, from the rows of its march reduced by
-    _row_moments as they are made.  A batch's rows are reduced on the
-    window as they come.  A chain's are reduced as evolve_amplitudes stores
-    them, zero past their last occupied site, over the window rounded up to
-    whole 64-site chunks (or the whole chain): einsum sums a row in SIMD
-    chunks of at most 32 doubles, so the zeros that follow in the grid leave
-    each moment as complexity_profile's, bit for bit."""
-    moments = np.empty((3, times.size) + source.shape[1:])
+def _stream_moments(source: np.ndarray, times: np.ndarray, open_end: bool):
+    """(3, points, r) K, rate and Delta K^2 of each chain of an (N - 1, r)
+    array, from the rows of its march reduced by _row_moments as they are
+    made, on the window the march made them on."""
+    moments = np.empty((3, times.size, source.shape[1]))
     ns = np.arange(source.shape[0] + 1, dtype=np.float64)
 
     def reduce(ks, block, b):
-        if block.ndim == 2:
-            stored = np.zeros((len(block), min(ns.size, -(-block.shape[1] // 64) * 64)))
-            _store(stored, range(len(block)), block)
-            block = stored
         sites = block.shape[1]
         moments[:, ks] = _row_moments(block, b[:sites - 1], ns[:sites])
 
@@ -591,22 +579,18 @@ def _stream_moments(source: np.ndarray, times: np.ndarray, open_end: bool = Fals
     return moments
 
 
-def _chain_profile(b: np.ndarray, times: np.ndarray, open_end: bool = False) -> ComplexityProfile:
-    """complexity_profile(evolve_amplitudes(b, times, open_end)) bit for bit,
-    for a non-empty coefficient array b and a valid grid, with no grid."""
-    return _moments_profile(times, *_stream_moments(b, times, open_end), float(b[0]))
-
-
-def _batch_profiles(chains, times: np.ndarray) -> list[ComplexityProfile]:
-    """complexity_profile(evolve_amplitudes(b, times)) of each complete chain
-    b, to rounding, from one march of them all (_stream_moments on their
+def _batch_profiles(chains, times: np.ndarray, open_end: bool = False) -> list[ComplexityProfile]:
+    """complexity_profile(evolve_amplitudes(b, times, open_end)) of each
+    chain b from one march of them all (_stream_moments on their
     columns, zero past each chain's end), which builds no amplitude grid.
-    The caller keeps the chain count times the longest chain's D within
-    _util._BLOCK_CELLS, so that every one of the march's vectors is too."""
+    A single chain's profile is the grid's bit for bit, and a batch's agree
+    with each chain's own to rounding.  The caller keeps the chain count
+    times the longest chain's D within _util._BLOCK_CELLS, so that every
+    one of the march's vectors is too."""
     columns = np.zeros((max(b.size for b in chains), len(chains)))
     for c, b in enumerate(chains):
         columns[:b.size, c] = b
-    moments = _stream_moments(columns, times)
+    moments = _stream_moments(columns, times, open_end)
     return [_moments_profile(times, *moments[:, :, c], float(b[0]) if b.size else 0.0)
             for c, b in enumerate(chains)]
 

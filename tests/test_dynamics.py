@@ -22,7 +22,6 @@ from kbound.dynamics import (
     short_time_coefficients,
     _batch_profiles,
     _bessel_series,
-    _chain_profile,
     _sixth_coefficient,
 )
 from kbound.algebras import AlgebraModel, model_amplitudes, model_observables
@@ -276,12 +275,12 @@ class TestBesselSeries:
         assert abs(coef[0] + 2.0 * coef[2::2].sum() - 1.0) <= 4 * eps
 
     def test_tiny_step_gives_the_seed(self):
-        # a h = 4e-300: phi_1 = 1e-300 is below the occupied threshold, so
-        # both rows are e_0 exactly, with no overflow on the way.
+        # a h = 4e-300: the step's row is stored as the march made it, with
+        # phi_1 = b_1 t = 1e-300 exactly, and no overflow on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = evolve_amplitudes([1.0, 2.0], [0.0, 1e-300])
-        np.testing.assert_array_equal(traj.phi, [[1.0, 0.0, 0.0]] * 2)
+        np.testing.assert_array_equal(traj.phi, [[1.0, 0.0, 0.0], [1.0, 1e-300, 0.0]])
 
     def test_block_rows_match_their_own_series(self):
         # Constant b = 1 has a = 2 on every window.  Once the state has
@@ -454,8 +453,7 @@ class TestAgainstSpectralOracle:
     @pytest.mark.parametrize("dim", [32, 48])
     def test_goe_ledger_chain(self, dim):
         # Seed 7, realization 0 of the GOE ledger: 993 and 2257 sites.  By
-        # t = 3 the amplitude has reached fewer than 200 of them; the rest
-        # hold exact zeros.
+        # t = 3 the windows span fewer than 300 of them; the rest hold 0.
         H = goe_sample(dim, seed=np.random.SeedSequence(entropy=7, spawn_key=(0,)))
         b = run_lanczos(H, uniform_observable(H)).b
         times = np.linspace(0.0, 3.0, 301)
@@ -660,8 +658,8 @@ _STREAMED_GRIDS = {
     "gaps": np.array([-40.0, -0.5, 0.0, 0.25, 30.0, 30.1]),
     "one": np.array([0.7]),
     "long": np.linspace(0.0, 20.0, 2001),
-    # Times down to 1e-8, where sites past the last occupied one would move
-    # the last bits of K: a row is reduced as the grid stores it.
+    # Times down to 1e-8, where phi_2 ~ b_1 b_2 t^2 / 2 is about 1e-16 and
+    # moves the last bits of K and Delta K: both paths reduce it.
     "tiny": np.geomspace(1e-8, 1.0, 200),
 }
 # The cases where the open end's wall fills, and both paths raise.
@@ -687,13 +685,64 @@ def test_streamed_profile_is_the_grid_profile(chain, grid):
     except NumericalError as exc:
         assert (chain, grid) in _WALL_CASES
         with pytest.raises(NumericalError) as info:
-            _chain_profile(b, times, open_end)
+            _batch_profiles([b], times, open_end)
         assert str(info.value) == str(exc)
         return
     assert (chain, grid) not in _WALL_CASES
-    got = _chain_profile(b, times, open_end)
+    got = _batch_profiles([b], times, open_end)[0]
     for name in ComplexityProfile.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def test_every_march_runs_on_columns(monkeypatch):
+    # An array, a family and a single chain's streamed profile march as one
+    # column: every state _chebyshev_step gets, for single steps and for
+    # blocks of rows alike, is (sites, 1), its bonds (sites - 1, 1).
+    import kbound.dynamics as dyn
+
+    calls = []
+    step = dyn._chebyshev_step
+
+    def recording_step(phi, bonds, coef):
+        calls.append((phi.shape, bonds.shape, coef.ndim))
+        return step(phi, bonds, coef)
+
+    monkeypatch.setattr(dyn, "_chebyshev_step", recording_step)
+    # Blocks of rows, and single steps over the gaps.
+    times = np.array([-40.0, -1.0, -0.9, -0.8, 0.0, 0.1, 0.2, 30.0])
+    near = np.array([-1.5, -0.5, -0.45, 0.0, 0.05, 0.1, 1.5])
+    for run in (lambda: evolve_amplitudes(_streamed_chain("goe-d16-s7")[0], times),
+                lambda: evolve_amplitudes(RecordingFamily(), near),
+                lambda: _batch_profiles([_streamed_chain("hw-head400")[0]], times,
+                                        open_end=True)):
+        calls.clear()
+        run()
+        assert {ndim for *_, ndim in calls} == {1, 2}
+        for (sites, r), bonds, _ in calls:
+            assert r == 1 and bonds == (sites - 1, 1)
+
+
+@pytest.mark.parametrize("grid", ["grid", "gaps", "tiny"])
+@pytest.mark.parametrize("chain", ["goe-d48-s7", "su2-D2000"])
+def test_stored_rows_are_the_march_rows(chain, grid):
+    # evolve_amplitudes stores each row as the march made it, on the window
+    # it was made on, and exact zeros past that window: at tiny times too,
+    # where phi_2 ~ b_1 b_2 t^2 / 2 is below the occupied threshold.
+    import kbound.dynamics as dyn
+
+    b = _streamed_chain(chain)[0]
+    times = _STREAMED_GRIDS[grid]
+    rows = {}
+
+    def record(ks, block, _):
+        rows.update(zip(ks.tolist(), block[..., 0]))
+
+    dyn._evolve_window(b[:, None], times, False, record)
+    phi = evolve_amplitudes(b, times).phi
+    assert sorted(rows) == list(range(times.size))
+    for k, row in rows.items():
+        np.testing.assert_array_equal(phi[k, :row.size], row, err_msg=f"row {k}")
+        assert not np.any(phi[k, row.size:]), f"row {k}"
 
 
 class TestProfile:
