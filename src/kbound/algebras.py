@@ -79,13 +79,17 @@ def _power_rows(logw, log_size, negative, log_envelope):
     |base(x)| (-inf where base is 0), the mask negative of base(x) < 0 and
     log_envelope of envelope(x) > 0: one outer product, exponentiated in
     place.  base^n is exact at 0^0 = 1, and its sign is (-1)^n where
-    base < 0."""
+    base < 0.  exp is exactly 0 below -746, and numpy's exp takes 13 ns for
+    each such entry against 0.7 ns for a normal result, so those entries
+    are set to 0 instead; a NaN log is not below it and stays NaN."""
     zero = log_size == -np.inf
     phi = np.outer(np.where(zero, 0.0, log_size), np.arange(logw.size, dtype=np.float64))
     phi[zero, 1:] = -np.inf
     phi += logw
     phi += log_envelope[:, None]
-    np.exp(phi, out=phi)
+    dead = phi <= -746.0
+    np.exp(phi, out=phi, where=~dead)
+    phi[dead] = 0.0
     phi[negative, 1::2] *= -1.0
     return phi
 

@@ -30,12 +30,17 @@ the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984):
     exp(h A) phi = J_0(a h) phi + 2 sum_k J_k(a h) R_k,
     R_0 = phi,  R_1 = (A / a) phi,  R_{k+1} = 2 (A / a) R_k + R_{k-1},
 
-in real arithmetic, with a = 2 max b over the window bounding the spectrum
-of A and the series stopped once |J_k(a h)| falls below rounding.  The grid
-is taken in blocks: the consecutive points whose argument a |t_j - t_start|
-stays within 32 share one set of vectors R_0 .. R_K, built once for the
-widest offset, and all their rows come from one matrix product with the
-J_k(a h_j).  A gap wider than that is one block of its own, stepped by
+in real arithmetic, with a = 2 max b over the sites from 0 to the window's
+top bounding the spectrum of A and the series stopped once |J_k(a h)|
+falls below rounding.  The grid is taken in blocks: the consecutive points
+whose argument a |t_j - t_start| stays within 32 share one set of vectors
+R_0 .. R_K, built once for the widest offset, and all their rows come from
+one matrix product with the J_k(a h_j).  Where fewer than 8 points lie
+within 32, the block takes more, up to 8, out to 128: each block pays a
+series tail of about 40 terms past its argument (K + 1 = 70 at 32, 186 at
+128), which a sparse grid would otherwise pay every two or three points,
+while a dense grid keeps its blocks, since each row pays for its own
+series.  A gap wider than that is one block of its own, stepped by
 accumulating the series (and split where the window cannot hold it).
 Each series J_k(x) comes from Miller's backward recurrence
 J_{k-1} = (2k / x) J_k - J_{k+1} (Gautschi, SIAM Rev. 9, 24, 1967),
@@ -44,19 +49,25 @@ that identity to rounding, which keeps the norm of the evolved state
 within a few rounding errors over the blocks.
 
 An order-K block moves amplitude at most K sites, so before each one the
-window is sized to the last occupied site + K + 2 and only the
-coefficients new to it are fetched.  ``MAX_TRUNCATION`` caps the window.
-The window stops at the end of an array: there a closed chain reflects,
-and an open-ended array, which lists only the first coefficients of a
-longer chain, is used while its last two sites stay below ``TAIL_TOL``.
+window is set to the occupied band (phi_n^2 > 1e-30) and K + 2 sites on
+either side: from the first occupied site - K - 2, rounded down to a
+multiple of 8, or from 0, up to the last occupied site + K + 2.  Only the
+coefficients new to it are fetched.  The entries the lower edge drops are
+below 1e-15, as are those past the top.  A packet that has moved away from
+site 0 (su2, hw, sl2r) is marched on its own span, not on every site
+behind it.  ``MAX_TRUNCATION`` caps the top.  The window stops at the end
+of an array: there a closed chain reflects, and an open-ended array, which
+lists only the first coefficients of a longer chain, is used while its
+last two sites stay below ``TAIL_TOL``.
 
 Every march runs on (sites, r) columns, one chain each: an array or a
 family is r = 1, an ensemble's batch one column per chain.  The march
 keeps no row: it hands each block's rows to its caller as it makes them,
-on the window it made them on.  evolve_amplitudes stores those rows as
-they are: an array whole, one slice assignment per block into an output
-allocated before the first block, which stays 0 past each block's window;
-a family up to the last site where |phi_n| exceeds ``TAIL_TOL``, plus 2.
+on the window it made them on, with the window's lower edge.
+evolve_amplitudes stores those rows as they are: an array whole, one slice
+assignment per block into an output allocated before the first block,
+which stays 0 outside each block's window; a family up to the last site
+where |phi_n| exceeds ``TAIL_TOL``, plus 2.
 A profile builds no grid: ``_batch_profiles`` reduces the same rows as
 they are made, by the row reductions of complexity_profile, so memory is
 the window's vectors and one block's rows.  A single chain's profile
@@ -82,11 +93,12 @@ TAIL_TOL = 1e-12
 # 0/0 points, where the quotient is the amplitudes' rounding and not a
 # growth rate.
 UNDEFINED_CUTOFF = 1e-12
-# Most sites an evolution window may span, a memory limit: a grid that needs
-# a wider window raises NumericalError before the window is fetched.  The
-# output grid of evolve_amplitudes holds one float64 per grid time and site
-# (201 times over the whole window take 105 MB); a profile builds no grid,
-# and its limit is the window's vectors (up to ~100 of them per block).
+# Most sites an evolution window may reach, counted from site 0, a memory
+# limit: a grid that needs a higher top raises NumericalError before the
+# window is fetched.  The output grid of evolve_amplitudes holds one float64
+# per grid time and site (201 times over the whole window take 105 MB); a
+# profile builds no grid, and its limit is the window's vectors (up to 186
+# of them for a block at a |h| = 128, 98 MB at MAX_TRUNCATION sites).
 MAX_TRUNCATION = 1 << 16
 # A site is occupied while phi_n^2 exceeds this, an amplitude at the
 # rounding of a unit vector's entries: it sizes the next block's window.
@@ -99,10 +111,27 @@ _SERIES_FLOOR = 1e-17
 _START_TOL = 1e-20
 # Widest series argument a |t_j - t_start| of the grid points evaluated from
 # one set of Chebyshev vectors.  On the su2 D = 100 pileup (41 points to
-# t = pi) the norm error is 1.8e-15 at 32, against 5.6e-15 with one step per
-# point and 8.1e-15 at 64, whose longer series sum more rounding; the
-# blocks' up to ~100 vectors of MAX_TRUNCATION sites take 52 MB.
+# t = pi, a |h| = 7.9 per point) the norm error is 7.8e-16 with every block
+# within 32, against 4.4e-15 with one step per point, and 1.3e-15 under the
+# rule below (6 blocks of up to 8 points, out to a |h| = 63) or with every
+# block within 64 or 128.
 _BLOCK_ARG = 32.0
+# A block with fewer than _SPARSE_POINTS grid points within _BLOCK_ARG takes
+# more, up to that many, out to a |h| <= _SPARSE_ARG.  On the three
+# saturating families of the benchmark (su2 D = 2000, 601 points to t = 3;
+# hw nu = 10 and sl2r eta = 101, 201 points to t = 4 and 2) the march took
+# 387 blocks and 25,531 terms with blocks within 32 alone, and 145 and
+# 18,861 with this rule.  It leaves dense grids alone: there each row pays
+# for its own Bessel series, which grows with the block's argument.
+_SPARSE_POINTS = 8
+_SPARSE_ARG = 128.0
+# A window's lower edge is a multiple of this many sites, the float64 lanes
+# of an AVX-512 vector (and a multiple of narrower ones).  numpy's SIMD sum
+# of the products of two rows gives lane l the entries l, l + 8, ...
+# counted from the row's start, so a streamed row, reduced on its window,
+# groups its sums as the stored row does (which starts at site 0): the
+# streamed Delta K is the grid's bit for bit.
+_EDGE_ALIGN = 8
 
 __all__ = [
     "TAIL_TOL",
@@ -133,7 +162,8 @@ class AmplitudeTrajectory:
     method is "window" (Chebyshev blocks on a window that follows the
     amplitude) or "closed-form".  A window evolution records the blocks it
     evaluated, the Chebyshev terms summed over them (each block's order
-    K + 1) and the widest window a block ran on; a closed form records 0.
+    K + 1) and the most sites a block's window spanned (from its lower edge
+    to its top); a closed form records 0.
     A grid point at exactly t = 0 carries the seed e_0 = [1, 0, ..., 0]
     exactly, whatever the method.
     """
@@ -277,27 +307,35 @@ def _chebyshev_step(phi: np.ndarray, bonds: np.ndarray, coef: np.ndarray):
     return out
 
 
-def _last_site(phi: np.ndarray, threshold: float) -> int:
-    """Index of the last site with phi_n^2 above threshold, in any chain of
-    a (sites, r) state (0 if none)."""
+def _occupied(phi: np.ndarray, threshold: float) -> tuple[int, int]:
+    """Indices of the first and the last site with phi_n^2 above threshold,
+    in any chain of a (sites, r) state ((0, 0) if none)."""
     above = np.flatnonzero((phi * phi > threshold).any(axis=1))
-    return int(above[-1]) if above.size else 0
+    return (int(above[0]), int(above[-1])) if above.size else (0, 0)
+
+
+def _in_block(points: int, x: float) -> bool:
+    """Whether a block of this many grid points may reach series argument
+    x = a |h|: within _BLOCK_ARG, or within _SPARSE_ARG for the first
+    _SPARSE_POINTS points."""
+    return x <= _BLOCK_ARG or (points <= _SPARSE_POINTS and x <= _SPARSE_ARG)
 
 
 def _evolve_window(source, times: np.ndarray, open_end: bool, record):
-    """Chebyshev blocks on a window grown as the amplitude spreads.
+    """Chebyshev blocks on a window that follows the occupied band.
 
     source is a family callable, marched as one column, or an (N - 1, r)
     array of chains, one per column and zero past its own end, which march
-    together with one a = 2 max b over the window of all of them.  The end
-    of an open-ended array stands in for the coefficients it does not list
-    while the last two sites of each of its chains hold less than TAIL_TOL;
-    the first row that puts more there raises.  Each block goes to
-    record(ks, block, b) as it is made: block[j] is phi(times[ks[j]]) on the
-    window, (rows, sites, r), and b, (fetched, r), holds the coefficients
-    fetched so far.  Returns (b, tail_mass, blocks, terms, widest),
-    tail_mass the most probability an open end's last two sites held (else
-    0).
+    together with one a = 2 max b over the sites 0 .. top of all of them.
+    The end of an open-ended array stands in for the coefficients it does
+    not list while the last two sites of each of its chains hold less than
+    TAIL_TOL; the first row that puts more there raises.  Each block goes
+    to record(ks, block, lo, b) as it is made: block[j] is phi(times[ks[j]])
+    on the window's sites lo, lo + 1, ..., (rows, sites, r), every site
+    below lo holds less than 1e-15, and b, (fetched, r), holds the
+    coefficients fetched so far.  Returns (b, tail_mass, blocks, terms,
+    widest), tail_mass the most probability an open end's last two sites
+    held (else 0) and widest the most sites a block spanned.
     """
     family = callable(source)
     end = None if family else source.shape[0] + 1
@@ -317,21 +355,22 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
         """(sites, a, J_k(a |h|), steps) for the next block.
 
         offsets are the candidate grid points' offsets from the state's time,
-        of one sign and growing in size.  The block keeps those within
-        a |h| <= _BLOCK_ARG, at least the first; steps is that prefix, and h
-        its last entry, for which the series is computed.  The sites must
-        reach K + 2 past the occupied ones, and K grows with a = 2 max b
-        over them, so the window grows until it holds the block: to at most
-        twice its first size plus 64 sites, the array's end or
-        MAX_TRUNCATION.  A block that needs more drops its last point, and a
-        single point that needs more is approached by a step halved until it
-        fits the window already fetched (steps is then [h], short of the
-        point), so every coefficient fetched is evolved.  The series of a
-        window has at most as many terms as it has sites, and K exceeds
-        a |h|, so that is checked before the series is computed.  A window
-        of MAX_TRUNCATION sites that cannot hold a step of a |h| = 1 raises:
-        the tail has reached the ceiling, and ever shorter steps would only
-        creep toward it.
+        of one sign and growing in size.  The block keeps those _in_block
+        allows, at least the first; steps is that prefix, and h its last
+        entry, for which the series is computed.  The window's top, sites,
+        must reach K + 2 past the last occupied site, and K grows with
+        a = 2 max b over b_1 .. b_{sites - 1}, so the top rises until it
+        holds the block: to at most twice its first value plus 64, the
+        array's end or MAX_TRUNCATION.  (The caller sets the lower edge.)
+        A block that needs more drops its last point, and a single point
+        that needs more is approached by a step halved until it fits the
+        window already fetched (steps is then [h], short of the point), so
+        every coefficient fetched is evolved.  The series of a window has at
+        most as many terms as its top has sites, and K exceeds a |h|, so
+        that is checked before the series is computed.  A top of
+        MAX_TRUNCATION that cannot hold a step of a |h| = 1 raises: the tail
+        has reached the ceiling, and ever shorter steps would only creep
+        toward it.
         """
         sites = min(reach + 2, cap)
         top = min(2 * sites + 64, cap)
@@ -342,7 +381,7 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
 
         while True:
             a = 2.0 * float(chain(sites).max())
-            while steps.size > 1 and a * abs(steps[-1]) > _BLOCK_ARG:
+            while steps.size > 1 and not _in_block(steps.size, a * abs(steps[-1])):
                 steps = steps[:-1]
             if a * abs(steps[-1]) > top:
                 steps = shorten(steps)
@@ -366,13 +405,19 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
             else:
                 steps = shorten(steps)
 
-    def emit(ks: np.ndarray, block: np.ndarray) -> int:
-        """Record the rows past the open end's test; the last one's reach."""
+    def band(phi: np.ndarray, lo: int) -> tuple[int, int]:
+        """The first and the last occupied site of a state on sites lo, ..."""
+        first, last = _occupied(phi, _OCCUPIED)
+        return lo + first, lo + last
+
+    def emit(ks: np.ndarray, block: np.ndarray, lo: int) -> tuple[int, int]:
+        """Record the rows past the open end's test; the last one's first
+        and last occupied sites."""
         nonlocal wall_mass
         if open_end:
             # Each row's most probability in any chain's last two sites, but
             # never the seed's site 0; the first row at TAIL_TOL raises.
-            last = block[:, max(1, end - 2):]
+            last = block[:, max(1, end - 2) - lo:]
             mass = np.max(np.sum(last * last, axis=1), axis=1)
             wall_mass = max(wall_mass, float(mass.max()))
             if wall_mass >= TAIL_TOL:
@@ -383,33 +428,35 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
                     f"{mass[j]:.3e}, past TAIL_TOL = {TAIL_TOL:g}; list "
                     "more coefficients or shorten the grid"
                 )
-        record(ks, block, b)
-        return _last_site(block[-1], _OCCUPIED)
+        record(ks, block, lo, b)
+        return band(block[-1], lo)
 
     def march(order):
         """Evolve from e_0 at t = 0 through the grid points in order.
 
         Each pass of the loop evaluates one block.  Its candidates are the
-        next point and those after it within _BLOCK_ARG of the state's time
-        at the a of the smallest window, which only grows as plan widens it.
+        next point and those after it that _in_block allows at the a of the
+        smallest window, which only grows as plan widens it.  phi is the
+        state on the sites lo, lo + 1, ...
         """
         nonlocal blocks, terms, widest
         order = np.asarray(order, dtype=np.intp)
         phi = np.zeros((2, b.shape[1]))
         phi[0] = 1.0
-        reach, t_now, i = 0, 0.0, 0
+        lo = first = last = 0
+        t_now, i = 0.0, 0
         while i < order.size:
             if times[order[i]] == t_now:
                 # t = 0 itself: the seed e_0, exactly.
-                reach = emit(order[i:i + 1], phi[None])
+                first, last = emit(order[i:i + 1], phi[None], lo)
                 i += 1
                 continue
-            a = 2.0 * float(chain(min(reach + 2, cap)).max())
+            a = 2.0 * float(chain(min(last + 2, cap)).max())
             j = i + 1
-            while j < order.size and a * abs(times[order[j]] - t_now) <= _BLOCK_ARG:
+            while j < order.size and _in_block(j - i + 1, a * abs(times[order[j]] - t_now)):
                 j += 1
             offsets = times[order[i:j]] - t_now
-            sites, a, coef, steps = plan(reach, offsets)
+            sites, a, coef, steps = plan(last, offsets)
             m = steps.size
             if m > 1:
                 head = np.zeros((m - 1, coef.size))
@@ -417,25 +464,29 @@ def _evolve_window(source, times: np.ndarray, open_end: bool, record):
                     series = _bessel_series(a * abs(h))
                     row[:series.size] = series
                 coef = np.vstack([head, coef])
+            # Every R_k stays within K sites of the band; one site more
+            # keeps the lower end from reflecting, as at the top.
+            edge = max(0, first - coef.shape[-1] - 1) // _EDGE_ALIGN * _EDGE_ALIGN
             blocks += 1
             terms += coef.shape[-1]
-            widest = max(widest, sites)
-            state = np.zeros((sites, phi.shape[1]))
-            keep = min(sites, phi.shape[0])
-            state[:keep] = phi[:keep]
-            bonds = math.copysign(2.0 / a, steps[-1]) * b[:sites - 1]
+            widest = max(widest, sites - edge)
+            state = np.zeros((sites - edge, phi.shape[1]))
+            start, stop = max(edge, lo), min(sites, lo + phi.shape[0])
+            state[start - edge:stop - edge] = phi[start - lo:stop - lo]
+            lo = edge
+            bonds = math.copysign(2.0 / a, steps[-1]) * b[lo:sites - 1]
             if m > 1:
                 for rows, block in _chebyshev_step(state, bonds, coef):
-                    reach = emit(order[i:i + m][rows], block)
+                    first, last = emit(order[i:i + m][rows], block, lo)
                 phi = block[-1]
             else:
                 phi = _chebyshev_step(state, bonds, coef)
                 if steps[-1] != offsets[0]:
                     # A split step toward the next point.
                     t_now += float(steps[-1])
-                    reach = _last_site(phi, _OCCUPIED)
+                    first, last = band(phi, lo)
                     continue
-                reach = emit(order[i:i + 1], phi[None])
+                first, last = emit(order[i:i + 1], phi[None], lo)
             t_now = float(times[order[i + m - 1]])
             i += m
 
@@ -469,13 +520,14 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
 
     Notes
     -----
-    Each block of Chebyshev order K runs on a window of the last occupied
-    site (phi_n^2 > 1e-30) + K + 2 sites (module docstring).  A step that
-    needs more than MAX_TRUNCATION sites is split, and one of a |h| = 1
-    that still does not fit raises NumericalError; no coefficient past the
-    ceiling is fetched.  Every row holds the values the march made, on
-    the window it made them on.  An array, closed or open-ended, is
-    reported whole, 0 past that window; a closed one reflects off its end.
+    Each block of Chebyshev order K runs on a window from K + 2 sites
+    below the first occupied site (phi_n^2 > 1e-30), or from site 0, to
+    K + 2 sites past the last (module docstring).  A step whose window top
+    would pass MAX_TRUNCATION is split, and one of a |h| = 1 that still
+    does not fit raises NumericalError; no coefficient past the ceiling is
+    fetched.  Every row holds the values the march made, on the window it
+    made them on.  An array, closed or open-ended, is reported whole, 0
+    outside that window; a closed one reflects off its end.
     A family is reported up to r + 2 sites, r the last site whose |phi_r|
     exceeds TAIL_TOL somewhere on the grid, so every amplitude it leaves
     out stays within TAIL_TOL.
@@ -485,16 +537,16 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
     t = validate_times(times)
     if callable(b):
         kept = []
-        b, _, *stats = _evolve_window(b, t, False,
-                                      lambda ks, block, _: kept.append((ks, block[..., 0])))
+        b, _, *stats = _evolve_window(
+            b, t, False, lambda ks, block, lo, _: kept.append((ks, lo, block[..., 0])))
         # Each block's rows taken as the chains of one state.
-        n_sites = max(_last_site(block.T, TAIL_TOL * TAIL_TOL)
-                      for _, block in kept) + 2
+        n_sites = max(lo + _occupied(block.T, TAIL_TOL * TAIL_TOL)[1]
+                      for _, lo, block in kept) + 2
         phi = output_array(t.size, n_sites)
         tail = 0.0
-        for ks, block in kept:
-            phi[ks, :block.shape[1]] = block[:, :n_sites]
-            past = block[:, n_sites:]
+        for ks, lo, block in kept:
+            phi[ks, lo:lo + block.shape[1]] = block[:, :n_sites - lo]
+            past = block[:, n_sites - lo:]
             tail = max(tail, float(np.max(np.einsum("kn,kn->k", past, past))))
         return AmplitudeTrajectory(t, phi, b[:n_sites - 1, 0].copy(), True, tail, "window",
                                    *stats)
@@ -509,8 +561,8 @@ def evolve_amplitudes(b, times, open_end: bool = False) -> AmplitudeTrajectory:
         return AmplitudeTrajectory(t, phi, b, False, 0.0, "window")
     phi = output_array(t.size, b.size + 1)
 
-    def store(ks, block, _):
-        phi[ks, :block.shape[1]] = block[..., 0]
+    def store(ks, block, lo, _):
+        phi[ks, lo:lo + block.shape[1]] = block[..., 0]
 
     _, tail, *stats = _evolve_window(b[:, None], t, open_end, store)
     return AmplitudeTrajectory(t, phi, b, open_end, tail, "window", *stats)
@@ -571,9 +623,9 @@ def _stream_moments(source: np.ndarray, times: np.ndarray, open_end: bool):
     moments = np.empty((3, times.size, source.shape[1]))
     ns = np.arange(source.shape[0] + 1, dtype=np.float64)
 
-    def reduce(ks, block, b):
-        sites = block.shape[1]
-        moments[:, ks] = _row_moments(block, b[:sites - 1], ns[:sites])
+    def reduce(ks, block, lo, b):
+        top = lo + block.shape[1]
+        moments[:, ks] = _row_moments(block, b[lo:top - 1], ns[lo:top])
 
     _evolve_window(source, times, open_end, reduce)
     return moments

@@ -363,6 +363,35 @@ class TestModelAmplitudes:
         np.testing.assert_allclose(np.sum(traj.phi**2, axis=1), 1.0, rtol=0,
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("model, tmax, points", [
+        (AlgebraModel.su2(999.5), 3.0, 601),
+        (AlgebraModel.hw(10.0), 4.0, 201),
+        (AlgebraModel.sl2r(101.0), 2.0, 201),
+    ], ids=["su2", "hw", "sl2r"])
+    def test_rows_are_plain_exp_of_their_logs(self, monkeypatch, model, tmax, points):
+        # The rows skip exp where it underflows to exactly 0, and are then
+        # bit for bit those of plain np.exp over the same logs; the su2 grid
+        # holds exact zeros and subnormals both.
+        def plain_power_rows(logw, log_size, negative, log_envelope):
+            zero = log_size == -np.inf
+            phi = np.outer(np.where(zero, 0.0, log_size),
+                           np.arange(logw.size, dtype=np.float64))
+            phi[zero, 1:] = -np.inf
+            phi += logw
+            phi += log_envelope[:, None]
+            np.exp(phi, out=phi)
+            phi[negative, 1::2] *= -1.0
+            return phi
+
+        times = np.linspace(0.0, tmax, points)
+        got = model_amplitudes(model, times).phi
+        monkeypatch.setattr(algebras, "_power_rows", plain_power_rows)
+        want = model_amplitudes(model, times).phi
+        np.testing.assert_array_equal(got, want)
+        if model.D is not None:
+            tiny = np.abs(want) < np.finfo(np.float64).tiny
+            assert np.any(want == 0.0) and np.any(tiny & (want != 0.0))
+
     def test_su2_rows_are_normalized(self):
         # Each row is divided by its own norm, which takes out the rounding
         # of the gammaln sums: K of D = 2000 over 601 points to t = 3 was

@@ -468,14 +468,49 @@ class TestAgainstSpectralOracle:
         assert np.max(np.abs(np.sum(traj.phi**2, axis=1) - 1.0)) <= 1e-14
 
     def test_su2_against_its_closed_form(self):
-        # D = 2000 over 601 times: the window covers the whole chain, which
-        # the amplitude crosses and comes back from.
+        # D = 2000 over 601 times: the amplitude crosses the chain and comes
+        # back, a packet the window follows.  A window from site 0 would
+        # span all 2000 sites.
         model = AlgebraModel.su2(999.5)
         times = np.linspace(0.0, 3.0, 601)
         traj = evolve_amplitudes(model.b(np.arange(1, 2000)), times)
-        assert traj.window == 2000
+        assert traj.window < 1000
         np.testing.assert_allclose(traj.phi, model_amplitudes(model, times).phi,
                                    rtol=0, atol=1e-12)
+
+    def test_hw_family_window_follows_the_packet(self):
+        # hw nu = 10 as a family over 201 times to t = 4: the packet leaves
+        # site 0 for n ~ (nu t)^2 = 1600.  A window from site 0 would span
+        # more than 2100 sites.
+        model = AlgebraModel.hw(10.0)
+        times = np.linspace(0.0, 4.0, 201)
+        traj = evolve_amplitudes(model.b, times)
+        assert traj.window < 1400
+        ref = model_amplitudes(model, times).phi
+        n = min(traj.sites, ref.shape[1])
+        np.testing.assert_allclose(traj.phi[:, :n], ref[:, :n], rtol=0, atol=1e-12)
+        # The closed form leaves out at most TAIL_TOL of the probability, and
+        # the family holds no more than that past its cut.
+        assert np.max(np.sum(traj.phi[:, n:] ** 2, axis=1)) < 1e-12
+        assert np.max(np.abs(ref[:, n:]), initial=0.0) < 1e-12
+
+    def test_dense_grid_keeps_its_blocks(self, monkeypatch):
+        # The GOE d = 48 chain over 301 points to t = 3 has many points
+        # within a |h| <= 32 of each block's start: no block reaches past
+        # that, and the march is the one a window from site 0 took.
+        import kbound.dynamics as dyn
+
+        series = []
+        step = dyn._chebyshev_step
+
+        def recording_step(phi, bonds, coef):
+            series.append(coef.shape[-1])
+            return step(phi, bonds, coef)
+
+        monkeypatch.setattr(dyn, "_chebyshev_step", recording_step)
+        traj = evolve_amplitudes(_streamed_chain("goe-d48-s7")[0], np.linspace(0.0, 3.0, 301))
+        assert max(series) <= _bessel_series(32.0).size
+        assert (traj.blocks, traj.terms) == (2, 131)
 
 
 class RecordingFamily:
@@ -495,26 +530,28 @@ def test_family_is_asked_once_per_coefficient_and_only_inside_the_window(
         monkeypatch, points):
     import kbound.dynamics as dyn
 
-    windows = []
-    step = dyn._chebyshev_step
+    tops = []
+    evolve = dyn._evolve_window
 
-    def recording_step(phi, bonds, coef):
-        windows.append(phi.size)
-        return step(phi, bonds, coef)
+    def recording_evolve(source, times, open_end, record):
+        def top_record(ks, block, lo, b):
+            tops.append(lo + block.shape[1])
+            record(ks, block, lo, b)
+        return evolve(source, times, open_end, top_record)
 
-    monkeypatch.setattr(dyn, "_chebyshev_step", recording_step)
+    monkeypatch.setattr(dyn, "_evolve_window", recording_evolve)
     family = RecordingFamily()
     traj = evolve_amplitudes(family, np.linspace(0.0, 2.0, points))
     asked = np.concatenate(family.requested)
     # Every coefficient once, in order: the blocks tile 1 .. max.
     np.testing.assert_array_equal(asked, np.arange(1, asked.size + 1))
-    # Never past the widest window a step ran on, also where a coarse grid
-    # splits its steps, and that window stays within one step's spread of
-    # the amplitude's reach: by t = 2 the closed form has phi_n^2 > 1e-30
-    # up to n = 3471.
-    assert asked[-1] <= max(windows) - 1
-    assert max(windows) < 4000
-    assert traj.sites <= max(windows)
+    # Never past the highest top (lower edge + width) of a window a block
+    # ran on, also where a coarse grid splits its steps, and that top stays
+    # within one step's spread of the amplitude's reach: by t = 2 the
+    # closed form has phi_n^2 > 1e-30 up to n = 3471.
+    assert asked[-1] <= max(tops) - 1
+    assert max(tops) < 4000
+    assert traj.sites <= max(tops)
 
 
 def test_window_memory_stays_linear():
@@ -726,23 +763,25 @@ def test_every_march_runs_on_columns(monkeypatch):
 @pytest.mark.parametrize("chain", ["goe-d48-s7", "su2-D2000"])
 def test_stored_rows_are_the_march_rows(chain, grid):
     # evolve_amplitudes stores each row as the march made it, on the window
-    # it was made on, and exact zeros past that window: at tiny times too,
-    # where phi_2 ~ b_1 b_2 t^2 / 2 is below the occupied threshold.
+    # it was made on, and exact zeros outside that window: at tiny times
+    # too, where phi_2 ~ b_1 b_2 t^2 / 2 is below the occupied threshold,
+    # and below the lower edge of su2's packet.
     import kbound.dynamics as dyn
 
     b = _streamed_chain(chain)[0]
     times = _STREAMED_GRIDS[grid]
     rows = {}
 
-    def record(ks, block, _):
-        rows.update(zip(ks.tolist(), block[..., 0]))
+    def record(ks, block, lo, _):
+        rows.update((k, (lo, row)) for k, row in zip(ks.tolist(), block[..., 0]))
 
     dyn._evolve_window(b[:, None], times, False, record)
     phi = evolve_amplitudes(b, times).phi
     assert sorted(rows) == list(range(times.size))
-    for k, row in rows.items():
-        np.testing.assert_array_equal(phi[k, :row.size], row, err_msg=f"row {k}")
-        assert not np.any(phi[k, row.size:]), f"row {k}"
+    for k, (lo, row) in rows.items():
+        np.testing.assert_array_equal(phi[k, lo:lo + row.size], row, err_msg=f"row {k}")
+        assert not np.any(phi[k, :lo]), f"row {k}"
+        assert not np.any(phi[k, lo + row.size:]), f"row {k}"
 
 
 class TestProfile:
